@@ -13,7 +13,6 @@ from .dataset import (
     DatasetMeta,
     OfflineDataset,
     TrajectoryReturns,
-    Transition,
     compute_trajectory_returns,
     load_dataset,
     normalized_return,
@@ -82,7 +81,6 @@ __all__ = [
     "DatasetMeta",
     "OfflineDataset",
     "TrajectoryReturns",
-    "Transition",
     "compute_trajectory_returns",
     "load_dataset",
     "normalized_return",

@@ -210,46 +210,34 @@ def _parse_pbase_values(text):
     return values
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, args.override)
-    values = _parse_pbase_values(args.values)
-    table, timing = harness.sweep_pbase(cfg, values, jobs=args.jobs)
-    _write(os.path.join(args.out, "report.json"), dump_json(table))
-    _write(os.path.join(args.out, "timing.json"),
-           json.dumps(timing, sort_keys=True, indent=2) + "\n")
-    header = ["task"] + table["columns"]
-    row = [table["task"]] + [repr(table["scores"][c]) for c in table["columns"]]
-    _write(os.path.join(args.out, "sweep.csv"),
-           ",".join(header) + "\n" + ",".join(row) + "\n")
-    print("p_base sweep:", {c: table["scores"][c] for c in table["columns"]})
+def _finish_arms(args, table, timing, key, csv_name, title) -> int:
+    """Write a sweep/compare table bundle plus its one-row CSV, and report aborts."""
+    _write_report_bundle(args.out, table, timing)
+    labels = table[key]
+    _write(os.path.join(args.out, f"{csv_name}.csv"),
+           ",".join(["task"] + labels) + "\n"
+           + ",".join([table["task"]] + [repr(table["scores"][a]) for a in labels]) + "\n")
+    print(f"{title}:", {a: table["scores"][a] for a in labels})
     print(f"report -> {os.path.join(args.out, 'report.json')}")
-    aborted = [c for c in table["columns"]
-               if table["reports"][c]["aggregate"]["aborted_seeds"]]
+    aborted = [a for a in labels if table["reports"][a]["aggregate"]["aborted_seeds"]]
     if aborted:
         print(f"runtime abort in arms {aborted}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    cfg = _load_config(args.config, args.override)
+    values = _parse_pbase_values(args.values)
+    table, timing = harness.sweep_pbase(cfg, values, jobs=args.jobs)
+    return _finish_arms(args, table, timing, "columns", "sweep", "p_base sweep")
 
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config, args.override)
     table, timing = harness.compare_rebalance_methods(cfg, fraction=args.fraction,
                                                       jobs=args.jobs)
-    _write(os.path.join(args.out, "report.json"), dump_json(table))
-    _write(os.path.join(args.out, "timing.json"),
-           json.dumps(timing, sort_keys=True, indent=2) + "\n")
-    header = ["task"] + table["arms"]
-    row = [table["task"]] + [repr(table["scores"][a]) for a in table["arms"]]
-    _write(os.path.join(args.out, "compare.csv"),
-           ",".join(header) + "\n" + ",".join(row) + "\n")
-    print("rebalance comparison:", {a: table["scores"][a] for a in table["arms"]})
-    print(f"report -> {os.path.join(args.out, 'report.json')}")
-    aborted = [a for a in table["arms"]
-               if table["reports"][a]["aggregate"]["aborted_seeds"]]
-    if aborted:
-        print(f"runtime abort in arms {aborted}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _finish_arms(args, table, timing, "arms", "compare", "rebalance comparison")
 
 
 def _run_label(payload) -> str:

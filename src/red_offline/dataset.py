@@ -8,6 +8,7 @@ undiscounted sums; trajectories cut off by the horizon contribute their
 partial sum (a known, documented bias).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,22 +21,6 @@ ORDS_VERSION = 1
 
 class DatasetError(ValueError):
     """Dataset construction or file-format violation."""
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Single step: (obs, action, reward, next_obs, terminal, timeout).
-
-    ``terminal`` marks true environment termination; ``timeout`` marks a
-    horizon cutoff. They are never both set.
-    """
-
-    obs: np.ndarray
-    action: int | np.ndarray
-    reward: float
-    next_obs: np.ndarray
-    terminal: bool
-    timeout: bool
 
 
 @dataclass(frozen=True)
@@ -93,21 +78,30 @@ class OfflineDataset:
         both = np.flatnonzero(self.terminals & self.timeouts)
         if both.size:
             raise DatasetError(f"transition {both[0]}: terminal and timeout both set")
-        cursor = 0
-        for j, (s, e) in enumerate(self.traj_bounds):
-            if s != cursor or e <= s:
-                raise DatasetError(
-                    f"trajectory {j}: bounds ({s}, {e}) do not continue partition at {cursor}")
-            ends = self.terminals[s:e] | self.timeouts[s:e]
-            if not ends[-1]:
-                raise DatasetError(f"trajectory {j}: final transition {e - 1} has no end flag")
-            interior = np.flatnonzero(ends[:-1])
-            if interior.size:
-                raise DatasetError(
-                    f"trajectory {j}: interior transition {s + interior[0]} has an end flag")
-            cursor = e
-        if cursor != n:
-            raise DatasetError(f"trajectory bounds cover [0, {cursor}) but N={n}")
+        bounds = np.asarray(self.traj_bounds, dtype=np.int64).reshape(-1, 2)
+        starts, ends = bounds[:, 0], bounds[:, 1]
+        cursors = np.concatenate(([0], ends))  # where each trajectory must start, then the end
+        broken = np.flatnonzero((starts != cursors[:-1]) | (ends <= starts))
+        # trajectories before the first broken bound partition [0, ends[j])
+        ok = ends[:broken[0] if broken.size else None]
+        ok = ok[ok <= n]
+        flagged = self.terminals | self.timeouts
+        unflagged = np.flatnonzero(~flagged[ok - 1])
+        checked = unflagged[0] if unflagged.size else ok.size  # trajectories fully checked
+        covered = ok[checked - 1] if checked else 0
+        if np.count_nonzero(flagged[:covered]) != checked:
+            first = np.setdiff1d(np.flatnonzero(flagged[:covered]), ok[:checked] - 1)[0]
+            j = np.searchsorted(ok, first, side="right")
+            raise DatasetError(f"trajectory {j}: interior transition {first} has an end flag")
+        if unflagged.size:
+            j = unflagged[0]
+            raise DatasetError(f"trajectory {j}: final transition {ok[j] - 1} has no end flag")
+        if broken.size:
+            j = broken[0]
+            raise DatasetError(f"trajectory {j}: bounds ({starts[j]}, {ends[j]}) do not "
+                               f"continue partition at {cursors[j]}")
+        if cursors[-1] != n:
+            raise DatasetError(f"trajectory bounds cover [0, {cursors[-1]}) but N={n}")
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -115,17 +109,6 @@ class OfflineDataset:
     @property
     def n_trajectories(self) -> int:
         return len(self.traj_bounds)
-
-    def transition(self, i: int) -> Transition:
-        action = self.actions[i]
-        return Transition(
-            obs=self.obs[i],
-            action=int(action) if self.meta.discrete_actions is not None else action,
-            reward=float(self.rewards[i]),
-            next_obs=self.next_obs[i],
-            terminal=bool(self.terminals[i]),
-            timeout=bool(self.timeouts[i]),
-        )
 
     def batch(self, idx: np.ndarray) -> dict:
         """Gather a training batch by transition indices."""
@@ -138,13 +121,6 @@ class OfflineDataset:
             "timeout": self.timeouts[idx],
         }
 
-    def trajectory_index(self) -> np.ndarray:
-        """Trajectory id of every transition, length N."""
-        out = np.empty(len(self), dtype=np.int64)
-        for j, (s, e) in enumerate(self.traj_bounds):
-            out[s:e] = j
-        return out
-
 
 @dataclass(frozen=True)
 class TrajectoryReturns:
@@ -156,13 +132,35 @@ class TrajectoryReturns:
     per_transition_return: np.ndarray = field(repr=False)  # (N,)
 
 
+def _segment_sums(x: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each ``x[start:stop]``, as ``math.fsum`` gives.
+
+    A long-double sum is exact, so rounds once to float64, when every addend
+    is a multiple of ``2**q`` and the summed magnitudes stay below
+    ``2**(q + precision - 1)``; segments without that guarantee use ``fsum``.
+    """
+    wide = np.add.reduceat(x.astype(np.longdouble), starts)
+    mant, expo = np.frexp(np.where(np.isfinite(x), x, 0.0))  # non-finite sums stay so
+    sig = np.abs(np.ldexp(mant, 53)).astype(np.int64)  # integer significands
+    _, low = np.frexp((sig & -sig).astype(np.float64))  # 1 + lowest set bit
+    q = np.minimum.reduceat(np.where(sig > 0, expo - 54 + low, 1 << 20), starts)
+    _, top = np.frexp(np.add.reduceat(np.abs(x).astype(np.longdouble), starts))
+    out = wide.astype(np.float64)
+    for j in np.flatnonzero(top > q + np.finfo(np.longdouble).nmant):
+        out[j] = math.fsum(x[starts[j]:stops[j]].tolist())
+    return out
+
+
 def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
-    """Undiscounted reward sum per trajectory, broadcast back to transitions."""
+    """Undiscounted reward sum per trajectory, broadcast back to transitions.
+
+    Sums are correctly rounded, so trajectories whose rewards add up to the
+    same value get bitwise-equal returns.
+    """
     if len(ds) == 0:
         raise DatasetError("empty dataset")
     bounds = np.array(ds.traj_bounds, dtype=np.int64)
-    csum = np.concatenate([[0.0], np.cumsum(ds.rewards)])
-    returns = csum[bounds[:, 1]] - csum[bounds[:, 0]]
+    returns = _segment_sums(ds.rewards, bounds[:, 0], bounds[:, 1])
     lengths = bounds[:, 1] - bounds[:, 0]
     per_transition = np.repeat(returns, lengths)
     returns.setflags(write=False)

@@ -11,9 +11,15 @@ Scores follow the usual normalization 100 * (raw - random) / (expert -
 random) against the environment's reference policies, and aggregates are the
 mean over the final K evaluations, then over seeds.
 
+Each experiment prepares and checksums its dataset once; each sampler arm
+builds its table once and its seeds share it.
+
 Report JSON is byte-deterministic; wall-clock measurements live in a separate
 timing structure (written as timing.json) so repeated runs produce identical
-report bytes while still recording the sampler-build overhead.
+report bytes while still recording the sampler-build overhead. Per seed it
+holds ``sampler_build_s`` (the arm's single cold build, the same for every
+seed of the arm), ``train_s``, ``eval_s``, their sum ``total_s`` and
+``overhead_fraction = sampler_build_s / total_s``.
 """
 
 import contextlib
@@ -280,24 +286,17 @@ def _eval_points(total_steps: int, eval_every: int) -> list:
     return points
 
 
-def train_single_seed(ds, tr, mdp, algo_cfg: AlgoConfig, sampler_spec: SamplerSpec,
+def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float,
                       eval_cfg: EvalConfig, root_seed: int, seed: int,
                       total_steps: int | None = None, resume_nets: dict | None = None,
                       freeze_head: bool = False, backbone_mult: float = 1.0) -> SeedResult:
-    """Train one seed: build the sampler once, step, evaluate on schedule."""
+    """Train one seed on the arm's sampler (built once, in ``build_s`` seconds)
+    with the seed's own ``"sampler/{seed}"`` stream; evaluate on schedule."""
     steps = algo_cfg.total_steps if total_steps is None else total_steps
     refs = mdp.reference_scores
     flags = []
 
-    spec = replace(sampler_spec, seed=stream_seed(root_seed, f"sampler/{seed}"))
-    # build three times and keep the minimum: construction is a pure function
-    # and the minimum strips scheduler preemption out of the measurement
-    build_times = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        sampler = build_sampler(spec, ds, tr)
-        build_times.append(time.perf_counter() - t0)
-    build_s = min(build_times)
+    sampler = arm_sampler.with_seed(stream_seed(root_seed, f"sampler/{seed}"))
     if sampler.fell_back_uniform:
         flags.append("sampler fell back to uniform (all weights zero)")
 
@@ -356,7 +355,6 @@ def train_single_seed(ds, tr, mdp, algo_cfg: AlgoConfig, sampler_spec: SamplerSp
     total_s = build_s + train_s + eval_s
     timing = {
         "sampler_build_s": build_s,
-        "sampler_build_first_s": build_times[0],
         "train_s": train_s,
         "eval_s": eval_s,
         "total_s": total_s,
@@ -429,31 +427,48 @@ def _seed_payload(res: SeedResult, refs: dict) -> dict:
     }
 
 
-def _seed_job(args):
-    ds, tr, mdp_name, algo_cfg, spec, eval_cfg, root, seed = args
-    mdp = env_from_name(mdp_name)
-    return train_single_seed(ds, tr, mdp, algo_cfg, spec, eval_cfg, root, seed)
-
-
-def run_training(cfg: ExperimentConfig, jobs: int = 1,
-                 collect_states: bool = False):
-    """Single-stage run over all seeds; returns (report, seed results)."""
-    ds, tr, mdp = prepare_dataset(cfg.dataset)
-    refs = mdp.reference_scores
-    args = [(ds, tr, mdp.name, cfg.algo, cfg.sampler, cfg.eval, cfg.root_seed, s)
-            for s in cfg.eval.seeds]
+def _map_seeds(job, args, jobs: int) -> list:
+    """Run ``job`` over per-seed arguments, in ``jobs`` worker processes if > 1."""
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_seed_job, args))
-    else:
-        results = [_seed_job(a) for a in args]
+            return list(pool.map(job, args))
+    return [job(a) for a in args]
+
+
+def _prepare(source: DatasetSource):
+    """The static work of an experiment: (dataset, returns, environment, checksum)."""
+    ds, tr, mdp = prepare_dataset(source)
+    return ds, tr, mdp, dataset_checksum(ds)
+
+
+def _timed_build(spec: SamplerSpec, ds, tr):
+    """Build an arm's sampler table once; returns (sampler, seconds)."""
+    t0 = time.perf_counter()
+    sampler = build_sampler(spec, ds, tr)
+    return sampler, time.perf_counter() - t0
+
+
+def _seed_job(args):
+    ds, mdp_name, algo_cfg, sampler, build_s, eval_cfg, root, seed = args
+    mdp = env_from_name(mdp_name)
+    return train_single_seed(ds, mdp, algo_cfg, sampler, build_s, eval_cfg, root, seed)
+
+
+def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, collect_states: bool = False):
+    """One sampler arm on prepared data: build its table once, train every seed."""
+    ds, tr, mdp, checksum = prepared
+    refs = mdp.reference_scores
+    sampler, build_s = _timed_build(cfg.sampler, ds, tr)
+    args = [(ds, mdp.name, cfg.algo, sampler, build_s, cfg.eval, cfg.root_seed, s)
+            for s in cfg.eval.seeds]
+    results = _map_seeds(_seed_job, args, jobs)
     per_seed = [_seed_payload(r, refs) for r in results]
     flags = sorted({f for r in results for f in r.flags})
     report = ExperimentReport(
         config=config_to_dict(cfg),
         task=cfg.dataset.label,
         refs=refs,
-        checksum=dataset_checksum(ds),
+        checksum=checksum,
         per_seed=per_seed,
         aggregate=_aggregate(per_seed),
         flags=flags,
@@ -465,29 +480,32 @@ def run_training(cfg: ExperimentConfig, jobs: int = 1,
     return report, results
 
 
+def run_training(cfg: ExperimentConfig, jobs: int = 1,
+                 collect_states: bool = False):
+    """Single-stage run over all seeds; returns (report, seed results)."""
+    return _run_arm(cfg, _prepare(cfg.dataset), jobs, collect_states)
+
+
 def _two_stage_seed_job(args):
     """One seed of two-stage training; returns (stage-1, stage-2, heads equal).
 
-    Stage one trains ``stage1_steps`` with a uniform sampler and is saved to
+    Stage one trains ``stage1_steps`` on the uniform table and is saved to
     ``<ckpt_dir>/stage1_seed{seed}.orck``. Stage two reloads that file and
-    trains ``stage2_steps`` with the configured sampler (``return_resample``
-    when the config says ``uniform``). Results drop their learner state so
-    they pickle cheaply back from worker processes.
+    trains ``stage2_steps`` on the stage-two table. Both tables come built,
+    with their build seconds. Results drop their learner state so they
+    pickle cheaply back from worker processes.
     """
-    ds, tr, mdp_name, cfg, ckpt_dir, seed = args
+    ds, mdp_name, cfg, (stage1, build1_s), (stage2, build2_s), ckpt_dir, seed = args
     mdp = env_from_name(mdp_name)
     dered = cfg.dered
-    stage1_spec = replace(cfg.sampler, mode="uniform")
-    stage2_spec = cfg.sampler if cfg.sampler.mode != "uniform" else replace(
-        cfg.sampler, mode="return_resample")
 
-    res1 = train_single_seed(ds, tr, mdp, cfg.algo, stage1_spec, cfg.eval,
+    res1 = train_single_seed(ds, mdp, cfg.algo, stage1, build1_s, cfg.eval,
                              cfg.root_seed, seed, total_steps=dered.stage1_steps)
     path = os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
     save_checkpoint(path, res1.state.nets)
     nets, _ = load_checkpoint(path)
     # init_learner inside train_single_seed builds fresh optimizer moments
-    res2 = train_single_seed(ds, tr, mdp, cfg.algo, stage2_spec, cfg.eval,
+    res2 = train_single_seed(ds, mdp, cfg.algo, stage2, build2_s, cfg.eval,
                              cfg.root_seed, seed, total_steps=dered.stage2_steps,
                              resume_nets=nets, freeze_head=dered.freeze_head,
                              backbone_mult=dered.backbone_lr_mult)
@@ -513,9 +531,14 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     """
     if cfg.dered is None:
         raise ConfigError("two_stage_train requires the 'dered' config block")
-    ds, tr, mdp = prepare_dataset(cfg.dataset)
+    ds, tr, mdp, checksum = _prepare(cfg.dataset)
     refs = mdp.reference_scores
     dered = cfg.dered
+    # one table per stage, shared by every seed; stage two rebalances even
+    # when the config says uniform
+    tables = (_timed_build(replace(cfg.sampler, mode="uniform"), ds, tr),
+              _timed_build(cfg.sampler if cfg.sampler.mode != "uniform" else replace(
+                  cfg.sampler, mode="return_resample"), ds, tr))
 
     if out_dir is None:
         ckpt_ctx = tempfile.TemporaryDirectory()
@@ -523,56 +546,51 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
         os.makedirs(out_dir, exist_ok=True)
         ckpt_ctx = contextlib.nullcontext(out_dir)
     with ckpt_ctx as ckpt_dir:
-        args = [(ds, tr, mdp.name, cfg, ckpt_dir, seed) for seed in cfg.eval.seeds]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_two_stage_seed_job, args))
-        else:
-            results = [_two_stage_seed_job(a) for a in args]
+        args = [(ds, mdp.name, cfg, *tables, ckpt_dir, seed) for seed in cfg.eval.seeds]
+        results = _map_seeds(_two_stage_seed_job, args, jobs)
 
-    stage1_seed_payloads, stage2_seed_payloads = [], []
-    head_checks, flags1, flags2 = [], set(), set()
-    timing = {"stage1": {}, "stage2": {}}
-    for seed, (res1, res2, heads_equal) in zip(cfg.eval.seeds, results):
-        head_checks.append({"seed": seed, "heads_bitwise_equal": bool(heads_equal)})
+    for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results):
         if dered.freeze_head and not heads_equal:
             raise RuntimeError(f"seed {seed}: frozen heads changed during stage 2")
-        stage1_seed_payloads.append(_seed_payload(res1, refs))
-        stage2_seed_payloads.append(_seed_payload(res2, refs))
-        flags1.update(res1.flags)
-        flags2.update(res2.flags)
-        timing["stage1"][str(seed)] = res1.timing
-        timing["stage2"][str(seed)] = res2.timing
 
-    checksum = dataset_checksum(ds)
-    base = {"config": config_to_dict(cfg), "task": cfg.dataset.label,
-            "refs": refs, "dataset_checksum": checksum}
-    report = {
-        "kind": "two_stage",
-        **base,
-        "stage1": {"per_seed": stage1_seed_payloads,
-                   "aggregate": _aggregate(stage1_seed_payloads),
-                   "flags": sorted(flags1)},
-        "stage2": {"per_seed": stage2_seed_payloads,
-                   "aggregate": _aggregate(stage2_seed_payloads),
-                   "flags": sorted(flags2),
-                   "head_checks": head_checks},
+    def stage(i):
+        stage_results = [r[i] for r in results]
+        per_seed = [_seed_payload(r, refs) for r in stage_results]
+        return ({"per_seed": per_seed, "aggregate": _aggregate(per_seed),
+                 "flags": sorted({f for r in stage_results for f in r.flags})},
+                {str(r.seed): r.timing for r in stage_results})
+
+    (stage1, timing1), (stage2, timing2) = stage(0), stage(1)
+    stage2["head_checks"] = [{"seed": seed, "heads_bitwise_equal": bool(heads_equal)}
+                             for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results)]
+    m1 = stage1["aggregate"]["mean_normalized"]
+    m2 = stage2["aggregate"]["mean_normalized"]
+    report = {"kind": "two_stage", "config": config_to_dict(cfg), "task": cfg.dataset.label,
+              "refs": refs, "dataset_checksum": checksum, "stage1": stage1, "stage2": stage2,
+              "stage2_minus_stage1": None if m1 is None or m2 is None else m2 - m1}
+    return report, {"stage1": timing1, "stage2": timing2}
+
+
+def _arms_table(kind: str, cfg: ExperimentConfig, key: str, labels: list, reports: dict):
+    """(table, timing) of a multi-arm experiment, keyed by arm label."""
+    table = {
+        "kind": kind,
+        "task": cfg.dataset.label,
+        key: labels,
+        "scores": {a: reports[a].aggregate["mean_normalized"] for a in labels},
+        "stds": {a: reports[a].aggregate["std_normalized"] for a in labels},
+        "reports": {a: reports[a].payload() for a in labels},
     }
-    improvement = None
-    m1 = report["stage1"]["aggregate"]["mean_normalized"]
-    m2 = report["stage2"]["aggregate"]["mean_normalized"]
-    if m1 is not None and m2 is not None:
-        improvement = m2 - m1
-    report["stage2_minus_stage1"] = improvement
-    return report, timing
+    return table, {a: reports[a].timing for a in labels}
 
 
 def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
-    """One run per p_base value; the infinity column is the uniform sampler."""
+    """One arm per p_base value on one prepared dataset; the infinity column
+    is the uniform sampler."""
     if not values:
         raise ConfigError("need at least one p_base value")
+    prepared = _prepare(cfg.dataset)
     columns, reports = [], {}
-    timing = {}
     for v in values:
         if isinstance(v, str) and v.lower() in ("inf", "infinity"):
             label = "inf"
@@ -581,48 +599,29 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
             label = repr(float(v))
             arm = replace(cfg, sampler=replace(cfg.sampler, mode="return_resample",
                                                p_base=float(v)))
-        report, _ = run_training(arm, jobs=jobs)
+        reports[label], _ = _run_arm(arm, prepared, jobs)
         columns.append(label)
-        reports[label] = report
-        timing[label] = report.timing
-    table = {
-        "kind": "pbase_sweep",
-        "task": cfg.dataset.label,
-        "columns": columns,
-        "scores": {label: reports[label].aggregate["mean_normalized"] for label in columns},
-        "stds": {label: reports[label].aggregate["std_normalized"] for label in columns},
-        "reports": {label: reports[label].payload() for label in columns},
-    }
-    return table, timing
+    return _arms_table("pbase_sweep", cfg, "columns", columns, reports)
 
 
 COMPARE_ARMS = ("uniform", "return_resample", "reward_resample", "top_fraction")
 
 
 def compare_rebalance_methods(cfg: ExperimentConfig, fraction: float = 0.1, jobs: int = 1):
-    """Four arms (uniform / return / reward / top-fraction), same seeds and data."""
+    """Four arms (uniform / return / reward / top-fraction), same seeds and data.
+
+    The dataset is prepared and checksummed once, so every arm sees the same
+    bits by construction.
+    """
+    prepared = _prepare(cfg.dataset)
     reports = {}
-    timing = {}
     for arm_mode in COMPARE_ARMS:
         spec = replace(cfg.sampler, mode=arm_mode)
         if arm_mode == "top_fraction":
             spec = replace(spec, fraction=fraction)
-        report, _ = run_training(replace(cfg, sampler=spec), jobs=jobs)
-        reports[arm_mode] = report
-        timing[arm_mode] = report.timing
-    checksums = {m: reports[m].checksum for m in COMPARE_ARMS}
-    if len(set(checksums.values())) != 1:
-        raise RuntimeError(f"comparison arms saw different dataset bits: {checksums}")
-    table = {
-        "kind": "rebalance_compare",
-        "task": cfg.dataset.label,
-        "arms": list(COMPARE_ARMS),
-        "scores": {m: reports[m].aggregate["mean_normalized"] for m in COMPARE_ARMS},
-        "stds": {m: reports[m].aggregate["std_normalized"] for m in COMPARE_ARMS},
-        "dataset_checksum": checksums["uniform"],
-        "reports": {m: reports[m].payload() for m in COMPARE_ARMS},
-    }
-    return table, timing
+        reports[arm_mode], _ = _run_arm(replace(cfg, sampler=spec), prepared, jobs)
+    table, timing = _arms_table("rebalance_compare", cfg, "arms", list(COMPARE_ARMS), reports)
+    return {**table, "dataset_checksum": prepared[3]}, timing
 
 
 # ---------------------------------------------------------------------------

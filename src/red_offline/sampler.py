@@ -7,7 +7,7 @@ alias method gives O(N) build and O(1) draws, which is all a static
 distribution needs.
 """
 
-import hashlib
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -99,17 +99,64 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
     return np.sort(order[:k])
 
 
-_ALIAS_CACHE: dict = {}  # probs digest -> (accept, alias); tables are immutable
-_ALIAS_CACHE_MAX = 16
+def _alias_table(probs: np.ndarray):
+    """Vose's alias table, paired as the classic stack loop pairs it.
+
+    The loop serves smalls (``n*p < 1``; zero-mass first, each group from the
+    highest index down) to larges (highest index first); a large absorbs
+    deficits ``1 - n*p`` until its excess ``n*p - 1`` is spent, then turns
+    small and goes first to the next large. So large ``k`` turns at the first
+    small whose running deficit exceeds the running excess of larges ``0..k``
+    (a searchsorted), and its accept is one plus the running sum of excess
+    minus absorbed deficit, which stays O(1). Sums are long double; where a
+    near-tie makes the two disagree, the turn moves by one small and is
+    checked again, so every accept stays in [0, 1].
+    """
+    n = probs.size
+    scaled = probs * float(n)
+    accept = np.ones(n)
+    alias = np.arange(n)
+    small = np.concatenate((np.flatnonzero((scaled > 0.0) & (scaled < 1.0)),
+                            np.flatnonzero(scaled == 0.0)))[::-1]
+    large = np.flatnonzero(scaled >= 1.0)[::-1]
+    m, k = small.size, large.size
+    if m and k:
+        deficit = np.zeros(m + 1, dtype=np.longdouble)  # zero past the end for reduceat
+        np.subtract(1.0, scaled[small], out=deficit[:m], dtype=np.longdouble)
+        excess = scaled[large].astype(np.longdouble) - 1.0
+        turn = np.searchsorted(np.cumsum(deficit[:m]), np.cumsum(excess), side="right")
+        for _ in range(8):
+            ends = np.minimum(turn + 1, m)   # smalls [starts[j], ends[j]) go to large j
+            starts = np.concatenate(([0], ends[:-1]))
+            kt = min(int(np.count_nonzero(turn < m)), k - 1)  # larges that pair onward
+            absorbed = np.add.reduceat(deficit, starts[:kt + 1])[:kt]
+            absorbed[ends[:kt] == starts[:kt]] = 0.0
+            rest = 1.0 + np.cumsum(excess[:kt] - absorbed)
+            over, under = rest >= 1.0, rest < 0.0
+            if not (over.any() or under.any()):
+                break
+            turn[:kt] += over.astype(turn.dtype) - under
+            turn = np.maximum.accumulate(turn)
+        owner = np.repeat(np.arange(k), ends - starts)
+        paired = small[:owner.size]
+        accept[paired] = scaled[paired]
+        alias[paired] = large[owner]
+        accept[large[:kt]] = np.clip(rest.astype(np.float64), 0.0, 1.0)
+        alias[large[:kt]] = large[1:kt + 1]
+        small = small[owner.size:]
+    zero = small[scaled[small] == 0.0]   # cannot happen in exact arithmetic
+    accept[zero] = 0.0
+    alias[zero] = int(np.argmax(probs))
+    return accept, alias
 
 
 class WeightedSampler:
     """Alias-table categorical sampler over a fixed probability vector.
 
-    The distribution is immutable and shareable; the RNG stream is owned by
-    this instance, so concurrent runs each build their own sampler. Alias
-    tables are cached by probability-vector digest, since comparison arms
-    rebuild the same static distribution once per seed.
+    The distribution (``probs``, the alias table, ``fell_back_uniform``) is
+    immutable and built in the constructor, with no cache. The RNG stream is
+    per instance: ``with_seed`` shares the table under a new generator, so an
+    arm's seeds share one build and draw what fresh builds would draw.
     """
 
     def __init__(self, probs: np.ndarray, seed: int, fell_back_uniform: bool = False):
@@ -121,51 +168,19 @@ class WeightedSampler:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs sum to {probs.sum()!r}, expected 1 within 1e-12")
         self.probs = probs.copy()
-        self.probs.setflags(write=False)
-        self.seed = int(seed)
         self.fell_back_uniform = fell_back_uniform
+        self._accept, self._alias = _alias_table(self.probs)
+        for a in (self.probs, self._accept, self._alias):
+            a.setflags(write=False)
+        self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        key = hashlib.blake2b(self.probs.tobytes(), digest_size=16).digest()
-        cached = _ALIAS_CACHE.get(key)
-        if cached is None:
-            cached = self._build_alias(self.probs)
-            if len(_ALIAS_CACHE) >= _ALIAS_CACHE_MAX:
-                _ALIAS_CACHE.pop(next(iter(_ALIAS_CACHE)))
-            _ALIAS_CACHE[key] = cached
-        self._accept, self._alias = cached
 
-    @staticmethod
-    def _build_alias(probs: np.ndarray):
-        n = probs.size
-        scaled_arr = probs * float(n)
-        # python floats in the pairing loop; numpy scalars are ~10x slower
-        scaled = scaled_arr.tolist()
-        accept = [1.0] * n
-        alias = list(range(n))
-        # zero-mass columns must pair while donors remain, so they go last in
-        # the list (pop() serves them first); they end with accept 0 and an
-        # alias carrying positive mass, so they can never return themselves
-        small = np.flatnonzero((scaled_arr > 0.0) & (scaled_arr < 1.0)).tolist()
-        small += np.flatnonzero(scaled_arr == 0.0).tolist()
-        large = np.flatnonzero(scaled_arr >= 1.0).tolist()
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            accept[s] = scaled[s]
-            alias[s] = g
-            rest = scaled[g] - (1.0 - scaled[s])
-            scaled[g] = rest
-            (small if rest < 1.0 else large).append(g)
-        # leftovers on either side are exactly 1 up to rounding; a zero-mass
-        # leftover cannot occur in exact arithmetic, but guard anyway
-        fallback = int(np.argmax(probs)) if small else 0
-        for s in small:
-            if probs[s] > 0.0:
-                accept[s] = 1.0
-            else:
-                accept[s] = 0.0
-                alias[s] = fallback
-        return np.asarray(accept), np.asarray(alias)
+    def with_seed(self, seed: int) -> "WeightedSampler":
+        """A sampler over the same table with a fresh generator seeded ``seed``."""
+        other = copy.copy(self)
+        other.seed = int(seed)
+        other._rng = np.random.default_rng(other.seed)
+        return other
 
     def __len__(self) -> int:
         return self.probs.size

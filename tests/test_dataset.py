@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
                                  load_dataset, normalized_return,
                                  return_histogram, save_dataset)
 from conftest import make_dataset
+
+PRESET_NAMES = ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
 
 
 def brute_force_returns(ds):
@@ -213,3 +217,93 @@ def test_invariant_violations_rejected():
         OfflineDataset(terminals=np.array([True, True]),
                        timeouts=np.array([False, False]),
                        traj_bounds=[(0, 1)], **base)
+
+
+def test_returns_are_correctly_rounded_sums(preset_dataset):
+    # every return is the correctly rounded sum of its rewards (math.fsum),
+    # on the presets, on larger generated data and on rewards whose
+    # magnitudes defeat an exact long-double sum (the fsum fallback)
+    from red_offline.envsuite import generate_dataset, preset_config
+    datasets = [preset_dataset(name) for name in PRESET_NAMES]
+    datasets += [generate_dataset(preset_config("replay_analog", seed=seed, n_trajectories=2000))
+                 for seed in (1, 3, 7, 11)]
+    rng = np.random.default_rng(4)
+    datasets.append(make_dataset([list(rng.normal(size=int(rng.integers(1, 9)))
+                                       * 10.0 ** rng.integers(-25, 25, 1))
+                                  + [1e-30, 1e30, -1e30] for _ in range(40)]))
+    for ds in datasets:
+        tr = compute_trajectory_returns(ds)
+        rewards = ds.rewards.tolist()
+        expected = [math.fsum(rewards[s:e]) for s, e in ds.traj_bounds]
+        assert tr.returns.tolist() == expected
+
+
+def test_equal_sums_give_bitwise_equal_returns():
+    # a running-sum difference would give these three different last bits
+    ds = make_dataset([[5.0] * 30 + [0.1, 0.2, 0.3], [0.3, 0.2, 0.1], [0.2, 0.3, 0.1]])
+    tr = compute_trajectory_returns(ds)
+    assert tr.returns[1] == tr.returns[2] == math.fsum([0.1, 0.2, 0.3])
+    assert tr.r_min == tr.returns[1]
+
+
+def reference_validation_error(terminals, timeouts, bounds, n):
+    # the per-trajectory loop the vectorized checks replace; None if valid
+    cursor = 0
+    for j, (s, e) in enumerate(bounds):
+        if s != cursor or e <= s:
+            return f"trajectory {j}: bounds ({s}, {e}) do not continue partition at {cursor}"
+        ends = terminals[s:e] | timeouts[s:e]
+        if not ends[-1]:
+            return f"trajectory {j}: final transition {e - 1} has no end flag"
+        interior = np.flatnonzero(ends[:-1])
+        if interior.size:
+            return f"trajectory {j}: interior transition {s + interior[0]} has an end flag"
+        cursor = e
+    if cursor != n:
+        return f"trajectory bounds cover [0, {cursor}) but N={n}"
+    return None
+
+
+def test_validation_reports_the_same_first_offender_as_the_loop():
+    rng = np.random.default_rng(9)
+    meta = DatasetMeta(obs_dim=1, action={"discrete": 2}, env_name="x", seed=0)
+    seen = set()
+    for trial in range(400):
+        lengths = rng.integers(1, 5, size=int(rng.integers(1, 6)))
+        ends = np.cumsum(lengths)
+        n = int(ends[-1])
+        bounds = [(int(e - m), int(e)) for e, m in zip(ends, lengths)]
+        terminals = np.zeros(n, bool)
+        timeouts = np.zeros(n, bool)
+        terminals[ends - 1] = rng.random(len(ends)) < 0.5
+        timeouts[ends - 1] = ~terminals[ends - 1]
+        for _ in range(int(rng.integers(0, 3))):
+            kind = rng.integers(0, 4)
+            i = int(rng.integers(0, n))
+            if kind == 0:      # drop or add an end flag
+                terminals[i] = not (terminals[i] or timeouts[i])
+                timeouts[i] = False
+            elif kind == 1:    # shift a bound
+                j = int(rng.integers(0, len(bounds)))
+                s, e = bounds[j]
+                bounds[j] = (s, e + int(rng.choice([-1, 1])))
+            elif kind == 2 and len(bounds) > 1:    # drop a trajectory
+                bounds.pop(int(rng.integers(0, len(bounds))))
+            elif kind == 3:    # shift a start
+                j = int(rng.integers(0, len(bounds)))
+                s, e = bounds[j]
+                bounds[j] = (s - 1, e)
+        if any(e > n for _, e in bounds):
+            continue  # the loop read past the flags there
+        expected = reference_validation_error(terminals, timeouts, bounds, n)
+        seen.add(expected and expected.split(" ")[2])
+        kwargs = dict(obs=np.zeros((n, 1)), actions=np.zeros(n, dtype=int),
+                      rewards=np.zeros(n), next_obs=np.zeros((n, 1)),
+                      terminals=terminals, timeouts=timeouts, traj_bounds=bounds, meta=meta)
+        if expected is None:
+            OfflineDataset(**kwargs)
+        else:
+            with pytest.raises(DatasetError) as info:
+                OfflineDataset(**kwargs)
+            assert str(info.value) == expected
+    assert seen == {None, "bounds", "final", "interior", "cover"}

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,3 +273,64 @@ def test_nan_abort_is_recorded(monkeypatch):
     assert entry["aborted"] and entry["abort_step"] == 5
     assert report.aggregate["aborted_seeds"] == [0]
     assert any("nan abort" in f for f in report.flags)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("seeds", [(0,), (0, 1, 2)])
+def test_static_work_runs_once_per_experiment(monkeypatch, tmp_path, seeds):
+    # one dataset load and checksum per experiment, one table per arm,
+    # whatever the number of seeds
+    from red_offline import harness as hmod, sampler as smod
+    from red_offline.dataset import save_dataset
+    ds, _, _ = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
+    path = str(tmp_path / "data.ords")
+    save_dataset(ds, path)
+    counts = {}
+    for module, name in ((hmod, "load_dataset"), (hmod, "dataset_checksum"),
+                         (hmod, "build_sampler"), (smod, "_alias_table")):
+        _count_calls(monkeypatch, module, name, counts)
+    cfg = small_config(dataset=DatasetSource(path=path),
+                       algo=AlgoConfig(family="q_plus_bc", total_steps=20, batch_size=16,
+                                       hidden_units=8),
+                       eval=EvalConfig(eval_every=10, episodes_per_eval=1, final_k=2,
+                                       seeds=seeds))
+    expected_tables = {"compare": 4, "sweep": 3, "train": 1, "dered": 2}
+    for kind, run in (("compare", lambda: compare_rebalance_methods(cfg)),
+                      ("sweep", lambda: sweep_pbase(cfg, [0.0, 0.5, "inf"])),
+                      ("train", lambda: run_training(cfg)),
+                      ("dered", lambda: two_stage_train(
+                          replace(cfg, dered=DeredConfig(stage1_steps=10, stage2_steps=10))))):
+        counts.clear()
+        run()
+        tables = expected_tables[kind]
+        assert counts == {"load_dataset": 1, "dataset_checksum": 1,
+                          "build_sampler": tables, "_alias_table": tables}, kind
+
+
+def test_timing_records_one_cold_build_per_arm(tmp_path):
+    from red_offline.cli import main
+    cfg = config_to_dict(small_config(
+        algo=AlgoConfig(family="q_plus_bc", total_steps=20, batch_size=16, hidden_units=8),
+        eval=EvalConfig(eval_every=10, episodes_per_eval=1, final_k=2, seeds=(0, 1))))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    assert set(timing) == {"uniform", "return_resample", "reward_resample", "top_fraction"}
+    for arm in timing.values():
+        seeds = list(arm["per_seed"].values())
+        assert len({t["sampler_build_s"] for t in seeds}) == 1  # the arm's single build
+        for t in seeds:
+            assert set(t) == {"sampler_build_s", "train_s", "eval_s", "total_s",
+                              "overhead_fraction"}
+            assert t["total_s"] == t["sampler_build_s"] + t["train_s"] + t["eval_s"]
+            assert t["overhead_fraction"] == t["sampler_build_s"] / t["total_s"]

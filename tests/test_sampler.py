@@ -198,3 +198,119 @@ def test_alpha_concentration_limit():
     spec = SamplerSpec(mode="return_resample", alpha=64.0, p_base=0.0, seed=0)
     s = build_sampler(spec, ds, tr)
     assert s.probs[3] > 1 - 1e-9
+
+
+def reference_alias(probs):
+    # the classic stack loop, kept as the reference for the vectorized table:
+    # positive smalls then zero-mass columns, popped from the end; larges
+    # popped from the highest index; leftovers keep accept 1 (or 0 with an
+    # alias carrying mass, for zero-mass columns)
+    n = probs.size
+    scaled_arr = probs * float(n)
+    scaled = scaled_arr.tolist()
+    accept = [1.0] * n
+    alias = list(range(n))
+    small = np.flatnonzero((scaled_arr > 0.0) & (scaled_arr < 1.0)).tolist()
+    small += np.flatnonzero(scaled_arr == 0.0).tolist()
+    large = np.flatnonzero(scaled_arr >= 1.0).tolist()
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = g
+        rest = scaled[g] - (1.0 - scaled[s])
+        scaled[g] = rest
+        (small if rest < 1.0 else large).append(g)
+    fallback = int(np.argmax(probs)) if small else 0
+    for s in small:
+        if probs[s] > 0.0:
+            accept[s] = 1.0
+        else:
+            accept[s] = 0.0
+            alias[s] = fallback
+    return np.asarray(accept), np.asarray(alias)
+
+
+def implied_mass_error(probs, accept, alias):
+    """max |accept_i + sum over j aliased to i of (1 - accept_j) - n * p_i|, exactly."""
+    n = probs.size
+    parts = [[a] for a in accept.tolist()]
+    for j, (a, target) in enumerate(zip(accept.tolist(), alias.tolist())):
+        if target != j:
+            parts[target] += [1.0, -a]
+    scaled = (probs * float(n)).tolist()
+    return max(abs(math.fsum(p + [-s])) for p, s in zip(parts, scaled))
+
+
+ALIAS_CASES = [(name, mode, p_base)
+               for name in ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
+               for mode, p_base in (("uniform", 0.0), ("return_resample", 0.0),
+                                    ("return_resample", 0.2), ("reward_resample", 0.0),
+                                    ("top_fraction", 0.0))]
+
+
+@pytest.mark.parametrize("name,mode,p_base", ALIAS_CASES)
+def test_alias_table_against_reference_loop(preset_dataset, name, mode, p_base):
+    ds = preset_dataset(name)
+    tr = compute_trajectory_returns(ds)
+    s = build_sampler(SamplerSpec(mode=mode, p_base=p_base, seed=11), ds, tr)
+    probs, accept, alias = s.probs, s._accept, s._alias
+    ref_accept, ref_alias = reference_alias(probs)
+    n = probs.size
+
+    assert accept.min() >= 0.0 and accept.max() <= 1.0
+    zero = probs == 0.0
+    assert np.all(accept[zero] == 0.0)
+    assert np.all(probs[alias[zero]] > 0.0)
+    # n * P is rebuilt as well as the loop rebuilds it; the rounding already
+    # in n * P (its sum is not exactly n) lands on one column in either table
+    normalization = abs(math.fsum((probs * float(n)).tolist() + [-float(n)]))
+    assert implied_mass_error(probs, accept, alias) <= max(
+        implied_mass_error(probs, ref_accept, ref_alias), normalization) + 1e-15
+
+    # the pairing is the loop's except at near-ties, where a small moves to
+    # the neighbouring large; draws agree wherever the drawn column pairs the
+    # same way
+    differs = (ref_alias != alias) | (np.abs(accept - ref_accept) > 1e-11)
+    assert differs.sum() <= max(10, n // 200)
+    rng = np.random.default_rng(11)
+    cols = rng.integers(0, n, size=200_000)
+    u = rng.random(200_000)
+    ref_draws = np.where(u < ref_accept[cols], cols, ref_alias[cols])
+    draws = s.sample_batch(200_000)
+    assert np.array_equal(draws[~differs[cols]], ref_draws[~differs[cols]])
+
+
+def test_alias_table_random_distributions_match_reference():
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        n = int(rng.integers(1, 300))
+        w = (rng.random(n), rng.integers(0, 4, n).astype(float),
+             rng.choice([0.2, 1.2], n), rng.random(n) ** 8 * (rng.random(n) < 0.5))[trial % 4]
+        if not w.any():
+            w[0] = 1.0
+        probs = w / w.sum()
+        if abs(probs.sum() - 1.0) > 1e-12:
+            continue
+        s = WeightedSampler(probs, seed=trial)
+        ref_accept, ref_alias = reference_alias(s.probs)
+        assert s._accept.min() >= 0.0 and s._accept.max() <= 1.0
+        assert np.all(s.probs[s._alias[s.probs == 0.0]] > 0.0)
+        normalization = abs(math.fsum((s.probs * float(n)).tolist() + [-float(n)]))
+        assert implied_mass_error(s.probs, s._accept, s._alias) <= max(
+            implied_mass_error(s.probs, ref_accept, ref_alias), normalization) + 1e-15
+
+
+def test_with_seed_shares_the_table_and_matches_a_fresh_build():
+    ds = make_dataset([[float(i), 1.0] for i in range(30)])
+    tr = compute_trajectory_returns(ds)
+    arm = build_sampler(SamplerSpec(mode="return_resample", p_base=0.1, seed=0), ds, tr)
+    seeded = arm.with_seed(777)
+    assert seeded._accept is arm._accept and seeded._alias is arm._alias
+    assert seeded.probs is arm.probs and not seeded.probs.flags.writeable
+    fresh = build_sampler(SamplerSpec(mode="return_resample", p_base=0.1, seed=777), ds, tr)
+    assert np.array_equal(seeded.sample_batch(5000), fresh.sample_batch(5000))
+    # the arm's own stream is untouched by draws on the reseeded copy
+    assert np.array_equal(arm.sample_batch(100),
+                          build_sampler(SamplerSpec(mode="return_resample", p_base=0.1,
+                                                    seed=0), ds, tr).sample_batch(100))
