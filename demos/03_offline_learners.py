@@ -20,7 +20,7 @@ def run(family, mode):
                         seeds=(0, 1, 2, 3, 4)),
         root_seed=100,
     )
-    report, _ = run_training(cfg)
+    report, _, _ = run_training(cfg)
     return report
 
 
@@ -31,9 +31,9 @@ def main():
         means = {}
         for mode in ("uniform", "return_resample"):
             report = run(family, mode)
-            agg = report.aggregate
+            agg = report["aggregate"]
             means[mode] = agg["mean_normalized"]
-            per_seed = [s["final_k_mean_normalized"] for s in report.per_seed]
+            per_seed = [s["final_k_mean_normalized"] for s in report["per_seed"]]
             print(f"  {mode:16s} per-seed " +
                   " ".join(f"{v:6.1f}" for v in per_seed) +
                   f"   mean {agg['mean_normalized']:6.2f}")

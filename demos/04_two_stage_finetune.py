@@ -22,7 +22,7 @@ def main():
                           backbone_lr_mult=0.1, freeze_head=True),
         root_seed=100,
     )
-    report, _ = two_stage_train(cfg)
+    report, _, _ = two_stage_train(cfg)
     s1 = report["stage1"]["aggregate"]
     s2 = report["stage2"]["aggregate"]
     print(f"stage 1 (uniform pretrain):       {s1['mean_normalized']:.2f} "

@@ -28,7 +28,6 @@ from .envsuite import (
     mdp_dense_chain,
     mdp_grid_maze,
     preset_config,
-    reference_scores,
 )
 from .sampler import (
     SamplerSpec,
@@ -55,7 +54,6 @@ from .harness import (
     DeredConfig,
     EvalConfig,
     ExperimentConfig,
-    ExperimentReport,
     compare_rebalance_methods,
     normalized_score,
     run_training,
@@ -94,7 +92,6 @@ __all__ = [
     "mdp_dense_chain",
     "mdp_grid_maze",
     "preset_config",
-    "reference_scores",
     "SamplerSpec",
     "WeightedSampler",
     "build_sampler",
@@ -115,7 +112,6 @@ __all__ = [
     "DeredConfig",
     "EvalConfig",
     "ExperimentConfig",
-    "ExperimentReport",
     "compare_rebalance_methods",
     "normalized_score",
     "run_training",

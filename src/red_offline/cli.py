@@ -134,62 +134,58 @@ def cmd_rebalance_preview(args) -> int:
     return EXIT_OK
 
 
-def _write_report_bundle(out_dir, payload, timing, results=None):
+def _blocks(payload) -> list:
+    """(name, block) of each per-seed block of a report: the run itself (name
+    None), each two-stage stage, or each sweep/compare arm."""
+    if payload["kind"] == "experiment":
+        return [(None, payload)]
+    if payload["kind"] == "two_stage":
+        return [(stage, payload[stage]) for stage in ("stage1", "stage2")]
+    return list(payload["reports"].items())
+
+
+def _write_bundle(out_dir, payload, timing, losses) -> int:
+    """Write report.json, timing.json and every block's ``curves{_name}.csv``
+    and ``losses{_name}_seed{s}.csv``; returns exit 3 if any block has aborted
+    seeds, else 0."""
     _write(os.path.join(out_dir, "report.json"), dump_json(payload))
     _write(os.path.join(out_dir, "timing.json"),
            json.dumps(timing, sort_keys=True, indent=2) + "\n")
-    if payload.get("kind") == "experiment":
-        _write(os.path.join(out_dir, "curves.csv"), curves_csv(payload["per_seed"]))
-    elif payload.get("kind") == "two_stage":
-        for stage in ("stage1", "stage2"):
-            _write(os.path.join(out_dir, f"curves_{stage}.csv"),
-                   curves_csv(payload[stage]["per_seed"]))
-    if results is not None:
-        for res in results:
-            _write(os.path.join(out_dir, f"losses_seed{res.seed}.csv"),
-                   losses_csv(res.losses))
-
-
-def _runtime_exit(payload) -> int:
-    if payload.get("kind") == "experiment":
-        aborted = payload["aggregate"]["aborted_seeds"]
-    elif payload.get("kind") == "two_stage":
-        aborted = (payload["stage1"]["aggregate"]["aborted_seeds"]
-                   + payload["stage2"]["aggregate"]["aborted_seeds"])
-    else:
-        aborted = []
+    aborted = []
+    for name, block in _blocks(payload):
+        label, rows = ("", losses) if name is None else (f"_{name}", losses[name])
+        _write(os.path.join(out_dir, f"curves{label}.csv"), curves_csv(block["per_seed"]))
+        for seed, seed_rows in rows.items():
+            _write(os.path.join(out_dir, f"losses{label}_seed{seed}.csv"), losses_csv(seed_rows))
+        seeds = block["aggregate"]["aborted_seeds"]
+        if seeds:
+            aborted.append(f"{seeds}" if name is None else f"{name} {seeds}")
+    print(f"report -> {os.path.join(out_dir, 'report.json')}")
     if aborted:
-        print(f"runtime abort on seeds {aborted}", file=sys.stderr)
+        print(f"runtime abort on seeds {', '.join(aborted)}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, args.override)
-    report, results = harness.run_training(cfg, jobs=args.jobs)
-    payload = report.payload()
-    _write_report_bundle(args.out, payload, report.timing, results)
-    agg = payload["aggregate"]
-    print(f"task {payload['task']}: normalized {agg['mean_normalized']} "
-          f"+/- {agg['std_normalized']} over {len(payload['per_seed'])} seeds")
-    print(f"report -> {os.path.join(args.out, 'report.json')}")
-    return _runtime_exit(payload)
+    report, timing, losses = harness.run_training(cfg, jobs=args.jobs)
+    agg = report["aggregate"]
+    print(f"task {report['task']}: normalized {agg['mean_normalized']} "
+          f"+/- {agg['std_normalized']} over {len(report['per_seed'])} seeds")
+    return _write_bundle(args.out, report, timing, losses)
 
 
 def cmd_dered(args) -> int:
     cfg = _load_config(args.config, args.override)
-    if cfg.dered is None:
-        raise SystemExit_(EXIT_CONFIG, "config has no 'dered' block")
-    payload, timing = harness.two_stage_train(cfg, out_dir=args.out, jobs=args.jobs)
-    _write_report_bundle(args.out, payload, timing)
-    s1 = payload["stage1"]["aggregate"]["mean_normalized"]
-    s2 = payload["stage2"]["aggregate"]["mean_normalized"]
+    report, timing, losses = harness.two_stage_train(cfg, out_dir=args.out, jobs=args.jobs)
+    s1 = report["stage1"]["aggregate"]["mean_normalized"]
+    s2 = report["stage2"]["aggregate"]["mean_normalized"]
     arrow = ""
     if s1 is not None and s2 is not None and s2 > s1:
         arrow = "  (stage 2 improved)"
-    print(f"task {payload['task']}: stage1 {s1}  stage2 {s2}{arrow}")
-    print(f"report -> {os.path.join(args.out, 'report.json')}")
-    return _runtime_exit(payload)
+    print(f"task {report['task']}: stage1 {s1}  stage2 {s2}{arrow}")
+    return _write_bundle(args.out, report, timing, losses)
 
 
 def _parse_pbase_values(text):
@@ -210,34 +206,28 @@ def _parse_pbase_values(text):
     return values
 
 
-def _finish_arms(args, table, timing, key, csv_name, title) -> int:
-    """Write a sweep/compare table bundle plus its one-row CSV, and report aborts."""
-    _write_report_bundle(args.out, table, timing)
+def _finish_arms(args, run, key, csv_name, title) -> int:
+    """Write a sweep/compare bundle plus its one-row CSV."""
+    table = run[0]
     labels = table[key]
     _write(os.path.join(args.out, f"{csv_name}.csv"),
            ",".join(["task"] + labels) + "\n"
            + ",".join([table["task"]] + [repr(table["scores"][a]) for a in labels]) + "\n")
     print(f"{title}:", {a: table["scores"][a] for a in labels})
-    print(f"report -> {os.path.join(args.out, 'report.json')}")
-    aborted = [a for a in labels if table["reports"][a]["aggregate"]["aborted_seeds"]]
-    if aborted:
-        print(f"runtime abort in arms {aborted}", file=sys.stderr)
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return _write_bundle(args.out, *run)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.override)
     values = _parse_pbase_values(args.values)
-    table, timing = harness.sweep_pbase(cfg, values, jobs=args.jobs)
-    return _finish_arms(args, table, timing, "columns", "sweep", "p_base sweep")
+    run = harness.sweep_pbase(cfg, values, jobs=args.jobs)
+    return _finish_arms(args, run, "columns", "sweep", "p_base sweep")
 
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args.config, args.override)
-    table, timing = harness.compare_rebalance_methods(cfg, fraction=args.fraction,
-                                                      jobs=args.jobs)
-    return _finish_arms(args, table, timing, "arms", "compare", "rebalance comparison")
+    run = harness.compare_rebalance_methods(cfg, fraction=args.fraction, jobs=args.jobs)
+    return _finish_arms(args, run, "arms", "compare", "rebalance comparison")
 
 
 def _run_label(payload) -> str:

@@ -55,18 +55,6 @@ class Mdp:
     def obs_dim(self) -> int:
         return self.obs_table.shape[1]
 
-    def reset(self, rng=None) -> int:
-        return self.start_state
-
-    def step(self, state: int, action: int, rng=None):
-        """(next_state, reward, terminal). Deterministic; rng kept for interface."""
-        return (int(self.next_state[state, action]),
-                float(self.reward[state, action]),
-                bool(self.terminal[state, action]))
-
-    def obs(self, state) -> np.ndarray:
-        return self.obs_table[state]
-
     def expert_policy(self) -> np.ndarray:
         """Optimal action table of shape (horizon, n_states), exact DP.
 
@@ -330,10 +318,6 @@ def rollout_returns(mdp: Mdp, quality: float, n_episodes: int,
     _, _, rewards, _, _, lengths = _simulate(mdp, eps, rng)
     mask = np.arange(mdp.horizon)[:, None] < lengths[None, :]
     return (rewards * mask).sum(axis=0)
-
-
-def reference_scores(mdp: Mdp) -> dict:
-    return mdp.reference_scores
 
 
 # named generator presets; seeds fixed so shapes are reproducible.

@@ -14,11 +14,18 @@ mean over the final K evaluations, then over seeds.
 Each experiment prepares and checksums its dataset once; each sampler arm
 builds its table once and its seeds share it.
 
-Report JSON is byte-deterministic; wall-clock measurements live in a separate
-timing structure (written as timing.json) so repeated runs produce identical
-report bytes while still recording the sampler-build overhead. Per seed it
-holds ``sampler_build_s`` (the arm's single cold build, the same for every
-seed of the arm), ``train_s``, ``eval_s``, their sum ``total_s`` and
+Every runner (:func:`run_training`, :func:`two_stage_train`,
+:func:`sweep_pbase`, :func:`compare_rebalance_methods`) returns
+``(report, timing, losses)``. The report is a plain dict whose JSON is
+byte-deterministic (report.json); its per-seed results sit in
+``{per_seed, aggregate, flags}`` blocks: the report itself for a run, its
+``stage1`` and ``stage2`` for a two-stage run, each entry of ``reports`` for
+a sweep or comparison. ``losses`` holds each block's loss rows,
+``{seed: [(step, {loss name: value}), ...]}``, under the stage or arm label
+where there is one. ``timing`` (timing.json) holds the wall-clock numbers,
+kept out of the report so repeated runs give identical report bytes. Per
+seed it holds ``sampler_build_s`` (the arm's single cold build, the same for
+every seed of the arm), ``train_s``, ``eval_s``, their sum ``total_s`` and
 ``overhead_fraction = sampler_build_s / total_s``.
 """
 
@@ -297,9 +304,6 @@ def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float
     flags = []
 
     sampler = arm_sampler.with_seed(stream_seed(root_seed, f"sampler/{seed}"))
-    if sampler.fell_back_uniform:
-        flags.append("sampler fell back to uniform (all weights zero)")
-
     state = init_learner(algo_cfg, ds.meta.obs_dim, mdp.n_actions,
                          stream_seed(root_seed, f"init/{seed}"),
                          backbone_mult=backbone_mult)
@@ -369,36 +373,6 @@ def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class ExperimentReport:
-    """Single-stage result: per-seed curves plus the protocol aggregate.
-
-    ``payload()`` is the deterministic part (report.json); ``timing`` holds
-    wall-clock measurements and is serialized separately.
-    """
-
-    config: dict
-    task: str
-    refs: dict
-    checksum: str
-    per_seed: list
-    aggregate: dict
-    flags: list
-    timing: dict
-
-    def payload(self) -> dict:
-        return {
-            "kind": "experiment",
-            "config": self.config,
-            "task": self.task,
-            "refs": self.refs,
-            "dataset_checksum": self.checksum,
-            "per_seed": self.per_seed,
-            "aggregate": self.aggregate,
-            "flags": self.flags,
-        }
-
-
 def _aggregate(per_seed: list) -> dict:
     norm = [s["final_k_mean_normalized"] for s in per_seed
             if s["final_k_mean_normalized"] is not None]
@@ -448,42 +422,46 @@ def _timed_build(spec: SamplerSpec, ds, tr):
     return sampler, time.perf_counter() - t0
 
 
+def _stage(results: list, refs: dict):
+    """(block, timing, losses) of one arm or stage: the report's
+    ``{per_seed, aggregate, flags}`` block, plus per-seed timings and loss
+    rows keyed by string seed."""
+    per_seed = [_seed_payload(r, refs) for r in results]
+    block = {"per_seed": per_seed, "aggregate": _aggregate(per_seed),
+             "flags": sorted({f for r in results for f in r.flags})}
+    timing = {str(r.seed): r.timing for r in results}
+    return block, timing, {str(r.seed): r.losses for r in results}
+
+
+def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> dict:
+    return {"kind": kind, "config": config_to_dict(cfg), "task": cfg.dataset.label,
+            "refs": refs, "dataset_checksum": checksum}
+
+
 def _seed_job(args):
     ds, mdp_name, algo_cfg, sampler, build_s, eval_cfg, root, seed = args
     mdp = env_from_name(mdp_name)
-    return train_single_seed(ds, mdp, algo_cfg, sampler, build_s, eval_cfg, root, seed)
+    res = train_single_seed(ds, mdp, algo_cfg, sampler, build_s, eval_cfg, root, seed)
+    res.state = None  # pickles cheaply back from worker processes
+    return res
 
 
-def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, collect_states: bool = False):
-    """One sampler arm on prepared data: build its table once, train every seed."""
+def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1):
+    """One sampler arm on prepared data: build its table once, train every
+    seed; returns (report, timing, losses)."""
     ds, tr, mdp, checksum = prepared
     refs = mdp.reference_scores
     sampler, build_s = _timed_build(cfg.sampler, ds, tr)
     args = [(ds, mdp.name, cfg.algo, sampler, build_s, cfg.eval, cfg.root_seed, s)
             for s in cfg.eval.seeds]
-    results = _map_seeds(_seed_job, args, jobs)
-    per_seed = [_seed_payload(r, refs) for r in results]
-    flags = sorted({f for r in results for f in r.flags})
-    report = ExperimentReport(
-        config=config_to_dict(cfg),
-        task=cfg.dataset.label,
-        refs=refs,
-        checksum=checksum,
-        per_seed=per_seed,
-        aggregate=_aggregate(per_seed),
-        flags=flags,
-        timing={"per_seed": {str(r.seed): r.timing for r in results}},
-    )
-    if not collect_states:
-        for r in results:
-            r.state = None
-    return report, results
+    block, timing, losses = _stage(_map_seeds(_seed_job, args, jobs), refs)
+    report = {**_run_header("experiment", cfg, refs, checksum), **block}
+    return report, {"per_seed": timing}, losses
 
 
-def run_training(cfg: ExperimentConfig, jobs: int = 1,
-                 collect_states: bool = False):
-    """Single-stage run over all seeds; returns (report, seed results)."""
-    return _run_arm(cfg, _prepare(cfg.dataset), jobs, collect_states)
+def run_training(cfg: ExperimentConfig, jobs: int = 1):
+    """Single-stage run over all seeds; returns (report, timing, losses)."""
+    return _run_arm(cfg, _prepare(cfg.dataset), jobs)
 
 
 def _two_stage_seed_job(args):
@@ -524,9 +502,9 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     written as ``stage1_seed{seed}.orck`` under ``out_dir``, or under a
     temporary directory that is removed afterwards when ``out_dir`` is None.
 
-    Returns ``(report, timing)``: a two-stage report whose stage-2 payload
+    Returns ``(report, timing, losses)``. The report's ``stage2`` block
     records, per seed, whether the head parameters stayed bitwise identical
-    to the checkpoint, and wall-clock timings shaped
+    to the checkpoint; timing and losses are shaped
     ``{"stage1": {seed: ...}, "stage2": {seed: ...}}`` with string seed keys.
     """
     if cfg.dered is None:
@@ -553,35 +531,27 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
         if dered.freeze_head and not heads_equal:
             raise RuntimeError(f"seed {seed}: frozen heads changed during stage 2")
 
-    def stage(i):
-        stage_results = [r[i] for r in results]
-        per_seed = [_seed_payload(r, refs) for r in stage_results]
-        return ({"per_seed": per_seed, "aggregate": _aggregate(per_seed),
-                 "flags": sorted({f for r in stage_results for f in r.flags})},
-                {str(r.seed): r.timing for r in stage_results})
-
-    (stage1, timing1), (stage2, timing2) = stage(0), stage(1)
-    stage2["head_checks"] = [{"seed": seed, "heads_bitwise_equal": bool(heads_equal)}
-                             for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results)]
-    m1 = stage1["aggregate"]["mean_normalized"]
-    m2 = stage2["aggregate"]["mean_normalized"]
-    report = {"kind": "two_stage", "config": config_to_dict(cfg), "task": cfg.dataset.label,
-              "refs": refs, "dataset_checksum": checksum, "stage1": stage1, "stage2": stage2,
+    (s1, t1, l1), (s2, t2, l2) = (_stage([r[i] for r in results], refs) for i in (0, 1))
+    s2["head_checks"] = [{"seed": seed, "heads_bitwise_equal": bool(heads_equal)}
+                         for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results)]
+    m1, m2 = s1["aggregate"]["mean_normalized"], s2["aggregate"]["mean_normalized"]
+    report = {**_run_header("two_stage", cfg, refs, checksum), "stage1": s1, "stage2": s2,
               "stage2_minus_stage1": None if m1 is None or m2 is None else m2 - m1}
-    return report, {"stage1": timing1, "stage2": timing2}
+    return report, {"stage1": t1, "stage2": t2}, {"stage1": l1, "stage2": l2}
 
 
-def _arms_table(kind: str, cfg: ExperimentConfig, key: str, labels: list, reports: dict):
-    """(table, timing) of a multi-arm experiment, keyed by arm label."""
+def _arms_table(kind: str, cfg: ExperimentConfig, key: str, labels: list, runs: dict):
+    """(table, timing, losses) of a multi-arm experiment, keyed by arm label."""
+    reports = {a: runs[a][0] for a in labels}
     table = {
         "kind": kind,
         "task": cfg.dataset.label,
         key: labels,
-        "scores": {a: reports[a].aggregate["mean_normalized"] for a in labels},
-        "stds": {a: reports[a].aggregate["std_normalized"] for a in labels},
-        "reports": {a: reports[a].payload() for a in labels},
+        "scores": {a: reports[a]["aggregate"]["mean_normalized"] for a in labels},
+        "stds": {a: reports[a]["aggregate"]["std_normalized"] for a in labels},
+        "reports": reports,
     }
-    return table, {a: reports[a].timing for a in labels}
+    return table, {a: runs[a][1] for a in labels}, {a: runs[a][2] for a in labels}
 
 
 def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
@@ -590,7 +560,7 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
     if not values:
         raise ConfigError("need at least one p_base value")
     prepared = _prepare(cfg.dataset)
-    columns, reports = [], {}
+    columns, runs = [], {}
     for v in values:
         if isinstance(v, str) and v.lower() in ("inf", "infinity"):
             label = "inf"
@@ -599,9 +569,9 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
             label = repr(float(v))
             arm = replace(cfg, sampler=replace(cfg.sampler, mode="return_resample",
                                                p_base=float(v)))
-        reports[label], _ = _run_arm(arm, prepared, jobs)
+        runs[label] = _run_arm(arm, prepared, jobs)
         columns.append(label)
-    return _arms_table("pbase_sweep", cfg, "columns", columns, reports)
+    return _arms_table("pbase_sweep", cfg, "columns", columns, runs)
 
 
 COMPARE_ARMS = ("uniform", "return_resample", "reward_resample", "top_fraction")
@@ -614,14 +584,14 @@ def compare_rebalance_methods(cfg: ExperimentConfig, fraction: float = 0.1, jobs
     bits by construction.
     """
     prepared = _prepare(cfg.dataset)
-    reports = {}
+    runs = {}
     for arm_mode in COMPARE_ARMS:
         spec = replace(cfg.sampler, mode=arm_mode)
         if arm_mode == "top_fraction":
             spec = replace(spec, fraction=fraction)
-        reports[arm_mode], _ = _run_arm(replace(cfg, sampler=spec), prepared, jobs)
-    table, timing = _arms_table("rebalance_compare", cfg, "arms", list(COMPARE_ARMS), reports)
-    return {**table, "dataset_checksum": prepared[3]}, timing
+        runs[arm_mode] = _run_arm(replace(cfg, sampler=spec), prepared, jobs)
+    table, timing, losses = _arms_table("rebalance_compare", cfg, "arms", list(COMPARE_ARMS), runs)
+    return {**table, "dataset_checksum": prepared[3]}, timing, losses
 
 
 # ---------------------------------------------------------------------------

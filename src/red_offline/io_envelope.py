@@ -32,7 +32,8 @@ def write_envelope(path, magic: bytes, version: int, header: dict, payload: byte
 
 
 def read_envelope(path, magic: bytes, max_version: int):
-    """Return (version, header, payload). Raises EnvelopeError on any defect."""
+    """Return (version, header, payload), the payload as a read-only
+    ``memoryview`` of the file bytes. Raises EnvelopeError on any defect."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 16:
@@ -51,4 +52,4 @@ def read_envelope(path, magic: bytes, max_version: int):
         raise EnvelopeError(f"{path}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise EnvelopeError(f"{path}: header must be a JSON object")
-    return version, header, raw[16 + header_len :]
+    return version, header, memoryview(raw)[16 + header_len :]

@@ -153,13 +153,13 @@ def _alias_table(probs: np.ndarray):
 class WeightedSampler:
     """Alias-table categorical sampler over a fixed probability vector.
 
-    The distribution (``probs``, the alias table, ``fell_back_uniform``) is
-    immutable and built in the constructor, with no cache. The RNG stream is
-    per instance: ``with_seed`` shares the table under a new generator, so an
-    arm's seeds share one build and draw what fresh builds would draw.
+    The distribution (``probs`` and the alias table) is immutable and built
+    in the constructor, with no cache. The RNG stream is per instance:
+    ``with_seed`` shares the table under a new generator, so an arm's seeds
+    share one build and draw what fresh builds would draw.
     """
 
-    def __init__(self, probs: np.ndarray, seed: int, fell_back_uniform: bool = False):
+    def __init__(self, probs: np.ndarray, seed: int):
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probs must be a non-empty 1-D array")
@@ -168,7 +168,6 @@ class WeightedSampler:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs sum to {probs.sum()!r}, expected 1 within 1e-12")
         self.probs = probs.copy()
-        self.fell_back_uniform = fell_back_uniform
         self._accept, self._alias = _alias_table(self.probs)
         for a in (self.probs, self._accept, self._alias):
             a.setflags(write=False)
@@ -195,32 +194,28 @@ class WeightedSampler:
 
 
 def build_sampler(spec: SamplerSpec, ds: OfflineDataset, tr: TrajectoryReturns) -> WeightedSampler:
-    """Build the static distribution for a dataset once, before training."""
+    """Build the static distribution for a dataset once, before training.
+
+    Return and reward weights are exactly ``1 + p_base`` at their maximum,
+    so the powered weights never all vanish and ``sampling_distribution``'s
+    uniform fallback cannot fire here.
+    """
     n = len(ds)
     if len(tr.per_transition_return) != n:
         raise ValueError("trajectory returns are inconsistent with the dataset")
-    fell_back = False
     if spec.mode == "uniform":
         probs = np.full(n, 1.0 / n)
     elif spec.mode == "return_resample":
-        weights = normalized_return(tr, spec.p_base)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            probs = sampling_distribution(weights, spec.alpha)
-        fell_back = any(issubclass(w.category, RuntimeWarning) for w in caught)
-        if fell_back:
-            warnings.warn("return weights were all zero; sampler is uniform",
-                          RuntimeWarning, stacklevel=2)
+        probs = sampling_distribution(normalized_return(tr, spec.p_base), spec.alpha)
     elif spec.mode == "reward_resample":
-        weights = reward_weights(ds, spec.p_base)
-        probs = sampling_distribution(weights, spec.alpha)
+        probs = sampling_distribution(reward_weights(ds, spec.p_base), spec.alpha)
     elif spec.mode == "top_fraction":
         keep = top_fraction_filter(ds, tr, spec.fraction)
         probs = np.zeros(n)
         probs[keep] = 1.0 / keep.size
     else:  # pragma: no cover - SamplerSpec already rejects unknown modes
         raise ValueError(f"unknown sampler mode {spec.mode!r}")
-    return WeightedSampler(probs, seed=spec.seed, fell_back_uniform=fell_back)
+    return WeightedSampler(probs, seed=spec.seed)
 
 
 def distribution_csv(sampler: WeightedSampler, weights: np.ndarray | None = None) -> str:

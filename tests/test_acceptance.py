@@ -63,9 +63,9 @@ def directional_runs():
     for preset in DIRECTIONAL_STEPS:
         for family in DIRECTIONAL_FAMILIES:
             for mode in ("uniform", "return_resample"):
-                report, _ = run_training(directional_config(preset, family, mode))
-                scores[(preset, family, mode)] = report.aggregate["mean_normalized"]
-                TIMINGS.append((f"c8/{preset}/{family}/{mode}", report.timing))
+                report, timing, _ = run_training(directional_config(preset, family, mode))
+                scores[(preset, family, mode)] = report["aggregate"]["mean_normalized"]
+                TIMINGS.append((f"c8/{preset}/{family}/{mode}", timing))
     return scores, time.perf_counter() - t0
 
 
@@ -85,7 +85,7 @@ def two_stage_runs():
                               backbone_lr_mult=0.1, freeze_head=True),
             root_seed=100,
         )
-        report, timing = two_stage_train(cfg)
+        report, timing, _ = two_stage_train(cfg)
         results[preset] = report
         TIMINGS.append((f"c10/{preset}/stage1", {"per_seed": timing["stage1"]}))
         TIMINGS.append((f"c10/{preset}/stage2", {"per_seed": timing["stage2"]}))
@@ -104,7 +104,7 @@ def sparse_sweep_runs():
                         seeds=(0, 1, 2, 3, 4)),
         root_seed=100,
     )
-    table, timing = sweep_pbase(cfg, [0.0, 0.2])
+    table, timing, _ = sweep_pbase(cfg, [0.0, 0.2])
     for label, t in timing.items():
         TIMINGS.append((f"c9/p_base={label}", t))
     return table, time.perf_counter() - t0
@@ -271,14 +271,14 @@ def test_c06_two_stage_freeze_contract():
                           freeze_head=True),
         root_seed=4,
     )
-    frozen, _ = two_stage_train(base)
+    frozen, _, _ = two_stage_train(base)
     assert all(c["heads_bitwise_equal"] for c in frozen["stage2"]["head_checks"])
 
     variant = ExperimentConfig(**{**base.__dict__,
                                   "dered": DeredConfig(stage1_steps=120, stage2_steps=80,
                                                        backbone_lr_mult=0.1,
                                                        freeze_head=False)})
-    unfrozen, _ = two_stage_train(variant)
+    unfrozen, _, _ = two_stage_train(variant)
     assert not any(c["heads_bitwise_equal"] for c in unfrozen["stage2"]["head_checks"])
 
     # paired first-step check: the backbone step scales by exactly the 0.1

@@ -169,7 +169,8 @@ def test_dered_jobs_match_sequential(tmp_path):
     seq, par = tmp_path / "jobs1", tmp_path / "jobs2"
     assert main(["dered", "--config", str(cfg), "--out", str(seq), "--jobs", "1"]) == 0
     assert main(["dered", "--config", str(cfg), "--out", str(par), "--jobs", "2"]) == 0
-    for name in ("report.json", "stage1_seed0.orck", "stage1_seed1.orck"):
+    losses = [f"losses_stage{k}_seed{s}.csv" for k in (1, 2) for s in (0, 1)]
+    for name in ("report.json", "stage1_seed0.orck", "stage1_seed1.orck", *losses):
         assert (par / name).read_bytes() == (seq / name).read_bytes(), name
     assert sorted(p.name for p in par.glob("stage1_seed*.orck")) == [
         "stage1_seed0.orck", "stage1_seed1.orck"]
@@ -262,7 +263,12 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["train", "--config", str(missing), "--out", str(tmp_path / "o3")]) == 2
 
 
-def test_runtime_abort_exits_three(tmp_path, monkeypatch):
+DERED = {"stage1_steps": 40, "stage2_steps": 20}
+EXPERIMENTS = {"train": [], "dered": [], "sweep": ["--values", "0,inf"], "compare": []}
+
+
+@pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+def test_runtime_abort_exits_three(tmp_path, monkeypatch, command):
     from red_offline import harness as hmod
     from red_offline.algos import NanLossError
 
@@ -270,5 +276,44 @@ def test_runtime_abort_exits_three(tmp_path, monkeypatch):
         raise NanLossError(cfg.family, 1, {"q_loss": float("nan")})
 
     monkeypatch.setattr(hmod, "train_step", exploding)
+    cfg = write_config(tmp_path, dered=DERED)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 *EXPERIMENTS[command]]) == 3
+    assert (out / "report.json").exists()
+
+
+def test_dered_without_block_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert main(["dered", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "dered" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,blocks", [
+    ("train", [""]),
+    ("dered", ["_stage1", "_stage2"]),
+    ("sweep", ["_0.0", "_inf"]),
+    ("compare", ["_uniform", "_return_resample", "_reward_resample", "_top_fraction"]),
+])
+def test_every_block_writes_curves_and_losses(tmp_path, command, blocks):
+    cfg = write_config(tmp_path, eval={"seeds": [0, 1]}, dered=DERED)
+    out = tmp_path / command
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 *EXPERIMENTS[command]]) == 0
+    written = {p.name for p in out.glob("*.csv")}
+    expected = {f"curves{b}.csv" for b in blocks}
+    expected |= {f"losses{b}_seed{s}.csv" for b in blocks for s in (0, 1)}
+    assert expected <= written
+    assert not {n for n in written if n.startswith(("curves", "losses"))} - expected
+    report = json.loads((out / "report.json").read_text())
+    if command == "train":
+        in_report = [report]
+    elif command == "dered":
+        in_report = [report["stage1"], report["stage2"]]
+    else:
+        in_report = list(report["reports"].values())
+    for label, block in zip(blocks, in_report, strict=True):
+        curves = (out / f"curves{label}.csv").read_text().splitlines()
+        assert len(curves) == 1 + sum(len(e["eval_steps"]) for e in block["per_seed"])
+        header = (out / f"losses{label}_seed0.csv").read_text().splitlines()[0]
+        assert header.startswith("step,")

@@ -4,13 +4,14 @@ import pytest
 from red_offline.dataset import compute_trajectory_returns, return_histogram, save_dataset
 from red_offline.envsuite import (GeneratorConfig, env_from_name,
                                   generate_dataset, mdp_dense_chain, mdp_grid_maze,
-                                  preset_config, reference_scores, rollout_returns)
+                                  preset_config, rollout_returns)
 
 
 def rollout_fixed_action(mdp, action):
-    s, total = mdp.reset(), 0.0
+    s, total = mdp.start_state, 0.0
     for _ in range(mdp.horizon):
-        s, r, term = mdp.step(s, action)
+        r, term = float(mdp.reward[s, action]), bool(mdp.terminal[s, action])
+        s = int(mdp.next_state[s, action])
         total += r
         if term:
             return total
@@ -66,16 +67,16 @@ def test_maze_random_success_rate_in_range():
 def test_maze_expert_always_succeeds():
     for size, horizon in ((8, 64), (10, 30)):
         mdp = mdp_grid_maze(size, horizon)
-        assert reference_scores(mdp)["expert"] == pytest.approx(1.0)
+        assert mdp.reference_scores["expert"] == pytest.approx(1.0)
 
 
 def test_reference_scores_ordering_and_bound():
     chain = mdp_dense_chain(40, 39)
-    refs = reference_scores(chain)
+    refs = chain.reference_scores
     assert refs["expert"] > refs["random"]
     assert refs["expert"] >= (40 - 1) - 0.1 * (39 - (40 - 1))
     maze = mdp_grid_maze(8, 64)
-    refs_m = reference_scores(maze)
+    refs_m = maze.reference_scores
     assert refs_m["random"] <= refs_m["expert"]
 
 

@@ -94,33 +94,33 @@ def test_short_run_clamps_final_k():
     cfg = small_config(eval=EvalConfig(eval_every=1000, episodes_per_eval=1,
                                        final_k=10, seeds=(0,)))
     with pytest.warns(RuntimeWarning, match="clamped"):
-        report, _ = run_training(cfg)
-    assert any("clamped" in f for f in report.flags)
-    assert len(report.per_seed[0]["eval_steps"]) == 1
+        report, _, _ = run_training(cfg)
+    assert any("clamped" in f for f in report["flags"])
+    assert len(report["per_seed"][0]["eval_steps"]) == 1
 
 
 def test_reports_are_deterministic():
     cfg = small_config()
-    a, _ = run_training(cfg)
-    b, _ = run_training(cfg)
-    assert dump_json(a.payload()) == dump_json(b.payload())
+    a, _, _ = run_training(cfg)
+    b, _, _ = run_training(cfg)
+    assert dump_json(a) == dump_json(b)
 
 
 def test_final_k_mean_uses_last_evaluations():
     cfg = small_config(eval=EvalConfig(eval_every=10, episodes_per_eval=1,
                                        final_k=2, seeds=(0,)))
-    report, _ = run_training(cfg)
-    entry = report.per_seed[0]
+    report, _, _ = run_training(cfg)
+    entry = report["per_seed"][0]
     assert entry["final_k_mean_raw"] == pytest.approx(
         np.mean(entry["eval_returns"][-2:]))
     # earlier evaluations do not affect the aggregate
-    assert report.aggregate["mean_raw"] == pytest.approx(entry["final_k_mean_raw"])
+    assert report["aggregate"]["mean_raw"] == pytest.approx(entry["final_k_mean_raw"])
 
 
 def test_arms_share_dataset_and_initialization():
-    uni, _ = run_training(small_config(sampler=SamplerSpec(mode="uniform")))
-    red, _ = run_training(small_config(sampler=SamplerSpec(mode="return_resample")))
-    assert uni.checksum == red.checksum
+    uni, _, _ = run_training(small_config(sampler=SamplerSpec(mode="uniform")))
+    red, _, _ = run_training(small_config(sampler=SamplerSpec(mode="return_resample")))
+    assert uni["dataset_checksum"] == red["dataset_checksum"]
     # identical init stream: same nets before any training
     ds, tr, mdp = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
     cfg = AlgoConfig(family="q_plus_bc", hidden_units=16)
@@ -165,18 +165,18 @@ def test_two_stage_freeze_and_identity():
                           freeze_head=True),
         eval=EvalConfig(eval_every=10, episodes_per_eval=1, final_k=2, seeds=(0,)),
     )
-    report, _ = two_stage_train(cfg)
+    report, _, _ = two_stage_train(cfg)
     assert all(c["heads_bitwise_equal"] for c in report["stage2"]["head_checks"])
 
     free = ExperimentConfig(**{**cfg.__dict__,
                                "dered": DeredConfig(stage1_steps=40, stage2_steps=20,
                                                     backbone_lr_mult=0.1, freeze_head=False)})
-    report_a, _ = two_stage_train(free)
+    report_a, _, _ = two_stage_train(free)
     assert not all(c["heads_bitwise_equal"] for c in report_a["stage2"]["head_checks"])
 
     idle = ExperimentConfig(**{**cfg.__dict__,
                                "dered": DeredConfig(stage1_steps=40, stage2_steps=0)})
-    report_i, _ = two_stage_train(idle)
+    report_i, _, _ = two_stage_train(idle)
     s1 = report_i["stage1"]["per_seed"][0]
     s2 = report_i["stage2"]["per_seed"][0]
     assert s2["eval_returns"] == [s1["eval_returns"][-1]]
@@ -206,7 +206,7 @@ def test_sweep_pbase_degenerate_equals_uniform():
 def test_sweep_pbase_table_shape_and_inf_column():
     cfg = small_config(eval=EvalConfig(eval_every=20, episodes_per_eval=1,
                                        final_k=3, seeds=(0,)))
-    table, timing = sweep_pbase(cfg, [0.0, "inf"])
+    table, _, _ = sweep_pbase(cfg, [0.0, "inf"])
     assert table["columns"] == ["0.0", "inf"]
     inf_cfg = table["reports"]["inf"]["config"]
     assert inf_cfg["sampler"]["mode"] == "uniform"
@@ -232,7 +232,7 @@ def test_compare_rebalance_methods_schema():
                         lr=1e-3, hidden_units=16, target_update_period=20),
         eval=EvalConfig(eval_every=20, episodes_per_eval=1, final_k=2, seeds=(0, 1)),
     )
-    table, timing = compare_rebalance_methods(cfg, fraction=0.1)
+    table, _, _ = compare_rebalance_methods(cfg, fraction=0.1)
     assert table["arms"] == ["uniform", "return_resample", "reward_resample", "top_fraction"]
     checksums = {table["reports"][m]["dataset_checksum"] for m in table["arms"]}
     assert len(checksums) == 1
@@ -266,13 +266,13 @@ def test_nan_abort_is_recorded(monkeypatch):
         return {"q_loss": 0.0}
 
     monkeypatch.setattr(hmod, "train_step", exploding)
-    report, _ = run_training(small_config(eval=EvalConfig(eval_every=20,
-                                                          episodes_per_eval=1,
-                                                          final_k=2, seeds=(0,))))
-    entry = report.per_seed[0]
+    report, _, _ = run_training(small_config(eval=EvalConfig(eval_every=20,
+                                                             episodes_per_eval=1,
+                                                             final_k=2, seeds=(0,))))
+    entry = report["per_seed"][0]
     assert entry["aborted"] and entry["abort_step"] == 5
-    assert report.aggregate["aborted_seeds"] == [0]
-    assert any("nan abort" in f for f in report.flags)
+    assert report["aggregate"]["aborted_seeds"] == [0]
+    assert any("nan abort" in f for f in report["flags"])
 
 
 def _count_calls(monkeypatch, module, name, counts):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,23 @@ def test_all_zero_weights_fall_back_to_uniform():
     with pytest.warns(RuntimeWarning, match="uniform"):
         out = sampling_distribution(np.zeros(4), 1.0)
     assert np.array_equal(out, np.full(4, 0.25))
+
+
+@pytest.mark.parametrize("name", ["replay_analog", "expert_analog", "sparse_analog",
+                                  "sparse_hard_analog", "all_equal"])
+def test_build_sampler_never_falls_back_at_zero_floor(preset_dataset, name):
+    # the best transition weighs exactly 1 + p_base, so sum(w ** alpha) >= 1
+    if name == "all_equal":
+        ds = make_dataset([[1.0, 2.0], [3.0], [0.5, 0.5, 2.0]])
+    else:
+        ds = preset_dataset(name)
+    tr = compute_trajectory_returns(ds)
+    for mode in ("return_resample", "reward_resample"):
+        for alpha in (0.0, 1.0, 50.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                s = build_sampler(SamplerSpec(mode=mode, alpha=alpha, p_base=0.0), ds, tr)
+            assert s.probs.max() > 0.0 and s.probs.sum() == pytest.approx(1.0)
 
 
 def test_reward_weights_examples():
