@@ -1,12 +1,13 @@
 """Tiny float64 MLPs with manual backprop and a grouped Adam optimizer.
 
-Networks carry an explicit backbone/head split (by default the final linear
-layer is the head) so two-stage finetuning can freeze heads bitwise and scale
+Each network keeps its parameters in one buffer, ``W0, b0, W1, b1, ...``, with
+an explicit backbone/head split (by default the final linear layer is the head,
+the buffer's suffix) so two-stage finetuning can freeze heads bitwise and scale
 the backbone learning rate. Everything is float64 and purely numpy, which
 keeps runs bitwise reproducible for a fixed seed and batch stream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +17,32 @@ CKPT_MAGIC = b"ORCK"
 CKPT_VERSION = 1
 
 _ACTIVATIONS = ("relu", "tanh")
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
+def _n_params(layer_sizes) -> int:
+    """Parameter count of the layers chained by ``layer_sizes``."""
+    return sum((d_in + 1) * d_out for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def _split(flat: np.ndarray, layer_sizes):
+    """Per-layer (weights, biases) views into a ``W0, b0, W1, b1, ...`` buffer."""
+    weights, biases, k = [], [], 0
+    for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[k:k + d_in * d_out].reshape(d_in, d_out))
+        k += d_in * d_out
+        biases.append(flat[k:k + d_out])
+        k += d_out
+    return weights, biases
 
 
 class Mlp:
     """Stack of linear layers with relu/tanh on hidden layers, identity output.
 
-    ``split_point`` is the index of the first head layer; layers below it are
-    the backbone. ``version`` increments on every parameter update and is used
-    to detect stale forward caches.
+    ``params`` is a copy of the inputs; ``weights`` and ``biases`` are views
+    into it. ``split_point`` is the index of the first head layer; layers below
+    it are the backbone, and the head is ``params[head_start:]``. ``version``
+    increments on every parameter update and is used to detect stale caches.
     """
 
     def __init__(self, weights, biases, activation: str, split_point: int | None = None,
@@ -40,12 +59,16 @@ class Mlp:
         for w, b in zip(weights, biases):
             if b.shape != (w.shape[1],):
                 raise ValueError("bias shape must match layer output dim")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        n = len(weights)
+        self.split_point = n - 1 if split_point is None else int(split_point)
+        if not (self.split_point == 0 if n == 1 else 0 < self.split_point < n):
+            raise ValueError(f"split_point {split_point} out of range for {n} layers")
+        self.layer_sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
+        self.params = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
+                                     dtype=np.float64)
+        self.weights, self.biases = _split(self.params, self.layer_sizes)
+        self.head_start = _n_params(self.layer_sizes[:self.split_point + 1])
         self.activation = activation
-        self.split_point = len(weights) - 1 if split_point is None else int(split_point)
-        if not 0 < self.split_point <= len(weights) - 1 and len(weights) > 1:
-            raise ValueError(f"split_point {split_point} out of range")
         self.init_seed = int(init_seed)
         self.version = 0
 
@@ -54,36 +77,19 @@ class Mlp:
         return len(self.weights)
 
     @property
-    def layer_sizes(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.layer_sizes[0]
 
     def head_params(self):
         """Flat copy of head parameters, for bitwise freeze checks."""
-        parts = []
-        for i in range(self.split_point, self.n_layers):
-            parts.append(self.weights[i].ravel().copy())
-            parts.append(self.biases[i].ravel().copy())
-        return np.concatenate(parts)
+        return self.params[self.head_start:].copy()
 
     def copy(self) -> "Mlp":
-        net = Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                  self.activation, self.split_point, self.init_seed)
-        return net
+        return Mlp(self.weights, self.biases, self.activation, self.split_point, self.init_seed)
 
     def copy_from(self, other: "Mlp") -> None:
         """In-place parameter copy (target-network sync)."""
-        for w, ow in zip(self.weights, other.weights):
-            w[...] = ow
-        for b, ob in zip(self.biases, other.biases):
-            b[...] = ob
+        np.copyto(self.params, other.params)
         self.version += 1
 
 
@@ -131,8 +137,9 @@ def forward_cache(net: Mlp, x: np.ndarray):
 def backward(net: Mlp, cache: dict, grad_out: np.ndarray):
     """Exact reverse-mode gradients of the forward map.
 
-    Returns (grads, grad_input) with grads a list of (dW, db) per layer.
-    The cache must come from a forward pass at the current parameter version.
+    Returns (grads, grad_input) with grads one flat array laid out like
+    ``net.params``. The cache must come from a forward pass at the current
+    parameter version.
     """
     if cache["version"] != net.version:
         raise ValueError("stale forward cache: parameters changed since the forward pass")
@@ -140,34 +147,35 @@ def backward(net: Mlp, cache: dict, grad_out: np.ndarray):
     inputs, pre = cache["inputs"], cache["pre"]
     if g.shape != pre[-1].shape:
         raise ValueError(f"grad_out shape {g.shape} does not match output {pre[-1].shape}")
-    grads = [None] * net.n_layers
+    grads = np.empty_like(net.params)
+    dws, dbs = _split(grads, net.layer_sizes)
     for i in range(net.n_layers - 1, -1, -1):
         if i < net.n_layers - 1:
             if net.activation == "tanh":
                 g = g * (1.0 - np.tanh(pre[i]) ** 2)
             else:
                 g = g * (pre[i] > 0.0)
-        grads[i] = (inputs[i].T @ g, g.sum(axis=0))
+        np.matmul(inputs[i].T, g, out=dws[i])
+        g.sum(axis=0, out=dbs[i])
         g = g @ net.weights[i].T
     return grads, g
 
 
 @dataclass
 class OptimState:
-    """Adam accumulators with a per-group learning-rate multiplier.
+    """Adam accumulators with a per-parameter step size.
 
-    The backbone group (layers below the net's split point) steps with
-    ``lr * backbone_mult``; head layers step with ``lr``.
+    ``step_sizes`` holds ``lr * backbone_mult`` on the backbone (layers below
+    the net's split point) and ``lr`` on the head; ``m`` and ``v`` are laid
+    out like the net's ``params``.
     """
 
     lr: float
-    backbone_mult: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    backbone_mult: float
+    step_sizes: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.lr < 0 or self.backbone_mult < 0:
@@ -175,98 +183,82 @@ class OptimState:
 
 
 def init_optim(net: Mlp, lr: float, backbone_mult: float = 1.0) -> OptimState:
-    opt = OptimState(lr=lr, backbone_mult=backbone_mult)
-    opt.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-    opt.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-    return opt
+    step_sizes = np.full(net.params.size, lr * backbone_mult)
+    step_sizes[net.head_start:] = lr
+    return OptimState(lr, backbone_mult, step_sizes,
+                      np.zeros_like(net.params), np.zeros_like(net.params))
 
 
-def apply_update(net: Mlp, grads, opt: OptimState, freeze_head: bool = False) -> None:
-    """One Adam step per parameter group.
+def apply_update(net: Mlp, grads: np.ndarray, opt: OptimState, freeze_head: bool = False) -> None:
+    """One fused Adam step over the parameter buffer.
 
-    With ``freeze_head`` the head layers are left bitwise untouched and their
-    moments are not advanced. The step size scales linearly in the effective
-    learning rate, so a backbone multiplier of 0.1 scales the first backbone
-    step by exactly 0.1.
+    With ``freeze_head`` only the backbone prefix ``params[:head_start]`` is
+    updated, so the head stays bitwise untouched and its moments are not
+    advanced. The step size scales linearly in the effective learning rate,
+    so a backbone multiplier of 0.1 scales the first backbone step by exactly
+    0.1.
     """
-    if len(grads) != net.n_layers:
-        raise ValueError("gradient list does not match layer count")
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.shape != net.params.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match "
+                         f"parameter buffer {net.params.shape}")
     opt.step += 1
     t = opt.step
-    bc1 = 1.0 - opt.beta1 ** t
-    bc2 = 1.0 - opt.beta2 ** t
-    for i in range(net.n_layers):
-        is_head = i >= net.split_point
-        if freeze_head and is_head:
-            continue
-        step_size = opt.lr * (1.0 if is_head else opt.backbone_mult)
-        for p, g, m, v in ((net.weights[i], grads[i][0], opt.m[i][0], opt.v[i][0]),
-                           (net.biases[i], grads[i][1], opt.m[i][1], opt.v[i][1])):
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * g
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * g * g
-            p -= step_size * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
+    end = net.head_start if freeze_head else net.params.size
+    p, g, m, v = net.params[:end], grads[:end], opt.m[:end], opt.v[:end]
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    v += (1.0 - _BETA2) * g * g
+    p -= opt.step_sizes[:end] * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
     net.version += 1
 
 
 def numeric_gradients(net: Mlp, x: np.ndarray, grad_out: np.ndarray, eps: float = 1e-5):
     """Central-difference gradients of J = sum(forward(x) * grad_out).
 
-    Independent of :func:`backward`; used to validate it.
+    Independent of :func:`backward`; used to validate it. Laid out like
+    ``net.params``.
     """
     def objective():
         y, _ = forward_cache(net, x)
         return float((y * grad_out).sum())
 
-    grads = []
-    for w, b in zip(net.weights, net.biases):
-        pair = []
-        for p in (w, b):
-            g = np.zeros_like(p)
-            flat = p.ravel()
-            gflat = g.ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + eps
-                up = objective()
-                flat[k] = orig - eps
-                down = objective()
-                flat[k] = orig
-                gflat[k] = (up - down) / (2.0 * eps)
-            pair.append(g)
-        grads.append(tuple(pair))
+    p = net.params
+    grads = np.zeros_like(p)
+    for k in range(p.size):
+        orig = p[k]
+        p[k] = orig + eps
+        up = objective()
+        p[k] = orig - eps
+        down = objective()
+        p[k] = orig
+        grads[k] = (up - down) / (2.0 * eps)
     return grads
 
 
 def max_relative_gradient_error(analytic, numeric) -> float:
     """max |a - n| / max(1, |a|, |n|) over all parameters."""
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
-            worst = max(worst, float((np.abs(a - n) / denom).max()))
-    return worst
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float((np.abs(analytic - numeric) / denom).max())
 
 
 def save_checkpoint(path, nets: dict, extra: dict | None = None) -> None:
-    """Write named networks into one envelope file for stage handoffs."""
+    """Write named networks into one envelope file for stage handoffs.
+
+    The payload is each net's ``params`` as little-endian float64, in sorted
+    name order.
+    """
     order = sorted(nets)
-    header_nets = {}
-    payload = []
-    for name in order:
-        net = nets[name]
-        header_nets[name] = {
-            "layer_sizes": net.layer_sizes,
-            "activation": net.activation,
-            "split_point": net.split_point,
-            "seed": net.init_seed,
-        }
-        for w, b in zip(net.weights, net.biases):
-            payload.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            payload.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    header_nets = {name: {"layer_sizes": nets[name].layer_sizes,
+                          "activation": nets[name].activation,
+                          "split_point": nets[name].split_point,
+                          "seed": nets[name].init_seed} for name in order}
+    payload = b"".join(nets[name].params.astype("<f8", copy=False).tobytes() for name in order)
     header = {"nets": header_nets, "order": order, "extra": extra or {}}
-    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, b"".join(payload))
+    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, payload)
 
 
 def load_checkpoint(path):
@@ -275,26 +267,26 @@ def load_checkpoint(path):
     try:
         order = list(header["order"])
         specs = header["nets"]
-    except (KeyError, TypeError) as exc:
+        extra = dict(header.get("extra", {}))
+    except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeError(f"{path}: checkpoint header malformed: {exc}") from exc
     nets = {}
     offset = 0
     for name in order:
-        spec = specs[name]
-        sizes = [int(s) for s in spec["layer_sizes"]]
-        weights, biases = [], []
-        for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-            wbytes = d_in * d_out * 8
-            if offset + wbytes + d_out * 8 > len(payload):
-                raise EnvelopeError(f"{path}: payload truncated inside net {name!r}")
-            weights.append(np.frombuffer(payload, dtype="<f8", count=d_in * d_out,
-                                         offset=offset).reshape(d_in, d_out).copy())
-            offset += wbytes
-            biases.append(np.frombuffer(payload, dtype="<f8", count=d_out,
-                                        offset=offset).copy())
-            offset += d_out * 8
-        nets[name] = Mlp(weights, biases, spec["activation"],
-                         int(spec["split_point"]), init_seed=int(spec.get("seed", 0)))
+        try:
+            spec = specs[name]
+            sizes = list(spec["layer_sizes"])
+            if len(sizes) < 2 or not all(type(s) is int and s > 0 for s in sizes):
+                raise ValueError(f"layer_sizes {sizes} must be two or more positive integers")
+            count = _n_params(sizes)
+            if offset + 8 * count > len(payload):
+                raise ValueError("payload truncated")
+            params = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+            nets[name] = Mlp(*_split(params, sizes), spec["activation"],
+                             int(spec["split_point"]), init_seed=int(spec.get("seed", 0)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EnvelopeError(f"{path}: net {name!r}: {exc}") from exc
+        offset += 8 * count
     if offset != len(payload):
         raise EnvelopeError(f"{path}: {len(payload) - offset} trailing payload bytes")
-    return nets, dict(header.get("extra", {}))
+    return nets, extra

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from red_offline.io_envelope import EnvelopeError
-from red_offline.nncore import (Mlp, apply_update, backward, forward, forward_cache,
-                                init_mlp, init_optim, load_checkpoint,
+from red_offline.io_envelope import EnvelopeError, read_envelope, write_envelope
+from red_offline.nncore import (CKPT_MAGIC, CKPT_VERSION, Mlp, apply_update, backward,
+                                forward, forward_cache, init_mlp, init_optim, load_checkpoint,
                                 max_relative_gradient_error, numeric_gradients,
                                 save_checkpoint)
 
@@ -54,8 +56,8 @@ def test_linear_net_analytic_gradient():
     x = np.array([[0.5, -1.5, 2.0]])
     _, cache = forward_cache(net, x)
     grads, gin = backward(net, cache, np.ones((1, 1)))
-    assert np.allclose(grads[0][0][:, 0], x[0], atol=0)
-    assert np.allclose(grads[0][1], [1.0])
+    assert np.allclose(grads[:3], x[0], atol=0)
+    assert np.allclose(grads[3:], [1.0])
     assert np.allclose(gin, net.weights[0].T)
 
 
@@ -103,7 +105,7 @@ def test_freeze_head_is_bitwise():
     assert np.array_equal(net.head_params(), before_head)
     assert not np.array_equal(net.weights[0], before_backbone)
     # frozen head moments never advanced
-    assert np.array_equal(opt.m[net.split_point][0], np.zeros_like(opt.m[net.split_point][0]))
+    assert not opt.m[net.head_start:].any() and not opt.v[net.head_start:].any()
 
 
 def test_backbone_multiplier_scales_first_step():
@@ -126,8 +128,7 @@ def test_zero_gradients_leave_parameters_unchanged():
     net = init_mlp([2, 4, 2], seed=7)
     opt = init_optim(net, 1e-2)
     snap = [w.copy() for w in net.weights]
-    grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-    apply_update(net, grads, opt)
+    apply_update(net, np.zeros_like(net.params), opt)
     for w, s in zip(net.weights, snap):
         assert np.array_equal(w, s)
 
@@ -176,3 +177,108 @@ def test_default_split_is_last_layer():
     net = init_mlp([3, 8, 8, 2], seed=0)
     assert net.split_point == 2
     assert net.head_params().size == 8 * 2 + 2
+
+
+def test_freeze_at_non_default_split():
+    net = init_mlp([2, 8, 8, 3], seed=12, split_point=1)
+    opt = init_optim(net, 1e-2)
+    x = np.random.default_rng(3).random((6, 2))
+    gout = np.random.default_rng(4).normal(size=(6, 3))
+    frozen = [a.copy() for a in net.weights[1:] + net.biases[1:]]
+    w0 = net.weights[0].copy()
+    for _ in range(5):
+        _one_step(net, opt, x, gout, freeze_head=True)
+    for a, before in zip(net.weights[1:] + net.biases[1:], frozen):
+        assert np.array_equal(a, before)
+    assert not np.array_equal(net.weights[0], w0)
+    assert net.head_start == 2 * 8 + 8
+    assert not opt.m[net.head_start:].any() and not opt.v[net.head_start:].any()
+    assert opt.m[:net.head_start].any()
+
+
+def test_backbone_multiplier_at_non_default_split():
+    x = np.random.default_rng(6).random((5, 2))
+    gout = np.random.default_rng(7).normal(size=(5, 3))
+    deltas = {}
+    for mult in (1.0, 0.1):
+        net = init_mlp([2, 8, 8, 3], seed=22, split_point=1)
+        before = net.params.copy()
+        _one_step(net, init_optim(net, 1e-3, backbone_mult=mult), x, gout)
+        deltas[mult] = net.params - before
+    base, scaled = deltas[1.0], deltas[0.1]
+    head = net.head_start
+    assert np.array_equal(scaled[head:], base[head:])
+    nz = base[:head] != 0
+    assert nz.any() and np.array_equal(scaled[:head] != 0, nz)
+    assert np.allclose(scaled[:head][nz] / base[:head][nz], 0.1, rtol=1e-12, atol=0)
+
+
+def test_split_point_range_checked():
+    with pytest.raises(ValueError, match="split_point"):
+        Mlp([np.eye(3)], [np.zeros(3)], "relu", split_point=5)
+    with pytest.raises(ValueError, match="split_point"):
+        Mlp([np.eye(3)], [np.zeros(3)], "relu", split_point=1)
+    for bad in (0, 2, -1):
+        with pytest.raises(ValueError, match="split_point"):
+            init_mlp([3, 4, 2], split_point=bad)
+    assert Mlp([np.eye(3)], [np.zeros(3)], "relu").head_params().size == 12
+
+
+def test_weight_views_alias_params():
+    net = init_mlp([3, 4, 2], seed=8)
+    x = np.random.default_rng(0).random((5, 3))
+    net.weights[1][...] = 0.0
+    net.biases[1][:] = [1.5, -2.0]
+    assert np.array_equal(net.params[3 * 4 + 4:], [0.0] * 8 + [1.5, -2.0])
+    assert np.array_equal(forward(net, x), np.tile([1.5, -2.0], (5, 1)))
+    net.params[:] = 0.0
+    assert not net.weights[0].any() and not net.biases[0].any()
+
+
+def test_mlp_copies_its_inputs():
+    w, b = np.eye(3), np.zeros(3)
+    net = Mlp([w], [b], "relu")
+    w[0, 0] = 7.0
+    assert net.weights[0][0, 0] == 1.0
+
+
+def test_wrong_gradient_shape_rejected():
+    net = init_mlp([2, 4, 2], seed=1)
+    opt = init_optim(net, 1e-3)
+    with pytest.raises(ValueError, match="gradient shape"):
+        apply_update(net, np.zeros(net.params.size - 1), opt)
+    assert opt.step == 0 and net.version == 0
+
+
+def test_checkpoint_payload_is_flat_params_in_name_order(tmp_path):
+    nets = {"v": init_mlp([3, 5, 1], seed=3), "q": init_mlp([3, 8, 4], seed=1),
+            "policy": init_mlp([3, 8, 2], "tanh", seed=2)}
+    path = tmp_path / "ck.orck"
+    save_checkpoint(path, nets)
+    _, header, payload = read_envelope(path, CKPT_MAGIC, CKPT_VERSION)
+    assert header["order"] == ["policy", "q", "v"]
+    expected = b"".join(np.asarray(a, dtype="<f8").tobytes()
+                        for name in sorted(nets)
+                        for wb in zip(nets[name].weights, nets[name].biases) for a in wb)
+    assert payload == expected
+
+
+_HEADER_EDITS = {
+    "order_names_missing_net": lambda h: h["order"].append("x"),
+    "spec_without_layer_sizes": lambda h: h["nets"]["q"].pop("layer_sizes"),
+    "split_point_out_of_range": lambda h: h["nets"]["q"].update(split_point=7),
+    "unknown_activation": lambda h: h["nets"]["q"].update(activation="sigmoid"),
+    "single_layer_size": lambda h: h["nets"]["q"].update(layer_sizes=[3]),
+    "negative_layer_size": lambda h: h["nets"]["q"].update(layer_sizes=[3, -8, 4]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_HEADER_EDITS))
+def test_malformed_checkpoint_header_rejected(tmp_path, edit):
+    path = tmp_path / "ck.orck"
+    save_checkpoint(path, {"q": init_mlp([3, 8, 4], seed=1)})
+    _, header, payload = read_envelope(path, CKPT_MAGIC, CKPT_VERSION)
+    _HEADER_EDITS[edit](header)
+    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, payload)
+    with pytest.raises(EnvelopeError, match=re.escape(str(path))):
+        load_checkpoint(path)
