@@ -163,16 +163,14 @@ def backward(net: Mlp, cache: dict, grad_out: np.ndarray):
 
 @dataclass
 class OptimState:
-    """Adam accumulators with a per-parameter step size.
+    """Adam accumulators; ``m`` and ``v`` are laid out like the net's ``params``.
 
-    ``step_sizes`` holds ``lr * backbone_mult`` on the backbone (layers below
-    the net's split point) and ``lr`` on the head; ``m`` and ``v`` are laid
-    out like the net's ``params``.
+    ``lr`` and ``backbone_mult`` are read on every step, so a schedule may set
+    them between steps.
     """
 
     lr: float
     backbone_mult: float
-    step_sizes: np.ndarray
     m: np.ndarray
     v: np.ndarray
     step: int = 0
@@ -183,20 +181,18 @@ class OptimState:
 
 
 def init_optim(net: Mlp, lr: float, backbone_mult: float = 1.0) -> OptimState:
-    step_sizes = np.full(net.params.size, lr * backbone_mult)
-    step_sizes[net.head_start:] = lr
-    return OptimState(lr, backbone_mult, step_sizes,
-                      np.zeros_like(net.params), np.zeros_like(net.params))
+    return OptimState(lr, backbone_mult, np.zeros_like(net.params), np.zeros_like(net.params))
 
 
 def apply_update(net: Mlp, grads: np.ndarray, opt: OptimState, freeze_head: bool = False) -> None:
     """One fused Adam step over the parameter buffer.
 
-    With ``freeze_head`` only the backbone prefix ``params[:head_start]`` is
-    updated, so the head stays bitwise untouched and its moments are not
-    advanced. The step size scales linearly in the effective learning rate,
-    so a backbone multiplier of 0.1 scales the first backbone step by exactly
-    0.1.
+    The backbone prefix ``params[:head_start]`` steps with
+    ``lr * backbone_mult`` and the head with ``lr``. With ``freeze_head`` only
+    the backbone is updated, so the head stays bitwise untouched and its
+    moments are not advanced. The step size scales linearly in the effective
+    learning rate, so a backbone multiplier of 0.1 scales the first backbone
+    step by exactly 0.1.
     """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != net.params.shape:
@@ -206,13 +202,17 @@ def apply_update(net: Mlp, grads: np.ndarray, opt: OptimState, freeze_head: bool
     t = opt.step
     bc1 = 1.0 - _BETA1 ** t
     bc2 = 1.0 - _BETA2 ** t
-    end = net.head_start if freeze_head else net.params.size
+    hs = net.head_start
+    end = hs if freeze_head else net.params.size
     p, g, m, v = net.params[:end], grads[:end], opt.m[:end], opt.v[:end]
     m *= _BETA1
     m += (1.0 - _BETA1) * g
     v *= _BETA2
     v += (1.0 - _BETA2) * g * g
-    p -= opt.step_sizes[:end] * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+    num = m / bc1
+    num[:hs] *= opt.lr * opt.backbone_mult
+    num[hs:] *= opt.lr
+    p -= num / (np.sqrt(v / bc2) + _EPS)
     net.version += 1
 
 

@@ -124,6 +124,26 @@ def test_backbone_multiplier_scales_first_step():
     assert np.allclose(scaled[~zero] / base[~zero], 0.1, rtol=1e-12, atol=0)
 
 
+def test_step_size_set_between_steps_is_used():
+    x = np.random.default_rng(8).random((5, 2))
+    gout = np.random.default_rng(9).normal(size=(5, 3))
+    scheduled, fresh = (init_mlp([2, 8, 8, 3], seed=23) for _ in range(2))
+    opt = init_optim(scheduled, 1e-2)
+    _one_step(scheduled, opt, x, gout)
+    opt.lr, opt.backbone_mult = 3e-4, 0.1
+    ref = init_optim(fresh, 1e-2)
+    _one_step(fresh, ref, x, gout)
+    ref_after = init_optim(fresh, 3e-4, backbone_mult=0.1)
+    ref_after.m, ref_after.v, ref_after.step = ref.m, ref.v, ref.step
+    _one_step(scheduled, opt, x, gout)
+    _one_step(fresh, ref_after, x, gout)
+    assert np.array_equal(scheduled.params, fresh.params)
+    opt.lr = 0.0
+    before = scheduled.params.copy()
+    _one_step(scheduled, opt, x, gout)
+    assert np.array_equal(scheduled.params, before)
+
+
 def test_zero_gradients_leave_parameters_unchanged():
     net = init_mlp([2, 4, 2], seed=7)
     opt = init_optim(net, 1e-2)
