@@ -144,13 +144,15 @@ def _blocks(payload) -> list:
     return list(payload["reports"].items())
 
 
-def _write_bundle(out_dir, payload, timing, losses) -> int:
-    """Write report.json, timing.json and every block's ``curves{_name}.csv``
-    and ``losses{_name}_seed{s}.csv``; returns exit 3 if any block has aborted
+def _write_bundle(out_dir, payload, timing, losses, jobs) -> int:
+    """Write report.json, timing.json (with the run's ``runtime``: jobs and
+    BLAS threads) and every block's ``curves{_name}.csv`` and
+    ``losses{_name}_seed{s}.csv``; returns exit 3 if any block has aborted
     seeds, else 0."""
+    runtime = {"jobs": jobs, "blas_threads": harness.blas_threads()}
     _write(os.path.join(out_dir, "report.json"), dump_json(payload))
     _write(os.path.join(out_dir, "timing.json"),
-           json.dumps(timing, sort_keys=True, indent=2) + "\n")
+           json.dumps({**timing, "runtime": runtime}, sort_keys=True, indent=2) + "\n")
     aborted = []
     for name, block in _blocks(payload):
         label, rows = ("", losses) if name is None else (f"_{name}", losses[name])
@@ -173,7 +175,7 @@ def cmd_train(args) -> int:
     agg = report["aggregate"]
     print(f"task {report['task']}: normalized {agg['mean_normalized']} "
           f"+/- {agg['std_normalized']} over {len(report['per_seed'])} seeds")
-    return _write_bundle(args.out, report, timing, losses)
+    return _write_bundle(args.out, report, timing, losses, args.jobs)
 
 
 def cmd_dered(args) -> int:
@@ -185,7 +187,7 @@ def cmd_dered(args) -> int:
     if s1 is not None and s2 is not None and s2 > s1:
         arrow = "  (stage 2 improved)"
     print(f"task {report['task']}: stage1 {s1}  stage2 {s2}{arrow}")
-    return _write_bundle(args.out, report, timing, losses)
+    return _write_bundle(args.out, report, timing, losses, args.jobs)
 
 
 def _parse_pbase_values(text):
@@ -214,7 +216,7 @@ def _finish_arms(args, run, key, csv_name, title) -> int:
            ",".join(["task"] + labels) + "\n"
            + ",".join([table["task"]] + [repr(table["scores"][a]) for a in labels]) + "\n")
     print(f"{title}:", {a: table["scores"][a] for a in labels})
-    return _write_bundle(args.out, *run)
+    return _write_bundle(args.out, *run, args.jobs)
 
 
 def cmd_sweep(args) -> int:
@@ -348,9 +350,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    harness.pin_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "jobs", 1) < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
         return args.fn(args)
     except SystemExit_ as exc:
         if exc.message:

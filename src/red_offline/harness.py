@@ -30,7 +30,9 @@ every seed of the arm), ``train_s``, ``eval_s``, their sum ``total_s`` and
 """
 
 import contextlib
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import os
@@ -401,12 +403,58 @@ def _seed_payload(res: SeedResult, refs: dict) -> dict:
     }
 
 
-def _map_seeds(job, args, jobs: int) -> list:
-    """Run ``job`` over per-seed arguments, in ``jobs`` worker processes if > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(job, args))
-    return [job(a) for a in args]
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_-*.so"))
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get_n, set_n = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_n.argtypes, get_n.restype = [], ctypes.c_int
+    set_n.argtypes, set_n.restype = [ctypes.c_int], None
+    return get_n, set_n
+
+
+def blas_threads() -> int | None:
+    """Threads the bundled OpenBLAS uses, or None if it was not found."""
+    fns = _openblas()
+    return None if fns is None else fns[0]()
+
+
+def pin_blas_threads():
+    """One BLAS thread in this process, unless OPENBLAS_NUM_THREADS is set: on
+    these small nets more threads cost CPU and gain no wall time."""
+    fns = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas()
+    if fns is not None:
+        fns[1](1)
+
+
+_WORKER_TASK = None  # (job, shared) of the pool this worker process serves
+
+
+def _init_worker(job, shared):
+    global _WORKER_TASK
+    pin_blas_threads()
+    _WORKER_TASK = job, shared
+
+
+def _worker_seed_job(seed):
+    job, shared = _WORKER_TASK
+    return job(shared, seed)
+
+
+def _map_seeds(job, shared, seeds, jobs: int) -> list:
+    """``[job(shared, seed) for seed in seeds]`` in up to ``jobs`` processes.
+    ``shared`` reaches each worker once, through the pool initializer (not
+    pickled at all under ``fork``); each task carries only its seed."""
+    workers = min(jobs, len(seeds))
+    if workers <= 1:
+        return [job(shared, s) for s in seeds]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(job, shared)) as pool:
+        return list(pool.map(_worker_seed_job, seeds))
 
 
 def _prepare(source: DatasetSource):
@@ -438,10 +486,9 @@ def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> 
             "refs": refs, "dataset_checksum": checksum}
 
 
-def _seed_job(args):
-    ds, mdp_name, algo_cfg, sampler, build_s, eval_cfg, root, seed = args
-    mdp = env_from_name(mdp_name)
-    res = train_single_seed(ds, mdp, algo_cfg, sampler, build_s, eval_cfg, root, seed)
+def _seed_job(shared, seed):
+    ds, mdp, cfg, sampler, build_s = shared
+    res = train_single_seed(ds, mdp, cfg.algo, sampler, build_s, cfg.eval, cfg.root_seed, seed)
     res.state = None  # pickles cheaply back from worker processes
     return res
 
@@ -452,9 +499,8 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1):
     ds, tr, mdp, checksum = prepared
     refs = mdp.reference_scores
     sampler, build_s = _timed_build(cfg.sampler, ds, tr)
-    args = [(ds, mdp.name, cfg.algo, sampler, build_s, cfg.eval, cfg.root_seed, s)
-            for s in cfg.eval.seeds]
-    block, timing, losses = _stage(_map_seeds(_seed_job, args, jobs), refs)
+    results = _map_seeds(_seed_job, (ds, mdp, cfg, sampler, build_s), cfg.eval.seeds, jobs)
+    block, timing, losses = _stage(results, refs)
     report = {**_run_header("experiment", cfg, refs, checksum), **block}
     return report, {"per_seed": timing}, losses
 
@@ -464,7 +510,7 @@ def run_training(cfg: ExperimentConfig, jobs: int = 1):
     return _run_arm(cfg, _prepare(cfg.dataset), jobs)
 
 
-def _two_stage_seed_job(args):
+def _two_stage_seed_job(shared, seed):
     """One seed of two-stage training; returns (stage-1, stage-2, heads equal).
 
     Stage one trains ``stage1_steps`` on the uniform table and is saved to
@@ -473,8 +519,7 @@ def _two_stage_seed_job(args):
     with their build seconds. Results drop their learner state so they
     pickle cheaply back from worker processes.
     """
-    ds, mdp_name, cfg, (stage1, build1_s), (stage2, build2_s), ckpt_dir, seed = args
-    mdp = env_from_name(mdp_name)
+    ds, mdp, cfg, (stage1, build1_s), (stage2, build2_s), ckpt_dir = shared
     dered = cfg.dered
 
     res1 = train_single_seed(ds, mdp, cfg.algo, stage1, build1_s, cfg.eval,
@@ -524,8 +569,8 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
         os.makedirs(out_dir, exist_ok=True)
         ckpt_ctx = contextlib.nullcontext(out_dir)
     with ckpt_ctx as ckpt_dir:
-        args = [(ds, mdp.name, cfg, *tables, ckpt_dir, seed) for seed in cfg.eval.seeds]
-        results = _map_seeds(_two_stage_seed_job, args, jobs)
+        results = _map_seeds(_two_stage_seed_job, (ds, mdp, cfg, *tables, ckpt_dir),
+                             cfg.eval.seeds, jobs)
 
     for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results):
         if dered.freeze_head and not heads_equal:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import red_offline
 from red_offline.cli import main
 from red_offline.dataset import load_dataset
+from red_offline.harness import blas_threads
 
 
 def write_config(tmp_path, name="cfg.json", **updates):
@@ -176,6 +181,74 @@ def test_dered_jobs_match_sequential(tmp_path):
         "stage1_seed0.orck", "stage1_seed1.orck"]
 
 
+@pytest.mark.parametrize("command,extra", [("sweep", ["--values", "0,0.2,inf"]),
+                                           ("compare", [])])
+def test_arms_jobs_match_sequential(tmp_path, command, extra):
+    cfg = write_config(tmp_path, eval={"seeds": [0, 1]})
+    seq, par = tmp_path / "jobs1", tmp_path / "jobs2"
+    for out, jobs in ((seq, "1"), (par, "2")):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs,
+                     *extra]) == 0
+    names = sorted(p.name for p in seq.iterdir() if p.name != "timing.json")
+    assert names == sorted(p.name for p in par.iterdir() if p.name != "timing.json")
+    assert {"report.json", f"{command}.csv"} <= set(names)
+    assert len([n for n in names if n.startswith(("curves_", "losses_"))]) > 4
+    for name in names:
+        assert (par / name).read_bytes() == (seq / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--jobs" in err
+    assert not out.exists()
+
+
+_BLAS_SCRIPT = """
+import json, sys
+from red_offline import cli, harness
+
+def probe(shared, seed):
+    return harness.blas_threads()
+
+cfg, out, case = sys.argv[1:]
+before = harness.blas_threads()
+workers = None
+if case == "api":
+    harness.run_training(cli._load_config(cfg, []), jobs=1)
+elif case == "worker":
+    workers = harness._map_seeds(probe, None, [0, 1], 2)
+else:
+    assert cli.main(["train", "--config", cfg, "--out", out]) == 0
+print(json.dumps({"before": before, "after": harness.blas_threads(), "workers": workers}))
+"""
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's bundled OpenBLAS not found")
+@pytest.mark.parametrize("case,env", [("api", None), ("cli", None), ("worker", None),
+                                      ("cli", "2")])
+def test_blas_threads_contract(tmp_path, case, env):
+    # fresh processes, since the CLI pins the threads of the process it runs in
+    cfg = write_config(tmp_path, algo={"total_steps": 20}, eval={"eval_every": 10})
+    proc_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc_env["PYTHONPATH"] = os.path.dirname(os.path.dirname(red_offline.__file__))
+    if env is not None:
+        proc_env["OPENBLAS_NUM_THREADS"] = env
+    proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, str(cfg), str(tmp_path / "o"),
+                           case], capture_output=True, text=True, env=proc_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    if case == "cli" and env is None:
+        assert got["after"] == 1
+    else:  # the API, a worker's parent and a user's OPENBLAS_NUM_THREADS are left alone
+        assert got["after"] == got["before"]
+    if case == "worker":
+        assert got["workers"] == [1, 1]
+
+
 def test_compare_emits_four_arm_csv(tmp_path):
     cfg = write_config(tmp_path, algo={"family": "conservative_q"})
     out = tmp_path / "cmp"
@@ -305,6 +378,8 @@ def test_every_block_writes_curves_and_losses(tmp_path, command, blocks):
     expected |= {f"losses{b}_seed{s}.csv" for b in blocks for s in (0, 1)}
     assert expected <= written
     assert not {n for n in written if n.startswith(("curves", "losses"))} - expected
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing["runtime"] == {"jobs": 1, "blas_threads": blas_threads()}
     report = json.loads((out / "report.json").read_text())
     if command == "train":
         in_report = [report]

@@ -1,4 +1,6 @@
 import json
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +8,11 @@ import pytest
 
 from red_offline.algos import AlgoConfig, init_learner
 from red_offline.harness import (ConfigError, DatasetSource, DeredConfig, EvalConfig,
-                                 ExperimentConfig, apply_overrides, compare_rebalance_methods,
-                                 config_from_dict, config_to_dict, dump_json,
-                                 normalized_score, prepare_dataset, run_training,
+                                 ExperimentConfig, apply_overrides, blas_threads,
+                                 compare_rebalance_methods, config_from_dict, config_to_dict,
+                                 dump_json, normalized_score, prepare_dataset, run_training,
                                  stream_seed, sweep_pbase, two_stage_train,
-                                 _eval_points)
+                                 _eval_points, _map_seeds)
 from red_offline.sampler import SamplerSpec, build_sampler
 
 
@@ -325,7 +327,9 @@ def test_timing_records_one_cold_build_per_arm(tmp_path):
     out = tmp_path / "compare"
     assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
     timing = json.loads((out / "timing.json").read_text())
-    assert set(timing) == {"uniform", "return_resample", "reward_resample", "top_fraction"}
+    assert set(timing) == {"uniform", "return_resample", "reward_resample", "top_fraction",
+                           "runtime"}
+    assert timing.pop("runtime") == {"jobs": 1, "blas_threads": blas_threads()}
     for arm in timing.values():
         seeds = list(arm["per_seed"].values())
         assert len({t["sampler_build_s"] for t in seeds}) == 1  # the arm's single build
@@ -334,3 +338,45 @@ def test_timing_records_one_cold_build_per_arm(tmp_path):
                               "overhead_fraction"}
             assert t["total_s"] == t["sampler_build_s"] + t["train_s"] + t["eval_s"]
             assert t["overhead_fraction"] == t["sampler_build_s"] / t["total_s"]
+
+
+def _pid_job(shared, seed):
+    return os.getpid(), seed, int(shared.sum())
+
+
+def test_map_seeds_pool_size_and_handoff(monkeypatch):
+    from red_offline import harness as hmod
+    pools = []
+
+    class SpyPool(ProcessPoolExecutor):
+        """Records each pool's size and the arguments its tasks are sent."""
+
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            self.size, self.tasks = max_workers, []
+            pools.append(self)
+
+        def map(self, fn, *iterables, **kwargs):
+            self.tasks = list(iterables[0])
+            return super().map(fn, self.tasks, **kwargs)
+
+    monkeypatch.setattr(hmod, "ProcessPoolExecutor", SpyPool)
+    shared = np.arange(10)
+    results = _map_seeds(_pid_job, shared, (3, 4), jobs=4)
+    assert [p.size for p in pools] == [2] and pools[0].tasks == [3, 4]
+    assert [r[1:] for r in results] == [(3, 45), (4, 45)]
+    pids = {r[0] for r in results}
+    assert len(pids) <= 2 and os.getpid() not in pids
+    # one seed, or one job, runs here and starts no pool
+    pools.clear()
+    assert _map_seeds(_pid_job, shared, (7,), jobs=4) == [(os.getpid(), 7, 45)]
+    assert _map_seeds(_pid_job, shared, (7, 8), jobs=1)[1] == (os.getpid(), 8, 45)
+    assert not pools
+    # the experiments send each task its seed alone, never the dataset
+    cfg = small_config(algo=AlgoConfig(family="q_plus_bc", total_steps=10, batch_size=16,
+                                       hidden_units=8),
+                       eval=EvalConfig(eval_every=5, episodes_per_eval=1, final_k=2,
+                                       seeds=(0, 1)))
+    run_training(cfg, jobs=2)
+    two_stage_train(replace(cfg, dered=DeredConfig(stage1_steps=5, stage2_steps=5)), jobs=3)
+    assert [(p.size, p.tasks) for p in pools] == [(2, [0, 1]), (2, [0, 1])]
