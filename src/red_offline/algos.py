@@ -1,21 +1,28 @@
 """Discrete-action offline RL learners behind a common train-step interface.
 
 Four families cover the usual constraint mechanisms: expectile value learning
-with advantage-weighted extraction, conservative Q penalties, exponential
-advantage-weighted regression, and Q-learning with a behavior-cloning term.
-Each consumes batches produced by an injected sampler and never looks at the
-sampler itself, so uniform and rebalanced training differ only in the stream
-of batch indices.
+with advantage-weighted extraction (IQL), conservative Q penalties (CQL),
+exponential advantage-weighted regression (AWR), and Q-learning with a
+behavior-cloning term (TD3+BC). Each consumes batches produced by an injected
+sampler and never looks at the sampler itself, so uniform and rebalanced
+training differ only in the stream of batch indices.
 
-TD targets use r + gamma * (1 - terminal) * bootstrap; horizon timeouts
-bootstrap as non-terminal.
+:func:`train_step` is one pipeline for all four. Every family fits Q to
+r + gamma * (1 - terminal) * next_value, where only next_value differs:
+V(s') for expectile_awr, the policy's expectation of Q_target(s') for
+exp_adv_regression, max Q_target(s') for the other two. Horizon timeouts
+bootstrap as non-terminal. conservative_q adds its penalty gradient to the
+same Q update, and expectile_awr adds an expectile-fitted V net. Families with
+a policy net share one softmax block and take one of two policy losses: the
+advantage-weighted likelihood (expectile_awr, exp_adv_regression) or the
+lambda-scaled Q plus cross-entropy (q_plus_bc).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import Mlp, apply_update, backward, forward, forward_cache, init_mlp, init_optim
+from .nncore import apply_update, backward, forward, forward_cache, init_mlp, init_optim
 
 FAMILIES = ("expectile_awr", "conservative_q", "exp_adv_regression", "q_plus_bc")
 
@@ -141,117 +148,74 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
     Raises :class:`NanLossError` instead of silently continuing when any loss
     goes non-finite.
     """
-    obs = batch["obs"]
+    obs, nobs = batch["obs"], batch["next_obs"]
     act = np.asarray(batch["action"], dtype=np.int64)
     rew = np.asarray(batch["reward"], dtype=np.float64)
     term = np.asarray(batch["terminal"], dtype=np.float64)
-    nobs = batch["next_obs"]
     b = obs.shape[0]
     rows = np.arange(b)
-    gamma = cfg.gamma
-    boot = 1.0 - term
-    q_net, q_target = state.nets["q"], state.targets["q"]
+    family, nets, q_target = state.family, state.nets, state.targets["q"]
     losses: dict = {}
-    pending = []  # (net name, net, forward cache, output gradient)
+    pending = []  # (net name, forward cache, output gradient)
 
-    q_all, q_cache = forward_cache(q_net, obs)
+    q_all, q_cache = forward_cache(nets["q"], obs)
     q_sa = q_all[rows, act]
 
-    if state.family == "expectile_awr":
-        v_net, policy = state.nets["v"], state.nets["policy"]
-        qt_sa = forward(q_target, obs)[rows, act]
-        v_s, v_cache = forward_cache(v_net, obs)
-        v_s = v_s[:, 0]
-        u = qt_sa - v_s
+    # next_value is the only family-specific part of the TD target; expectile_awr
+    # also fits its V net to the target critic here
+    if family == "expectile_awr":
+        v_s, v_cache = forward_cache(nets["v"], obs)
+        u = forward(q_target, obs)[rows, act] - v_s[:, 0]
+        losses["v_loss"] = expectile_loss(u, cfg.tau_expectile)
         w_exp = np.where(u < 0, 1.0 - cfg.tau_expectile, cfg.tau_expectile)
-        losses["v_loss"] = float(np.mean(w_exp * u * u))
-        dv = (-2.0 * w_exp * u / b)[:, None]
+        pending.append(("v", v_cache, (-2.0 * w_exp * u / b)[:, None]))
+        next_value = forward(nets["v"], nobs)[:, 0]
+    elif family == "exp_adv_regression":
+        pi_next = _softmax(forward(nets["policy"], nobs))
+        next_value = (pi_next * forward(q_target, nobs)).sum(axis=1)
+    else:
+        next_value = forward(q_target, nobs).max(axis=1)
 
-        target = rew + gamma * boot * forward(v_net, nobs)[:, 0]
-        td = q_sa - target
-        losses["q_loss"] = float(np.mean(td * td))
-        dq = np.zeros_like(q_all)
-        dq[rows, act] = 2.0 * td / b
-
-        w = awr_weight(u, cfg.beta_awr, cfg.w_max)
-        logits, p_cache = forward_cache(policy, obs)
-        probs = _softmax(logits)
-        logp = logits - _logsumexp_rows(logits)[:, None]
-        losses["policy_loss"] = float(-np.mean(w * logp[rows, act]))
-        dlogits = w[:, None] * probs
-        dlogits[rows, act] -= w
-        dlogits /= b
-
-        pending.append(("v", v_net, v_cache, dv))
-        pending.append(("q", q_net, q_cache, dq))
-        pending.append(("policy", policy, p_cache, dlogits))
-
-    elif state.family == "conservative_q":
-        target = rew + gamma * boot * forward(q_target, nobs).max(axis=1)
-        td = q_sa - target
-        losses["q_loss"] = float(np.mean(td * td))
-        probs = _softmax(q_all)
+    td = q_sa - (rew + cfg.gamma * (1.0 - term) * next_value)
+    losses["q_loss"] = float(np.mean(td * td))
+    dq = np.zeros_like(q_all)
+    dq[rows, act] = 2.0 * td / b
+    if family == "conservative_q":
         losses["cql_penalty"] = float(np.mean(_logsumexp_rows(q_all) - q_sa))
-        dq = np.zeros_like(q_all)
-        dq[rows, act] = 2.0 * td / b
-        dq += cfg.cql_weight * probs / b
+        dq += cfg.cql_weight * _softmax(q_all) / b
         dq[rows, act] -= cfg.cql_weight / b
-        pending.append(("q", q_net, q_cache, dq))
+    pending.append(("q", q_cache, dq))
 
-    elif state.family == "exp_adv_regression":
-        policy = state.nets["policy"]
-        pi_next = _softmax(forward(policy, nobs))
-        target = rew + gamma * boot * (pi_next * forward(q_target, nobs)).sum(axis=1)
-        td = q_sa - target
-        losses["q_loss"] = float(np.mean(td * td))
-        dq = np.zeros_like(q_all)
-        dq[rows, act] = 2.0 * td / b
-
-        logits, p_cache = forward_cache(policy, obs)
+    if "policy" in nets:
+        logits, p_cache = forward_cache(nets["policy"], obs)
         probs = _softmax(logits)
-        adv = q_sa - (probs * q_all).sum(axis=1)
-        w = awr_weight(adv, cfg.beta_awr, cfg.w_max)
         logp = logits - _logsumexp_rows(logits)[:, None]
-        losses["policy_loss"] = float(-np.mean(w * logp[rows, act]))
-        dlogits = w[:, None] * probs
-        dlogits[rows, act] -= w
-        dlogits /= b
-
-        pending.append(("q", q_net, q_cache, dq))
-        pending.append(("policy", policy, p_cache, dlogits))
-
-    elif state.family == "q_plus_bc":
-        policy = state.nets["policy"]
-        target = rew + gamma * boot * forward(q_target, nobs).max(axis=1)
-        td = q_sa - target
-        losses["q_loss"] = float(np.mean(td * td))
-        dq = np.zeros_like(q_all)
-        dq[rows, act] = 2.0 * td / b
-
-        logits, p_cache = forward_cache(policy, obs)
-        probs = _softmax(logits)
-        q_const = q_all  # critic treated as constant inside the policy loss
-        q_pi = (probs * q_const).sum(axis=1)
-        lam = cfg.bc_q_scale / (np.abs(q_pi).mean() + 1e-8)
-        logp = logits - _logsumexp_rows(logits)[:, None]
-        ce = float(-np.mean(logp[rows, act]))
-        losses["policy_loss"] = float(-lam * q_pi.mean() + cfg.bc_weight * ce)
-        dlogits = -lam * probs * (q_const - q_pi[:, None]) / b
-        dlogits += cfg.bc_weight * probs / b
-        dlogits[rows, act] -= cfg.bc_weight / b
-
-        pending.append(("q", q_net, q_cache, dq))
-        pending.append(("policy", policy, p_cache, dlogits))
+        if family == "q_plus_bc":  # the critic is a constant inside the policy loss
+            q_pi = (probs * q_all).sum(axis=1)
+            lam = cfg.bc_q_scale / (np.abs(q_pi).mean() + 1e-8)
+            ce = float(-np.mean(logp[rows, act]))
+            losses["policy_loss"] = float(-lam * q_pi.mean() + cfg.bc_weight * ce)
+            dlogits = -lam * probs * (q_all - q_pi[:, None]) / b
+            dlogits += cfg.bc_weight * probs / b
+            dlogits[rows, act] -= cfg.bc_weight / b
+        else:  # advantage-weighted likelihood
+            adv = u if family == "expectile_awr" else q_sa - (probs * q_all).sum(axis=1)
+            w = awr_weight(adv, cfg.beta_awr, cfg.w_max)
+            losses["policy_loss"] = float(-np.mean(w * logp[rows, act]))
+            dlogits = w[:, None] * probs
+            dlogits[rows, act] -= w
+            dlogits /= b
+        pending.append(("policy", p_cache, dlogits))
 
     if not all(np.isfinite(v) for v in losses.values()):
-        raise NanLossError(state.family, state.step, losses)
+        raise NanLossError(family, state.step, losses)
 
-    for name, net, cache, grad_out in pending:
-        grads, _ = backward(net, cache, grad_out)
-        apply_update(state.nets[name], grads, state.opts[name], freeze_head=freeze_head)
+    for name, cache, grad_out in pending:
+        grads, _ = backward(nets[name], cache, grad_out)
+        apply_update(nets[name], grads, state.opts[name], freeze_head=freeze_head)
     state.step += 1
     if state.step % cfg.target_update_period == 0:
-        state.targets["q"].copy_from(q_net)
+        q_target.copy_from(nets["q"])
     return losses
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: dataset generation, inspection, training, reports.
 
 Subcommands: gen, stats, rebalance-preview, train, dered, sweep, compare,
-report. Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime
-abort. The environment variable ``RED_OFFLINE_ROOT_SEED`` overrides the
+report. Exit codes: 0 success, 1 usage error, 2 config or dataset error
+(including a dataset that does not fit its environment), 3 runtime abort.
+The environment variable ``RED_OFFLINE_ROOT_SEED`` overrides the
 config root seed for every experiment subcommand.
 """
 
@@ -20,7 +21,7 @@ from .dataset import (compute_trajectory_returns, histogram_csv, load_dataset,
 from .envsuite import PRESETS, generate_dataset, preset_config
 from .harness import (ConfigError, apply_overrides, config_from_dict, curves_csv,
                       dump_json, losses_csv)
-from .sampler import SamplerSpec, build_sampler, distribution_csv, sampling_distribution
+from .sampler import distribution_csv, sampling_distribution
 
 ROOT_SEED_ENV = "RED_OFFLINE_ROOT_SEED"
 
@@ -126,10 +127,7 @@ def cmd_rebalance_preview(args) -> int:
     print(f"zero-mass fraction: {zero_frac:.4f}")
     print(f"max deviation from uniform: {max_dev:.3e}")
     if args.out:
-        sampler = build_sampler(
-            SamplerSpec(mode="return_resample", alpha=args.alpha, p_base=args.p_base, seed=0),
-            ds, tr)
-        _write(args.out, distribution_csv(sampler, weights))
+        _write(args.out, distribution_csv(probs, weights))
         print(f"distribution -> {args.out}")
     return EXIT_OK
 

@@ -26,35 +26,32 @@ class DatasetError(ValueError):
 @dataclass(frozen=True)
 class DatasetMeta:
     obs_dim: int
-    action: dict  # {"discrete": n} or {"box": d}
+    action: dict  # {"discrete": n}
     env_name: str
     seed: int
 
-    @property
-    def discrete_actions(self) -> int | None:
-        return self.action.get("discrete")
+    def __post_init__(self):
+        n = self.action.get("discrete")
+        if list(self.action) != ["discrete"] or type(n) is not int or n < 1:
+            raise DatasetError(f"action space {self.action!r} is not {{'discrete': n >= 1}}")
 
     @property
-    def action_width(self) -> int:
-        # columns occupied by the action in packed/array form
-        return 1 if "discrete" in self.action else int(self.action["box"])
+    def discrete_actions(self) -> int:
+        return self.action["discrete"]
 
 
 class OfflineDataset:
     """Flat transition arrays plus trajectory bounds.
 
     Immutable after construction; safe to share across concurrent runs.
-    Arrays are float64 (observations, rewards), actions int64 for discrete
-    spaces or float64 for box spaces, flags bool.
+    Arrays are float64 (observations, rewards), actions int64 in
+    ``[0, n_actions)``, flags bool.
     """
 
     def __init__(self, obs, actions, rewards, next_obs, terminals, timeouts,
                  traj_bounds, meta: DatasetMeta):
         self.obs = np.ascontiguousarray(obs, dtype=np.float64)
-        if meta.discrete_actions is not None:
-            self.actions = np.ascontiguousarray(actions, dtype=np.int64)
-        else:
-            self.actions = np.ascontiguousarray(actions, dtype=np.float64)
+        self.actions = np.ascontiguousarray(actions, dtype=np.int64)
         self.rewards = np.ascontiguousarray(rewards, dtype=np.float64)
         self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64)
         self.terminals = np.ascontiguousarray(terminals, dtype=bool)
@@ -75,6 +72,11 @@ class OfflineDataset:
             raise DatasetError("next_obs shape differs from obs shape")
         if len(self.actions) != n or len(self.terminals) != n or len(self.timeouts) != n:
             raise DatasetError("transition arrays have inconsistent lengths")
+        n_actions = self.meta.discrete_actions
+        if n and not 0 <= self.actions.min() <= self.actions.max() < n_actions:
+            bad = np.flatnonzero((self.actions < 0) | (self.actions >= n_actions))[0]
+            raise DatasetError(f"transition {bad}: action {self.actions[bad]} "
+                               f"outside [0, {n_actions})")
         both = np.flatnonzero(self.terminals & self.timeouts)
         if both.size:
             raise DatasetError(f"transition {both[0]}: terminal and timeout both set")
@@ -214,7 +216,7 @@ def histogram_csv(hist: dict) -> str:
 def _record_dtype(meta: DatasetMeta) -> np.dtype:
     return np.dtype([
         ("obs", "<f8", (meta.obs_dim,)),
-        ("action", "<f8", (meta.action_width,)),
+        ("action", "<f8"),
         ("reward", "<f8"),
         ("next_obs", "<f8", (meta.obs_dim,)),
         ("terminal", "u1"),
@@ -227,7 +229,7 @@ def save_dataset(ds: OfflineDataset, path) -> None:
     meta = ds.meta
     rec = np.zeros(len(ds), dtype=_record_dtype(meta))
     rec["obs"] = ds.obs
-    rec["action"] = ds.actions.reshape(len(ds), meta.action_width).astype(np.float64)
+    rec["action"] = ds.actions
     rec["reward"] = ds.rewards
     rec["next_obs"] = ds.next_obs
     rec["terminal"] = ds.terminals
@@ -272,13 +274,12 @@ def load_dataset(path) -> OfflineDataset:
     rec = np.frombuffer(payload[:body], dtype=dtype)
     bounds = np.frombuffer(payload[body:], dtype="<u8").reshape(n_traj, 2)
     actions = rec["action"]
-    if meta.discrete_actions is not None:
-        flat = actions.reshape(-1)
-        rounded = np.rint(flat)
-        bad = np.flatnonzero(np.abs(flat - rounded) > 0)
-        if bad.size:
-            raise DatasetError(f"{path}: record {bad[0]}: non-integer discrete action {flat[bad[0]]}")
-        actions = rounded.astype(np.int64)
+    rounded = np.rint(actions)
+    bad = np.flatnonzero(np.abs(actions - rounded) > 0)
+    if bad.size:
+        raise DatasetError(f"{path}: record {bad[0]}: non-integer discrete action "
+                           f"{actions[bad[0]]}")
+    actions = rounded.astype(np.int64)
     try:
         return OfflineDataset(
             obs=rec["obs"].copy(),

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algos import AlgoConfig, NanLossError, extract_policy, init_learner, train_step
-from .dataset import OfflineDataset, compute_trajectory_returns, load_dataset
+from .dataset import DatasetError, OfflineDataset, compute_trajectory_returns, load_dataset
 from .envsuite import env_from_name, generate_dataset, preset_config
 from .nncore import load_checkpoint, save_checkpoint
 from .sampler import SamplerSpec, build_sampler
@@ -223,15 +223,25 @@ def apply_overrides(data: dict, overrides) -> dict:
 # dataset / environment plumbing
 
 def prepare_dataset(source: DatasetSource):
-    """Resolve a dataset source to (dataset, trajectory returns, environment)."""
+    """Resolve a dataset source to (dataset, trajectory returns, environment).
+
+    Raises DatasetError when the dataset names an unknown environment or its
+    obs_dim or action space differ from the environment's.
+    """
     if source.path is not None:
         ds = load_dataset(source.path)
     else:
         ds = generate_dataset(preset_config(source.preset, seed=source.seed,
                                             n_trajectories=source.n_trajectories))
-    tr = compute_trajectory_returns(ds)
-    mdp = env_from_name(ds.meta.env_name)
-    return ds, tr, mdp
+    try:
+        mdp = env_from_name(ds.meta.env_name)
+    except ValueError as exc:
+        raise DatasetError(f"{source.label}: {exc}") from exc
+    fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
+    if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
+        raise DatasetError(f"{source.label}: dataset has obs_dim {ds.meta.obs_dim} and action "
+                           f"{ds.meta.action}, but {mdp.name} needs {fits}")
+    return ds, compute_trajectory_returns(ds), mdp
 
 
 def dataset_checksum(ds: OfflineDataset) -> str:

@@ -218,10 +218,10 @@ def build_sampler(spec: SamplerSpec, ds: OfflineDataset, tr: TrajectoryReturns) 
     return WeightedSampler(probs, seed=spec.seed)
 
 
-def distribution_csv(sampler: WeightedSampler, weights: np.ndarray | None = None) -> str:
-    """CSV export of the distribution: index, weight, probability."""
+def distribution_csv(probs: np.ndarray, weights: np.ndarray | None = None) -> str:
+    """CSV export of a probability vector: index, weight, probability."""
     lines = ["index,weight,probability"]
-    w = weights if weights is not None else sampler.probs
-    for i in range(len(sampler)):
-        lines.append(f"{i},{w[i]!r},{sampler.probs[i]!r}")
+    w = weights if weights is not None else probs
+    for i in range(len(probs)):
+        lines.append(f"{i},{w[i]!r},{probs[i]!r}")
     return "\n".join(lines) + "\n"

@@ -3,8 +3,16 @@ import pytest
 
 from red_offline.dataset import DatasetMeta, OfflineDataset
 from red_offline.envsuite import PRESETS, generate_dataset
+from red_offline.harness import pin_blas_threads
 
 _PRESET_CACHE = {}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Run the suite at one OpenBLAS thread, as every CLI process and seed
+    worker does; tests of the pinning itself run in fresh subprocesses."""
+    pin_blas_threads()
 
 
 @pytest.fixture(scope="session")

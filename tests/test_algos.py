@@ -203,3 +203,60 @@ def test_invalid_configs_rejected():
         AlgoConfig(beta_awr=0.0)
     with pytest.raises(ValueError):
         AlgoConfig(batch_size=0)
+
+
+def _trained_learner(family, steps=3):
+    """A learner after a few steps, so every net has non-zero Adam moments."""
+    ds = make_dataset([[1.0, 0.0, 2.0], [0.5], [2.0, -1.0, 0.5]], obs_dim=2, n_actions=3,
+                      seed=3, returns_as_rewards=True)
+    cfg = AlgoConfig(family=family, hidden_units=8, lr=1e-2, batch_size=6, gamma=0.9)
+    state = init_learner(cfg, 2, 3, seed=2)
+    rng = np.random.default_rng(1)
+    for _ in range(steps):
+        train_step(state, cfg, ds.batch(rng.integers(0, len(ds), 6)))
+    return cfg, state, ds.batch(rng.integers(0, len(ds), 6))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_freeze_head_step_moves_only_backbones(family):
+    cfg, state, batch = _trained_learner(family)
+    before = {name: (net.params.copy(), state.opts[name].m.copy(), state.opts[name].v.copy())
+              for name, net in state.nets.items()}
+    train_step(state, cfg, batch, freeze_head=True)
+    for name, net in state.nets.items():
+        params, m, v = before[name]
+        hs = net.head_start
+        assert net.head_params().tobytes() == params[hs:].tobytes()
+        assert state.opts[name].m[hs:].tobytes() == m[hs:].tobytes()
+        assert state.opts[name].v[hs:].tobytes() == v[hs:].tobytes()
+        assert not np.array_equal(net.params[:hs], params[:hs])
+
+
+def _softmax_rows(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_q_loss_uses_the_family_bootstrap_value(family):
+    cfg, state, batch = _trained_learner(family)
+    nobs, act = batch["next_obs"], batch["action"]
+    q_next = forward(state.targets["q"], nobs)
+    next_value = {
+        "expectile_awr": lambda: forward(state.nets["v"], nobs)[:, 0],
+        "exp_adv_regression": lambda: (_softmax_rows(forward(state.nets["policy"], nobs))
+                                       * q_next).sum(axis=1),
+    }.get(family, lambda: q_next.max(axis=1))()
+    target = batch["reward"] + cfg.gamma * (1.0 - batch["terminal"]) * next_value
+    q_sa = forward(state.nets["q"], batch["obs"])[np.arange(len(act)), act]
+    assert 0 < batch["terminal"].sum() < len(act)
+    losses = train_step(state, cfg, batch)
+    assert losses["q_loss"] == pytest.approx(np.mean((q_sa - target) ** 2), rel=1e-12)
+
+
+def test_reported_cql_penalty_is_batch_mean_of_row_penalties():
+    cfg, state, batch = _trained_learner("conservative_q")
+    q_all = forward(state.nets["q"], batch["obs"])
+    rows = [cql_penalty(q_all[i], int(a)) for i, a in enumerate(batch["action"])]
+    losses = train_step(state, cfg, batch)
+    assert abs(losses["cql_penalty"] - np.mean(rows)) <= 1e-12

@@ -1,8 +1,10 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import red_offline
@@ -107,6 +109,63 @@ def test_rebalance_preview_deviation_decreases(tmp_path, capsys):
         line = [l for l in out.splitlines() if "max deviation" in l][0]
         devs.append(float(line.split(":")[1]))
     assert all(a > b for a, b in zip(devs, devs[1:]))
+
+
+def test_rebalance_preview_out_columns_match_sampler(tmp_path, capsys):
+    from red_offline.dataset import compute_trajectory_returns, normalized_return
+    from red_offline.sampler import SamplerSpec, build_sampler
+    path, out = tmp_path / "replay.ords", tmp_path / "dist.csv"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "30", "--out", str(path)])
+    assert main(["rebalance-preview", "--dataset", str(path), "--alpha", "2",
+                 "--p-base", "0.2", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "index,weight,probability"
+    rows = [line.split(",") for line in lines[1:]]
+
+    def column(k):  # numpy scalars may print as np.float64(x); x is a round-trip repr
+        return np.array([float(r[k].removeprefix("np.float64(").removesuffix(")"))
+                         for r in rows])
+
+    ds = load_dataset(path)
+    tr = compute_trajectory_returns(ds)
+    sampler = build_sampler(SamplerSpec(mode="return_resample", alpha=2.0, p_base=0.2), ds, tr)
+    assert [int(r[0]) for r in rows] == list(range(len(ds)))
+    assert column(1).tobytes() == normalized_return(tr, 0.2).tobytes()
+    assert column(2).tobytes() == sampler.probs.tobytes()
+
+
+def _refit_ords(src, dst, header=None, action0=None):
+    """Copy an .ords file with header fields replaced and record 0's action set."""
+    from red_offline.dataset import ORDS_MAGIC, ORDS_VERSION
+    from red_offline.io_envelope import read_envelope, write_envelope
+    _, head, payload = read_envelope(src, ORDS_MAGIC, ORDS_VERSION)
+    payload = bytearray(payload)
+    if action0 is not None:  # a record starts with obs_dim float64s, then the action
+        struct.pack_into("<d", payload, 8 * head["obs_dim"], action0)
+    write_envelope(dst, ORDS_MAGIC, ORDS_VERSION, {**head, **(header or {})}, bytes(payload))
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"action0": 7.0}, "transition 0: action 7 outside [0, 2)"),
+    ({"header": {"action": {"box": 1}}}, "action space {'box': 1} is not"),
+    ({"header": {"action": {"discrete": 3}}}, "action {'discrete': 3}, but dense_chain-40-39 "
+                                              "needs {'obs_dim': 2, 'action': {'discrete': 2}}"),
+    ({"header": {"env_name": "warp_maze-3-9"}}, "unknown environment name 'warp_maze-3-9'"),
+])
+def test_dataset_that_does_not_fit_its_environment_exits_two(tmp_path, capsys, change,
+                                                             message):
+    good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(good)])
+    _refit_ords(good, bad, **change)
+    cfg = json.loads(write_config(tmp_path).read_text())
+    cfg["dataset"] = {"path": str(bad)}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["train", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_is_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,16 @@ def test_invariant_violations_rejected():
         OfflineDataset(terminals=np.array([True, True]),
                        timeouts=np.array([False, False]),
                        traj_bounds=[(0, 1)], **base)
+    # actions outside [0, n_actions): the first one is named
+    for actions, first in (([0, 2], "transition 1: action 2"),
+                           ([-1, 5], "transition 0: action -1")):
+        with pytest.raises(DatasetError, match=re.escape(first + " outside [0, 2)")):
+            OfflineDataset(terminals=np.array([False, True]), timeouts=np.array([False, False]),
+                           traj_bounds=[(0, 2)], **{**base, "actions": np.array(actions)})
+    # only discrete action spaces exist
+    for action in ({"box": 1}, {"discrete": 0}, {"discrete": 2, "box": 1}):
+        with pytest.raises(DatasetError, match="is not"):
+            DatasetMeta(obs_dim=1, action=action, env_name="x", seed=0)
 
 
 def test_returns_are_correctly_rounded_sums(preset_dataset):
