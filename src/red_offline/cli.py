@@ -347,13 +347,27 @@ def build_parser() -> _Parser:
     return parser
 
 
+# (dest, bound, test) of each numeric flag whose range main checks
+_FLAG_RANGES = (
+    ("jobs", ">= 1", lambda v: v >= 1),
+    ("bins", ">= 1", lambda v: v >= 1),
+    ("top_k", ">= 1", lambda v: v >= 1),
+    ("n_trajectories", ">= 1", lambda v: v >= 1),
+    ("alpha", ">= 0", lambda v: v >= 0),
+    ("p_base", ">= 0", lambda v: v >= 0),
+    ("fraction", "in (0, 1]", lambda v: 0 < v <= 1),
+)
+
+
 def main(argv=None) -> int:
     harness.pin_blas_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "jobs", 1) < 1:
-            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
+        for dest, bound, test in _FLAG_RANGES:
+            value = getattr(args, dest, None)
+            if value is not None and not test(value):
+                parser.error(f"argument --{dest.replace('_', '-')}: must be {bound}, got {value}")
         return args.fn(args)
     except SystemExit_ as exc:
         if exc.message:

@@ -209,7 +209,7 @@ def histogram_csv(hist: dict) -> str:
     lines = ["bin_lo,bin_hi,count"]
     edges, counts = hist["bin_edges"], hist["counts"]
     for i, c in enumerate(counts):
-        lines.append(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}")
+        lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
     return "\n".join(lines) + "\n"
 
 

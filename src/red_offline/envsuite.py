@@ -17,16 +17,14 @@ import numpy as np
 
 from .dataset import DatasetMeta, OfflineDataset
 
-_REFERENCE_EPISODES = 10_000
-_REFERENCE_SEED = 123456789  # internal seed for reference-score rollouts
-
 
 class Mdp:
     """Deterministic tabular MDP with a fixed start state and horizon.
 
     Transition/reward/terminal tables are indexed [state, action]. The
     per-timestep optimal policy (exact finite-horizon dynamic programming)
-    and the random/expert reference scores are computed lazily and cached.
+    is computed lazily and cached; the random/expert reference scores are
+    exact returns from :func:`policy_value`.
     """
 
     def __init__(self, name: str, obs_table: np.ndarray, next_state: np.ndarray,
@@ -41,7 +39,6 @@ class Mdp:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         self._expert = None
-        self._refs = None
 
     @property
     def n_states(self) -> int:
@@ -79,14 +76,26 @@ class Mdp:
 
     @property
     def reference_scores(self) -> dict:
-        """{'random': mean uniform-policy return, 'expert': mean optimal return}."""
-        if self._refs is None:
-            random_mean = float(rollout_returns(self, 0.0, _REFERENCE_EPISODES,
-                                                np.random.default_rng(_REFERENCE_SEED)).mean())
-            expert_mean = float(rollout_returns(self, 1.0, _REFERENCE_EPISODES,
-                                                np.random.default_rng(_REFERENCE_SEED + 1)).mean())
-            self._refs = {"random": random_mean, "expert": expert_mean}
-        return self._refs
+        """{'random': uniform-policy return, 'expert': optimal return}, both exact."""
+        uniform = np.full((self.n_states, self.n_actions), 1.0 / self.n_actions)
+        expert = np.eye(self.n_actions)[self.expert_policy()]
+        return {"random": policy_value(self, uniform), "expert": policy_value(self, expert)}
+
+
+def policy_value(mdp: Mdp, pi: np.ndarray) -> float:
+    """Exact expected return from the start state of a stochastic policy.
+
+    ``pi`` holds action probabilities, either (n_states, n_actions) for a
+    stationary policy or (horizon, n_states, n_actions) with row t used at
+    step t. One backward pass over the horizon; terminal transitions add
+    their reward and stop.
+    """
+    pi = np.broadcast_to(pi, (mdp.horizon, mdp.n_states, mdp.n_actions))
+    value = np.zeros(mdp.n_states)
+    for t in range(mdp.horizon - 1, -1, -1):
+        q = np.where(mdp.terminal, mdp.reward, mdp.reward + value[mdp.next_state])
+        value = (pi[t] * q).sum(axis=1)
+    return float(value[mdp.start_state])
 
 
 def mdp_dense_chain(length: int, horizon: int) -> Mdp:
@@ -256,10 +265,6 @@ def _simulate(mdp: Mdp, eps: np.ndarray, rng: np.random.Generator):
         alive &= ~term
         cur = ns
         if not alive.any():
-            # keep consuming the stream so episode count fixes the draws
-            for _ in range(t + 1, h):
-                rng.random(n)
-                rng.integers(0, mdp.n_actions, size=n)
             break
     return states, actions, rewards, next_states, terminals, lengths
 
@@ -309,15 +314,6 @@ def generate_dataset(cfg: GeneratorConfig) -> OfflineDataset:
         traj_bounds=bounds,
         meta=meta,
     )
-
-
-def rollout_returns(mdp: Mdp, quality: float, n_episodes: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Episode returns of a fixed-quality policy; used for reference scores."""
-    eps = np.full(n_episodes, 1.0 - quality)
-    _, _, rewards, _, _, lengths = _simulate(mdp, eps, rng)
-    mask = np.arange(mdp.horizon)[:, None] < lengths[None, :]
-    return (rewards * mask).sum(axis=0)
 
 
 # named generator presets; seeds fixed so shapes are reproducible.

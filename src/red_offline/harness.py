@@ -46,9 +46,14 @@ import numpy as np
 
 from .algos import AlgoConfig, NanLossError, extract_policy, init_learner, train_step
 from .dataset import DatasetError, OfflineDataset, compute_trajectory_returns, load_dataset
-from .envsuite import env_from_name, generate_dataset, preset_config
+from .envsuite import env_from_name, generate_dataset, policy_value, preset_config
 from .nncore import load_checkpoint, save_checkpoint
 from .sampler import SamplerSpec, build_sampler
+
+# Free 4 MiB, never touched, at import: freeing an mmapped block raises glibc's
+# dynamic mmap threshold to its size, so train_step's 128 KiB-and-up
+# temporaries come from the heap, not a fresh mmap (and page faults) per step.
+np.empty(1 << 19)
 
 
 class ConfigError(ValueError):
@@ -81,6 +86,9 @@ class DatasetSource:
 
 @dataclass(frozen=True)
 class EvalConfig:
+    """Exact greedy evaluation every ``eval_every`` steps, scored over the last
+    ``final_k``. ``episodes_per_eval`` is validated and has no effect."""
+
     eval_every: int = 1000
     episodes_per_eval: int = 10
     final_k: int = 10
@@ -261,21 +269,9 @@ def normalized_score(raw: float, refs: dict) -> float:
     return 100.0 * (raw - random_ref) / (expert_ref - random_ref)
 
 
-def evaluate_policy(mdp, policy_fn, episodes: int) -> float:
-    """Mean return of the greedy policy over the given number of rollouts."""
-    actions = np.asarray(policy_fn(mdp.obs_table), dtype=np.int64)
-    states = np.full(episodes, mdp.start_state, dtype=np.int64)
-    alive = np.ones(episodes, dtype=bool)
-    total = np.zeros(episodes)
-    for _ in range(mdp.horizon):
-        a = actions[states]
-        total += np.where(alive, mdp.reward[states, a], 0.0)
-        ended = alive & mdp.terminal[states, a]
-        states = np.where(alive, mdp.next_state[states, a], states)
-        alive &= ~ended
-        if not alive.any():
-            break
-    return float(total.mean())
+def evaluate_policy(mdp, policy_fn) -> float:
+    """Exact return of the greedy policy: its one-hot action table through policy_value."""
+    return policy_value(mdp, np.eye(mdp.n_actions)[policy_fn(mdp.obs_table)])
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +293,6 @@ class SeedResult:
 
 
 def _eval_points(total_steps: int, eval_every: int) -> list:
-    if total_steps == 0:
-        return [0]
     points = list(range(eval_every, total_steps + 1, eval_every))
     if not points or points[-1] != total_steps:
         points.append(total_steps)
@@ -331,28 +325,23 @@ def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float
     train_s = 0.0
     eval_s = 0.0
 
-    if steps == 0:
-        t1 = time.perf_counter()
-        ret = evaluate_policy(mdp, extract_policy(state), eval_cfg.episodes_per_eval)
-        eval_s += time.perf_counter() - t1
-        eval_steps, eval_returns = [0], [ret]
-
-    for step in range(1, steps + 1):
-        t1 = time.perf_counter()
-        idx = sampler.sample_batch(algo_cfg.batch_size)
-        batch = ds.batch(idx)
-        try:
-            step_losses = train_step(state, algo_cfg, batch, freeze_head=freeze_head)
-        except NanLossError as exc:
-            aborted, abort_step = True, step
-            flags.append(f"nan abort at step {step}: {exc.losses}")
+    for step in range(steps + 1):  # step 0 trains nothing; it is an eval point iff steps == 0
+        if step > 0:
+            t1 = time.perf_counter()
+            idx = sampler.sample_batch(algo_cfg.batch_size)
+            batch = ds.batch(idx)
+            try:
+                step_losses = train_step(state, algo_cfg, batch, freeze_head=freeze_head)
+            except NanLossError as exc:
+                aborted, abort_step = True, step
+                flags.append(f"nan abort at step {step}: {exc.losses}")
+                train_s += time.perf_counter() - t1
+                break
             train_s += time.perf_counter() - t1
-            break
-        train_s += time.perf_counter() - t1
-        losses.append((step, step_losses))
+            losses.append((step, step_losses))
         if step in eval_points:
             t1 = time.perf_counter()
-            ret = evaluate_policy(mdp, extract_policy(state), eval_cfg.episodes_per_eval)
+            ret = evaluate_policy(mdp, extract_policy(state))
             eval_s += time.perf_counter() - t1
             eval_steps.append(step)
             eval_returns.append(ret)

@@ -223,5 +223,5 @@ def distribution_csv(probs: np.ndarray, weights: np.ndarray | None = None) -> st
     lines = ["index,weight,probability"]
     w = weights if weights is not None else probs
     for i in range(len(probs)):
-        lines.append(f"{i},{w[i]!r},{probs[i]!r}")
+        lines.append(f"{i},{float(w[i])!r},{float(probs[i])!r}")
     return "\n".join(lines) + "\n"

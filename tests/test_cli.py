@@ -9,7 +9,7 @@ import pytest
 
 import red_offline
 from red_offline.cli import main
-from red_offline.dataset import load_dataset
+from red_offline.dataset import compute_trajectory_returns, load_dataset, return_histogram
 from red_offline.harness import blas_threads
 
 
@@ -61,11 +61,15 @@ def test_stats_sparse_dataset(tmp_path, capsys):
                  "--out", str(csv_out)]) == 0
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count"
-    counts = [int(row.split(",")[2]) for row in lines[1:]]
+    rows = [row.split(",") for row in lines[1:]]
+    counts = [int(r[2]) for r in rows]
     nonzero = [i for i, c in enumerate(counts) if c > 0]
     assert nonzero == [0, len(counts) - 1]
     ds = load_dataset(path)
     assert sum(counts) == ds.n_trajectories
+    edges = return_histogram(compute_trajectory_returns(ds), 10)["bin_edges"]
+    assert np.array([float(r[0]) for r in rows]).tobytes() == edges[:-1].tobytes()
+    assert np.array([float(r[1]) for r in rows]).tobytes() == edges[1:].tobytes()
 
 
 def test_stats_flags_right_skew(tmp_path, capsys):
@@ -91,7 +95,6 @@ def test_rebalance_preview_uniform_and_zero_mass(tmp_path, capsys):
     out = capsys.readouterr().out
     zero_frac = float([l for l in out.splitlines() if "zero-mass" in l][0].split(":")[1])
     ds = load_dataset(path)
-    from red_offline.dataset import compute_trajectory_returns
     tr = compute_trajectory_returns(ds)
     failed_frac = float((tr.per_transition_return == tr.r_min).mean())
     assert zero_frac == pytest.approx(failed_frac, abs=1e-4)
@@ -112,7 +115,7 @@ def test_rebalance_preview_deviation_decreases(tmp_path, capsys):
 
 
 def test_rebalance_preview_out_columns_match_sampler(tmp_path, capsys):
-    from red_offline.dataset import compute_trajectory_returns, normalized_return
+    from red_offline.dataset import normalized_return
     from red_offline.sampler import SamplerSpec, build_sampler
     path, out = tmp_path / "replay.ords", tmp_path / "dist.csv"
     main(["gen", "--preset", "replay_analog", "--n-trajectories", "30", "--out", str(path)])
@@ -122,9 +125,8 @@ def test_rebalance_preview_out_columns_match_sampler(tmp_path, capsys):
     assert lines[0] == "index,weight,probability"
     rows = [line.split(",") for line in lines[1:]]
 
-    def column(k):  # numpy scalars may print as np.float64(x); x is a round-trip repr
-        return np.array([float(r[k].removeprefix("np.float64(").removesuffix(")"))
-                         for r in rows])
+    def column(k):
+        return np.array([float(r[k]) for r in rows])
 
     ds = load_dataset(path)
     tr = compute_trajectory_returns(ds)
@@ -264,6 +266,30 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     err = capsys.readouterr().err
     assert "usage" in err and "--jobs" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("stats", "--bins", "0"),
+    ("rebalance-preview", "--alpha", "-1"),
+    ("rebalance-preview", "--p-base", "-0.5"),
+    ("rebalance-preview", "--top-k", "-2"),
+    ("compare", "--fraction", "0"),
+    ("gen", "--n-trajectories", "0"),
+])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    data = tmp_path / "replay.ords"
+    assert main(["gen", "--preset", "replay_analog", "--n-trajectories", "20",
+                 "--out", str(data)]) == 0
+    out = tmp_path / "o"
+    args = {"stats": ["--dataset", str(data)],
+            "rebalance-preview": ["--dataset", str(data), "--out", str(out)],
+            "compare": ["--config", str(write_config(tmp_path)), "--out", str(out)],
+            "gen": ["--preset", "replay_analog", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, *args, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert "usage" in captured.err and flag in captured.err
+    assert not out.exists() and not captured.out
 
 
 _BLAS_SCRIPT = """

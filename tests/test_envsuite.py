@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from red_offline.dataset import compute_trajectory_returns, return_histogram, save_dataset
-from red_offline.envsuite import (GeneratorConfig, env_from_name,
+from red_offline.envsuite import (PRESETS, GeneratorConfig, _simulate, env_from_name,
                                   generate_dataset, mdp_dense_chain, mdp_grid_maze,
-                                  preset_config, rollout_returns)
+                                  policy_value, preset_config)
 
 
 def rollout_fixed_action(mdp, action):
@@ -43,13 +43,49 @@ def chain_policy_value(mdp, p_right):
     return value[mdp.start_state]
 
 
+def monte_carlo_returns(mdp, quality, n_episodes, rng):
+    """Episode returns of n_episodes lockstep rollouts at one policy quality."""
+    _, _, rewards, _, _, lengths = _simulate(mdp, np.full(n_episodes, 1.0 - quality), rng)
+    mask = np.arange(mdp.horizon)[:, None] < lengths[None, :]
+    return (rewards * mask).sum(axis=0)
+
+
 def test_half_greedy_right_matches_monte_carlo_oracle():
     # quality 0.5 takes the optimal (right) action with probability 0.75
     mdp = mdp_dense_chain(12, 11)
-    returns = rollout_returns(mdp, 0.5, 100_000, np.random.default_rng(31))
+    returns = monte_carlo_returns(mdp, 0.5, 100_000, np.random.default_rng(31))
     exact = chain_policy_value(mdp, p_right=0.75)
     sigma = returns.std() / np.sqrt(len(returns))
     assert abs(returns.mean() - exact) < 2 * sigma + 1e-9
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+def test_policy_value_of_quality_policy_matches_chain_walker(q):
+    # quality q: the optimal action with probability q, else uniform
+    mdp = mdp_dense_chain(12, 11)
+    pi = q * np.eye(mdp.n_actions)[mdp.expert_policy()] + (1 - q) / mdp.n_actions
+    assert pi.shape == (mdp.horizon, mdp.n_states, mdp.n_actions)
+    assert abs(policy_value(mdp, pi) - chain_policy_value(mdp, q + (1 - q) / 2)) <= 1e-12
+
+
+def table_values(mdp, combine):
+    """Finite-horizon DP from the start state, one state at a time, with
+    ``combine`` reducing each state's list of action values."""
+    value = [0.0] * mdp.n_states
+    for _ in range(mdp.horizon):
+        value = [combine([float(mdp.reward[s, a])
+                          + (0.0 if mdp.terminal[s, a] else value[mdp.next_state[s, a]])
+                          for a in range(mdp.n_actions)])
+                 for s in range(mdp.n_states)]
+    return value[mdp.start_state]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_reference_scores_are_exact(preset):
+    mdp = env_from_name(PRESETS[preset].mdp_name)
+    refs = mdp.reference_scores
+    assert abs(refs["random"] - table_values(mdp, lambda q: sum(q) / len(q))) <= 1e-12
+    assert abs(refs["expert"] - table_values(mdp, max)) <= 1e-12
 
 
 def test_maze_returns_are_binary(preset_dataset):
@@ -60,7 +96,7 @@ def test_maze_returns_are_binary(preset_dataset):
 
 def test_maze_random_success_rate_in_range():
     mdp = mdp_grid_maze(8, 64)
-    rate = rollout_returns(mdp, 0.0, 100_000, np.random.default_rng(17)).mean()
+    rate = monte_carlo_returns(mdp, 0.0, 100_000, np.random.default_rng(17)).mean()
     assert 0.0 < rate < 0.5
 
 

@@ -1,16 +1,21 @@
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import red_offline
 from red_offline.algos import AlgoConfig, init_learner
+from red_offline.envsuite import PRESETS, env_from_name
 from red_offline.harness import (ConfigError, DatasetSource, DeredConfig, EvalConfig,
                                  ExperimentConfig, apply_overrides, blas_threads,
                                  compare_rebalance_methods, config_from_dict, config_to_dict,
-                                 dump_json, normalized_score, prepare_dataset, run_training,
+                                 dump_json, evaluate_policy, normalized_score,
+                                 prepare_dataset, run_training,
                                  stream_seed, sweep_pbase, two_stage_train,
                                  _eval_points, _map_seeds)
 from red_offline.sampler import SamplerSpec, build_sampler
@@ -90,6 +95,63 @@ def test_eval_points_schedule():
     assert _eval_points(90, 40) == [40, 80, 90]
     assert _eval_points(10, 40) == [10]
     assert _eval_points(0, 40) == [0]
+
+
+def forward_walk(mdp, actions):
+    """Return of one episode that takes ``actions[state]`` at every step."""
+    s, total = mdp.start_state, 0.0
+    for _ in range(mdp.horizon):
+        a = actions[s]
+        total += float(mdp.reward[s, a])
+        if mdp.terminal[s, a]:
+            break
+        s = int(mdp.next_state[s, a])
+    return total
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_evaluate_policy_matches_forward_walk(preset):
+    mdp = env_from_name(PRESETS[preset].mdp_name)
+    rng = np.random.default_rng(len(preset))
+    for _ in range(20):
+        actions = rng.integers(0, mdp.n_actions, mdp.n_states)
+        got = evaluate_policy(mdp, lambda obs: actions)
+        assert abs(got - forward_walk(mdp, actions)) <= 1e-12
+
+
+_FAULTS_SCRIPT = """
+import json, resource
+import numpy as np
+import red_offline
+from red_offline.algos import FAMILIES, AlgoConfig, init_learner, train_step
+from red_offline.envsuite import PRESETS, generate_dataset
+
+red_offline.harness.pin_blas_threads()
+ds = generate_dataset(PRESETS["replay_analog"])
+rng = np.random.default_rng(0)
+per_step = {}
+for family in FAMILIES:
+    cfg = AlgoConfig(family=family, batch_size=256)
+    state = init_learner(cfg, ds.meta.obs_dim, ds.meta.action["discrete"], 0)
+    for step in range(220):
+        if step == 20:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_step(state, cfg, ds.batch(rng.integers(0, len(ds), cfg.batch_size)))
+    per_step[family] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200
+print(json.dumps(per_step))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator behaviour")
+def test_train_steps_take_no_page_faults_after_import():
+    # a fresh process: importing the package primes the allocator, so the
+    # batch-256 temporaries of a step come from the heap, not from new mappings
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(red_offline.__file__))}
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    per_step = json.loads(proc.stdout)
+    assert all(faults < 1 for faults in per_step.values()), per_step
 
 
 def test_short_run_clamps_final_k():
