@@ -2,7 +2,7 @@
 
 Shows the weight formula, the exponent and floor knobs, the ablation modes
 (reward weights, top-fraction filtering), and the statistical behaviour of
-the alias-table sampler.
+the group-table sampler.
 """
 
 import numpy as np

@@ -194,13 +194,14 @@ def _parse_pbase_values(text):
         part = part.strip()
         if not part:
             continue
-        if part.lower() in ("inf", "infinity"):
-            values.append("inf")
-        else:
-            try:
-                values.append(float(part))
-            except ValueError:
-                raise SystemExit_(EXIT_USAGE, f"bad p_base value {part!r}")
+        try:
+            value = float(part)
+        except ValueError:
+            value = float("nan")
+        if not value >= 0:  # NaN fails too
+            raise SystemExit_(EXIT_USAGE, f"argument --values: p_base value {part!r} "
+                                          "is not a number >= 0 or inf")
+        values.append("inf" if value == float("inf") else value)
     if not values:
         raise SystemExit_(EXIT_USAGE, "no p_base values given")
     return values
@@ -355,6 +356,7 @@ _FLAG_RANGES = (
     ("n_trajectories", ">= 1", lambda v: v >= 1),
     ("alpha", ">= 0", lambda v: v >= 0),
     ("p_base", ">= 0", lambda v: v >= 0),
+    ("seed", ">= 0", lambda v: v >= 0),
     ("fraction", "in (0, 1]", lambda v: 0 < v <= 1),
 )
 

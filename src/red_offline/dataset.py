@@ -282,10 +282,10 @@ def load_dataset(path) -> OfflineDataset:
     actions = rounded.astype(np.int64)
     try:
         return OfflineDataset(
-            obs=rec["obs"].copy(),
-            actions=actions.copy(),
-            rewards=rec["reward"].copy(),
-            next_obs=rec["next_obs"].copy(),
+            obs=rec["obs"],
+            actions=actions,
+            rewards=rec["reward"],
+            next_obs=rec["next_obs"],
             terminals=rec["terminal"].astype(bool),
             timeouts=rec["timeout"].astype(bool),
             traj_bounds=bounds.astype(np.int64),

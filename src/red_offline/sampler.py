@@ -3,8 +3,9 @@
 Per-transition weights (return-based, reward-based, or a top-fraction filter)
 are turned into a categorical distribution ``P(i) = w_i^alpha / sum_k w_k^alpha``
 once, before training; batches are then drawn i.i.d. with replacement. The
-alias method gives O(N) build and O(1) draws, which is all a static
-distribution needs.
+weights are constant per trajectory or per reward value, so the vector takes
+few distinct values: one sort groups the equal ones, and a draw picks a group
+by its mass and then a uniform member.
 """
 
 import copy
@@ -99,64 +100,16 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
     return np.sort(order[:k])
 
 
-def _alias_table(probs: np.ndarray):
-    """Vose's alias table, paired as the classic stack loop pairs it.
-
-    The loop serves smalls (``n*p < 1``; zero-mass first, each group from the
-    highest index down) to larges (highest index first); a large absorbs
-    deficits ``1 - n*p`` until its excess ``n*p - 1`` is spent, then turns
-    small and goes first to the next large. So large ``k`` turns at the first
-    small whose running deficit exceeds the running excess of larges ``0..k``
-    (a searchsorted), and its accept is one plus the running sum of excess
-    minus absorbed deficit, which stays O(1). Sums are long double; where a
-    near-tie makes the two disagree, the turn moves by one small and is
-    checked again, so every accept stays in [0, 1].
-    """
-    n = probs.size
-    scaled = probs * float(n)
-    accept = np.ones(n)
-    alias = np.arange(n)
-    small = np.concatenate((np.flatnonzero((scaled > 0.0) & (scaled < 1.0)),
-                            np.flatnonzero(scaled == 0.0)))[::-1]
-    large = np.flatnonzero(scaled >= 1.0)[::-1]
-    m, k = small.size, large.size
-    if m and k:
-        deficit = np.zeros(m + 1, dtype=np.longdouble)  # zero past the end for reduceat
-        np.subtract(1.0, scaled[small], out=deficit[:m], dtype=np.longdouble)
-        excess = scaled[large].astype(np.longdouble) - 1.0
-        turn = np.searchsorted(np.cumsum(deficit[:m]), np.cumsum(excess), side="right")
-        for _ in range(8):
-            ends = np.minimum(turn + 1, m)   # smalls [starts[j], ends[j]) go to large j
-            starts = np.concatenate(([0], ends[:-1]))
-            kt = min(int(np.count_nonzero(turn < m)), k - 1)  # larges that pair onward
-            absorbed = np.add.reduceat(deficit, starts[:kt + 1])[:kt]
-            absorbed[ends[:kt] == starts[:kt]] = 0.0
-            rest = 1.0 + np.cumsum(excess[:kt] - absorbed)
-            over, under = rest >= 1.0, rest < 0.0
-            if not (over.any() or under.any()):
-                break
-            turn[:kt] += over.astype(turn.dtype) - under
-            turn = np.maximum.accumulate(turn)
-        owner = np.repeat(np.arange(k), ends - starts)
-        paired = small[:owner.size]
-        accept[paired] = scaled[paired]
-        alias[paired] = large[owner]
-        accept[large[:kt]] = np.clip(rest.astype(np.float64), 0.0, 1.0)
-        alias[large[:kt]] = large[1:kt + 1]
-        small = small[owner.size:]
-    zero = small[scaled[small] == 0.0]   # cannot happen in exact arithmetic
-    accept[zero] = 0.0
-    alias[zero] = int(np.argmax(probs))
-    return accept, alias
-
-
 class WeightedSampler:
-    """Alias-table categorical sampler over a fixed probability vector.
+    """Categorical sampler over a fixed probability vector, drawn by groups.
 
-    The distribution (``probs`` and the alias table) is immutable and built
-    in the constructor, with no cache. The RNG stream is per instance:
-    ``with_seed`` shares the table under a new generator, so an arm's seeds
-    share one build and draw what fresh builds would draw.
+    One stable sort splits the indices into runs of bit-equal probability:
+    ``_order`` lists them run by run, ``_starts``/``_sizes`` locate each run
+    and ``_cdf`` is the normalized cumulative run mass. A draw picks a run by
+    its mass, then a uniform member; zero mass sorts first and is never
+    drawn. The table is immutable and built with no cache. The RNG stream is
+    per instance: ``with_seed`` shares the table under a new generator, so
+    an arm's seeds share one build and draw what fresh builds would draw.
     """
 
     def __init__(self, probs: np.ndarray, seed: int):
@@ -168,8 +121,13 @@ class WeightedSampler:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs sum to {probs.sum()!r}, expected 1 within 1e-12")
         self.probs = probs.copy()
-        self._accept, self._alias = _alias_table(self.probs)
-        for a in (self.probs, self._accept, self._alias):
+        self._order = np.argsort(self.probs, kind="stable")
+        ranked = self.probs[self._order]
+        self._starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        self._sizes = np.diff(np.append(self._starts, ranked.size))
+        self._cdf = np.cumsum(ranked[self._starts] * self._sizes)
+        self._cdf /= self._cdf[-1]
+        for a in (self.probs, self._order, self._starts, self._sizes, self._cdf):
             a.setflags(write=False)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
@@ -188,9 +146,10 @@ class WeightedSampler:
         """Draw batch_size indices i.i.d. with replacement."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        cols = self._rng.integers(0, len(self), size=batch_size)
-        u = self._rng.random(batch_size)
-        return np.where(u < self._accept[cols], cols, self._alias[cols])
+        u = self._rng.random((2, batch_size))
+        g = np.searchsorted(self._cdf, u[0], side="right")
+        # random() <= 1 - 2**-53, so floor(u * size) < size: no clamp needed
+        return self._order[self._starts[g] + (u[1] * self._sizes[g]).astype(np.int64)]
 
 
 def build_sampler(spec: SamplerSpec, ds: OfflineDataset, tr: TrajectoryReturns) -> WeightedSampler:

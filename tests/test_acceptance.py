@@ -157,7 +157,7 @@ def test_c02_sampler_fidelity():
     # sits below the statistical floor of any exact sampler when the mass
     # spreads over hundreds of atoms (E[L1] ~ sqrt(2K/(pi*M)) for K active
     # atoms), so the distribution under test concentrates on 10 atoms via the
-    # top-fraction mode, which still exercises alias construction and
+    # top-fraction mode, which still exercises the group table's build and
     # zero-mass exclusion.
     ds = make_dataset([[float(i)] for i in range(1000)])
     tr = compute_trajectory_returns(ds)

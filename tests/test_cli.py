@@ -268,6 +268,23 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values,bad", [("-1,0.2", "-1"), ("0.2,-1", "-1"), ("nan", "nan"),
+                                        ("-inf", "-inf"), ("0.5,x", "x")])
+def test_pbase_value_below_zero_or_nan_is_usage_error(tmp_path, capsys, values, bad):
+    # rejected before the dataset is prepared or any arm trains
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), f"--values={values}"]) == 1
+    captured = capsys.readouterr()
+    assert "--values" in captured.err and repr(bad) in captured.err
+    assert not out.exists() and not captured.out
+
+
+def test_pbase_values_spelled_as_infinity_are_the_uniform_column(tmp_path):
+    from red_offline.cli import _parse_pbase_values
+    assert _parse_pbase_values("0.2, inf,+inf,Infinity,1e999") == [0.2] + ["inf"] * 4
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("stats", "--bins", "0"),
     ("rebalance-preview", "--alpha", "-1"),
@@ -275,6 +292,7 @@ def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     ("rebalance-preview", "--top-k", "-2"),
     ("compare", "--fraction", "0"),
     ("gen", "--n-trajectories", "0"),
+    ("gen", "--seed", "-1"),
 ])
 def test_out_of_range_flag_is_usage_error(tmp_path, capsys, command, flag, value):
     data = tmp_path / "replay.ords"

@@ -359,7 +359,7 @@ def test_static_work_runs_once_per_experiment(monkeypatch, tmp_path, seeds):
     save_dataset(ds, path)
     counts = {}
     for module, name in ((hmod, "load_dataset"), (hmod, "dataset_checksum"),
-                         (hmod, "build_sampler"), (smod, "_alias_table")):
+                         (hmod, "build_sampler"), (smod, "WeightedSampler")):
         _count_calls(monkeypatch, module, name, counts)
     cfg = small_config(dataset=DatasetSource(path=path),
                        algo=AlgoConfig(family="q_plus_bc", total_steps=20, batch_size=16,
@@ -376,7 +376,7 @@ def test_static_work_runs_once_per_experiment(monkeypatch, tmp_path, seeds):
         run()
         tables = expected_tables[kind]
         assert counts == {"load_dataset": 1, "dataset_checksum": 1,
-                          "build_sampler": tables, "_alias_table": tables}, kind
+                          "build_sampler": tables, "WeightedSampler": tables}, kind
 
 
 def test_timing_records_one_cold_build_per_arm(tmp_path):

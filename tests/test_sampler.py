@@ -218,48 +218,36 @@ def test_alpha_concentration_limit():
     assert s.probs[3] > 1 - 1e-9
 
 
-def reference_alias(probs):
-    # the classic stack loop, kept as the reference for the vectorized table:
-    # positive smalls then zero-mass columns, popped from the end; larges
-    # popped from the highest index; leftovers keep accept 1 (or 0 with an
-    # alias carrying mass, for zero-mass columns)
-    n = probs.size
-    scaled_arr = probs * float(n)
-    scaled = scaled_arr.tolist()
-    accept = [1.0] * n
-    alias = list(range(n))
-    small = np.flatnonzero((scaled_arr > 0.0) & (scaled_arr < 1.0)).tolist()
-    small += np.flatnonzero(scaled_arr == 0.0).tolist()
-    large = np.flatnonzero(scaled_arr >= 1.0).tolist()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        accept[s] = scaled[s]
-        alias[s] = g
-        rest = scaled[g] - (1.0 - scaled[s])
-        scaled[g] = rest
-        (small if rest < 1.0 else large).append(g)
-    fallback = int(np.argmax(probs)) if small else 0
-    for s in small:
-        if probs[s] > 0.0:
-            accept[s] = 1.0
+def reference_groups(probs):
+    # plain python: walk the indices in stable sorted order and open a new
+    # run wherever the probability changes
+    runs = []
+    for i in sorted(range(probs.size), key=probs.__getitem__):
+        if runs and probs[runs[-1][0]] == probs[i]:
+            runs[-1].append(i)
         else:
-            accept[s] = 0.0
-            alias[s] = fallback
-    return np.asarray(accept), np.asarray(alias)
+            runs.append([i])
+    return runs
 
 
-def implied_mass_error(probs, accept, alias):
-    """max |accept_i + sum over j aliased to i of (1 - accept_j) - n * p_i|, exactly."""
-    n = probs.size
-    parts = [[a] for a in accept.tolist()]
-    for j, (a, target) in enumerate(zip(accept.tolist(), alias.tolist())):
-        if target != j:
-            parts[target] += [1.0, -a]
-    scaled = (probs * float(n)).tolist()
-    return max(abs(math.fsum(p + [-s])) for p, s in zip(parts, scaled))
+def check_group_table(s):
+    """Runs partition range(N), hold bit-equal probabilities in strictly
+    increasing order, and imply each index's probability; returns the worst
+    implied-probability error relative to ``probs.max()``."""
+    probs, order, starts, sizes, cdf = s.probs, s._order, s._starts, s._sizes, s._cdf
+    assert np.array_equal(np.sort(order), np.arange(probs.size))
+    assert starts[0] == 0 and np.array_equal(starts[1:], (starts + sizes)[:-1])
+    assert starts[-1] + sizes[-1] == probs.size and sizes.min() >= 1
+    ranked = probs[order]
+    assert np.array_equal(ranked, np.repeat(ranked[starts], sizes))
+    assert np.all(np.diff(ranked[starts]) > 0)
+    assert cdf[-1] == 1.0
+    implied = np.repeat(np.diff(cdf, prepend=0.0) / sizes, sizes)
+    return np.abs(implied - ranked).max() / probs.max()
 
 
+# one id per preset, mode and floor; the names are the ones the vectorized
+# alias table used, kept so test ids stay stable across the rewrite
 ALIAS_CASES = [(name, mode, p_base)
                for name in ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
                for mode, p_base in (("uniform", 0.0), ("return_resample", 0.0),
@@ -272,31 +260,11 @@ def test_alias_table_against_reference_loop(preset_dataset, name, mode, p_base):
     ds = preset_dataset(name)
     tr = compute_trajectory_returns(ds)
     s = build_sampler(SamplerSpec(mode=mode, p_base=p_base, seed=11), ds, tr)
-    probs, accept, alias = s.probs, s._accept, s._alias
-    ref_accept, ref_alias = reference_alias(probs)
-    n = probs.size
-
-    assert accept.min() >= 0.0 and accept.max() <= 1.0
-    zero = probs == 0.0
-    assert np.all(accept[zero] == 0.0)
-    assert np.all(probs[alias[zero]] > 0.0)
-    # n * P is rebuilt as well as the loop rebuilds it; the rounding already
-    # in n * P (its sum is not exactly n) lands on one column in either table
-    normalization = abs(math.fsum((probs * float(n)).tolist() + [-float(n)]))
-    assert implied_mass_error(probs, accept, alias) <= max(
-        implied_mass_error(probs, ref_accept, ref_alias), normalization) + 1e-15
-
-    # the pairing is the loop's except at near-ties, where a small moves to
-    # the neighbouring large; draws agree wherever the drawn column pairs the
-    # same way
-    differs = (ref_alias != alias) | (np.abs(accept - ref_accept) > 1e-11)
-    assert differs.sum() <= max(10, n // 200)
-    rng = np.random.default_rng(11)
-    cols = rng.integers(0, n, size=200_000)
-    u = rng.random(200_000)
-    ref_draws = np.where(u < ref_accept[cols], cols, ref_alias[cols])
-    draws = s.sample_batch(200_000)
-    assert np.array_equal(draws[~differs[cols]], ref_draws[~differs[cols]])
+    assert check_group_table(s) <= 1e-13
+    runs = np.split(s._order, s._starts[1:])
+    assert [r.tolist() for r in runs] == reference_groups(s.probs)
+    zero = s.probs == 0.0
+    assert not zero[s.sample_batch(200_000)].any()
 
 
 def test_alias_table_random_distributions_match_reference():
@@ -311,12 +279,39 @@ def test_alias_table_random_distributions_match_reference():
         if abs(probs.sum() - 1.0) > 1e-12:
             continue
         s = WeightedSampler(probs, seed=trial)
-        ref_accept, ref_alias = reference_alias(s.probs)
-        assert s._accept.min() >= 0.0 and s._accept.max() <= 1.0
-        assert np.all(s.probs[s._alias[s.probs == 0.0]] > 0.0)
-        normalization = abs(math.fsum((s.probs * float(n)).tolist() + [-float(n)]))
-        assert implied_mass_error(s.probs, s._accept, s._alias) <= max(
-            implied_mass_error(s.probs, ref_accept, ref_alias), normalization) + 1e-15
+        assert check_group_table(s) <= 1e-13
+        assert [r.tolist() for r in np.split(s._order, s._starts[1:])] == reference_groups(s.probs)
+
+
+class _TopUniform:
+    """Generator stand-in whose every uniform is the largest ``random`` returns."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("probs", [np.full(7, 1 / 7), np.array([0.0, 0.25, 0.25, 0.5, 0.0]),
+                                   np.array([0.5, 0.125, 0.125, 0.125, 0.125])])
+def test_largest_uniform_draws_the_last_member_of_the_last_group(probs):
+    s = WeightedSampler(probs, seed=0)
+    s._rng = _TopUniform()
+    assert np.array_equal(s.sample_batch(3), np.full(3, s._order[-1]))
+
+
+@pytest.mark.parametrize("name", ["replay_analog", "expert_analog", "sparse_analog",
+                                  "sparse_hard_analog"])
+def test_group_count_is_the_number_of_distinct_weights(preset_dataset, name):
+    # draws search the runs, so equal returns must stay bit-equal; a return
+    # that differs in its last bits would add a run, not fail a draw
+    ds = preset_dataset(name)
+    tr = compute_trajectory_returns(ds)
+
+    def groups(mode, p_base=0.0):
+        return build_sampler(SamplerSpec(mode=mode, p_base=p_base), ds, tr)._starts.size
+    assert groups("return_resample") == groups("return_resample", 0.2) \
+        == np.unique(tr.returns).size
+    assert groups("reward_resample") == np.unique(ds.rewards).size
+    assert groups("uniform") == 1 and groups("top_fraction") <= 2
 
 
 def test_with_seed_shares_the_table_and_matches_a_fresh_build():
@@ -324,7 +319,7 @@ def test_with_seed_shares_the_table_and_matches_a_fresh_build():
     tr = compute_trajectory_returns(ds)
     arm = build_sampler(SamplerSpec(mode="return_resample", p_base=0.1, seed=0), ds, tr)
     seeded = arm.with_seed(777)
-    assert seeded._accept is arm._accept and seeded._alias is arm._alias
+    assert seeded._order is arm._order and seeded._cdf is arm._cdf
     assert seeded.probs is arm.probs and not seeded.probs.flags.writeable
     fresh = build_sampler(SamplerSpec(mode="return_resample", p_base=0.1, seed=777), ds, tr)
     assert np.array_equal(seeded.sample_batch(5000), fresh.sample_batch(5000))
