@@ -16,6 +16,12 @@ same Q update, and expectile_awr adds an expectile-fitted V net. Families with
 a policy net share one softmax block and take one of two policy losses: the
 advantage-weighted likelihood (expectile_awr, exp_adv_regression) or the
 lambda-scaled Q plus cross-entropy (q_plus_bc).
+
+A batch repeats observations (each one is a state of a small tabular MDP), so
+every net runs once per distinct row of the input it reads, ``obs`` or
+``next_obs``, and its outputs are gathered back to batch rows. The per-row
+output gradients are summed onto those distinct rows before ``backward``; that
+sum is the only arithmetic that differs from a per-row pass.
 """
 
 from dataclasses import dataclass
@@ -141,6 +147,13 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
 
 
+def _distinct(x: np.ndarray):
+    """Distinct rows of ``x`` by exact float64 bytes: (table, inverse), x == table[inverse]."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    keys, inverse = np.unique(x.view(np.dtype((np.void, 8 * x.shape[1]))), return_inverse=True)
+    return keys.view(np.float64).reshape(-1, x.shape[1]), inverse.reshape(-1)
+
+
 def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
                freeze_head: bool = False) -> dict:
     """One gradient step on every net the family trains; returns the losses.
@@ -148,33 +161,35 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
     Raises :class:`NanLossError` instead of silently continuing when any loss
     goes non-finite.
     """
-    obs, nobs = batch["obs"], batch["next_obs"]
+    obs, o_inv = _distinct(batch["obs"])
+    nobs, n_inv = _distinct(batch["next_obs"])
     act = np.asarray(batch["action"], dtype=np.int64)
     rew = np.asarray(batch["reward"], dtype=np.float64)
     term = np.asarray(batch["terminal"], dtype=np.float64)
-    b = obs.shape[0]
+    b = o_inv.size
     rows = np.arange(b)
     family, nets, q_target = state.family, state.nets, state.targets["q"]
     losses: dict = {}
-    pending = []  # (net name, forward cache, output gradient)
+    pending = []  # (net name, forward cache, per-row output gradient)
 
-    q_all, q_cache = forward_cache(nets["q"], obs)
+    q_tab, q_cache = forward_cache(nets["q"], obs)
+    q_all = q_tab[o_inv]
     q_sa = q_all[rows, act]
 
     # next_value is the only family-specific part of the TD target; expectile_awr
     # also fits its V net to the target critic here
     if family == "expectile_awr":
-        v_s, v_cache = forward_cache(nets["v"], obs)
-        u = forward(q_target, obs)[rows, act] - v_s[:, 0]
+        v_tab, v_cache = forward_cache(nets["v"], obs)
+        u = forward(q_target, obs)[o_inv, act] - v_tab[o_inv, 0]
         losses["v_loss"] = expectile_loss(u, cfg.tau_expectile)
         w_exp = np.where(u < 0, 1.0 - cfg.tau_expectile, cfg.tau_expectile)
         pending.append(("v", v_cache, (-2.0 * w_exp * u / b)[:, None]))
-        next_value = forward(nets["v"], nobs)[:, 0]
+        next_value = forward(nets["v"], nobs)[n_inv, 0]
     elif family == "exp_adv_regression":
         pi_next = _softmax(forward(nets["policy"], nobs))
-        next_value = (pi_next * forward(q_target, nobs)).sum(axis=1)
+        next_value = (pi_next * forward(q_target, nobs)).sum(axis=1)[n_inv]
     else:
-        next_value = forward(q_target, nobs).max(axis=1)
+        next_value = forward(q_target, nobs).max(axis=1)[n_inv]
 
     td = q_sa - (rew + cfg.gamma * (1.0 - term) * next_value)
     losses["q_loss"] = float(np.mean(td * td))
@@ -188,6 +203,7 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
 
     if "policy" in nets:
         logits, p_cache = forward_cache(nets["policy"], obs)
+        logits = logits[o_inv]
         probs = _softmax(logits)
         logp = logits - _logsumexp_rows(logits)[:, None]
         if family == "q_plus_bc":  # the critic is a constant inside the policy loss
@@ -210,8 +226,10 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
     if not all(np.isfinite(v) for v in losses.values()):
         raise NanLossError(family, state.step, losses)
 
+    to_table = np.zeros((len(obs), b))  # one-hot (distinct, b): sums rows onto the table
+    to_table[o_inv, rows] = 1.0
     for name, cache, grad_out in pending:
-        grads, _ = backward(nets[name], cache, grad_out)
+        grads, _ = backward(nets[name], cache, to_table @ grad_out)
         apply_update(nets[name], grads, state.opts[name], freeze_head=freeze_head)
     state.step += 1
     if state.step % cfg.target_update_period == 0:

@@ -1,11 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
+import red_offline
 from red_offline.dataset import DatasetMeta, OfflineDataset
 from red_offline.envsuite import PRESETS, generate_dataset
 from red_offline.harness import pin_blas_threads
 
 _PRESET_CACHE = {}
+
+
+def src_env():
+    """A copy of the environment with the directory holding the package under
+    test first on PYTHONPATH, so a subprocess imports this checkout's code and
+    not an installed copy."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(red_offline.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -26,7 +26,7 @@ from red_offline.nncore import (backward, forward_cache, init_mlp, init_optim,
                                 numeric_gradients)
 from red_offline.sampler import SamplerSpec, build_sampler, sampling_distribution
 
-from conftest import make_dataset
+from conftest import make_dataset, src_env
 
 TIMINGS = []  # (label, timing dict) collected from experiment runs for C11
 
@@ -452,7 +452,7 @@ def test_c12_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "red_offline.cli", "train",
              "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
     a = (outs[0] / "report.json").read_bytes()
@@ -464,7 +464,7 @@ def test_c12_cli_determinism(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "red_offline.cli", "gen", "--preset",
              "sparse_analog", "--n-trajectories", "30", "--out", str(target)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
     assert ds_a.read_bytes() == ds_b.read_bytes()
     elapsed = time.perf_counter() - t0

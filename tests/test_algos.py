@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from red_offline import algos
 from red_offline.algos import (AlgoConfig, FAMILIES, NanLossError,
                                awr_weight, cql_penalty, expectile_loss,
                                extract_policy, init_learner, train_step)
-from red_offline.nncore import Mlp, forward
+from red_offline.nncore import Mlp, backward, forward, forward_cache
 
 from conftest import make_dataset
 
@@ -260,3 +261,133 @@ def test_reported_cql_penalty_is_batch_mean_of_row_penalties():
     rows = [cql_penalty(q_all[i], int(a)) for i, a in enumerate(batch["action"])]
     losses = train_step(state, cfg, batch)
     assert abs(losses["cql_penalty"] - np.mean(rows)) <= 1e-12
+
+
+def _logsumexp(z):
+    m = z.max(axis=1)
+    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+
+
+def _per_row_reference(state, cfg, batch):
+    """The step's losses and gradients with every net run over all batch rows."""
+    obs, nobs, act = batch["obs"], batch["next_obs"], batch["action"]
+    b = len(act)
+    rows = np.arange(b)
+    family, nets, q_target = state.family, state.nets, state.targets["q"]
+    losses, grad_outs = {}, {}
+    q_all, q_cache = forward_cache(nets["q"], obs)
+    q_sa = q_all[rows, act]
+    if family == "expectile_awr":
+        v_s, v_cache = forward_cache(nets["v"], obs)
+        u = forward(q_target, obs)[rows, act] - v_s[:, 0]
+        losses["v_loss"] = expectile_loss(u, cfg.tau_expectile)
+        w_exp = np.where(u < 0, 1.0 - cfg.tau_expectile, cfg.tau_expectile)
+        grad_outs["v"] = (v_cache, (-2.0 * w_exp * u / b)[:, None])
+        next_value = forward(nets["v"], nobs)[:, 0]
+    elif family == "exp_adv_regression":
+        next_value = (_softmax_rows(forward(nets["policy"], nobs))
+                      * forward(q_target, nobs)).sum(axis=1)
+    else:
+        next_value = forward(q_target, nobs).max(axis=1)
+    td = q_sa - (batch["reward"] + cfg.gamma * (1.0 - batch["terminal"]) * next_value)
+    losses["q_loss"] = np.mean(td * td)
+    dq = np.zeros_like(q_all)
+    dq[rows, act] = 2.0 * td / b
+    if family == "conservative_q":
+        losses["cql_penalty"] = np.mean(_logsumexp(q_all) - q_sa)
+        dq += cfg.cql_weight * _softmax_rows(q_all) / b
+        dq[rows, act] -= cfg.cql_weight / b
+    grad_outs["q"] = (q_cache, dq)
+    if "policy" in nets:
+        logits, p_cache = forward_cache(nets["policy"], obs)
+        probs = _softmax_rows(logits)
+        logp = logits - _logsumexp(logits)[:, None]
+        if family == "q_plus_bc":
+            q_pi = (probs * q_all).sum(axis=1)
+            lam = cfg.bc_q_scale / (np.abs(q_pi).mean() + 1e-8)
+            losses["policy_loss"] = -lam * q_pi.mean() - cfg.bc_weight * np.mean(logp[rows, act])
+            dlogits = (-lam * probs * (q_all - q_pi[:, None]) + cfg.bc_weight * probs) / b
+            dlogits[rows, act] -= cfg.bc_weight / b
+        else:
+            adv = u if family == "expectile_awr" else q_sa - (probs * q_all).sum(axis=1)
+            w = awr_weight(adv, cfg.beta_awr, cfg.w_max)
+            losses["policy_loss"] = -np.mean(w * logp[rows, act])
+            dlogits = w[:, None] * probs
+            dlogits[rows, act] -= w
+            dlogits /= b
+        grad_outs["policy"] = (p_cache, dlogits)
+    grads = {name: backward(nets[name], cache, g)[0] for name, (cache, g) in grad_outs.items()}
+    return losses, grads
+
+
+def _preset_learner(family, preset_dataset, steps=3):
+    """A learner a few steps into training on replay_analog, and a 128-row batch."""
+    ds = preset_dataset("replay_analog")
+    cfg = AlgoConfig(family=family, batch_size=128, lr=1e-2)
+    state = init_learner(cfg, ds.meta.obs_dim, ds.meta.action["discrete"], seed=3)
+    rng = np.random.default_rng(7)
+    for _ in range(steps):
+        train_step(state, cfg, ds.batch(rng.integers(0, len(ds), 128)))
+    return cfg, state, ds.batch(rng.integers(0, len(ds), 128)), rng
+
+
+def _n_distinct(x):
+    return len(np.unique(x, axis=0))
+
+
+@pytest.mark.parametrize("freeze_head", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("rows", ["preset", "all_distinct"])
+def test_distinct_row_step_hands_adam_the_per_row_gradients(
+        family, freeze_head, rows, preset_dataset, monkeypatch):
+    cfg, state, batch, rng = _preset_learner(family, preset_dataset)
+    if rows == "all_distinct":
+        batch = dict(batch, obs=rng.normal(size=batch["obs"].shape),
+                     next_obs=rng.normal(size=batch["next_obs"].shape))
+        assert _n_distinct(batch["obs"]) == _n_distinct(batch["next_obs"]) == 128
+    else:
+        assert _n_distinct(batch["obs"]) < 64 and _n_distinct(batch["next_obs"]) < 64
+    ref_losses, ref_grads = _per_row_reference(state, cfg, batch)
+    names = {id(net): name for name, net in state.nets.items()}
+    got = {}
+    apply_update = algos.apply_update
+
+    def spy(net, grads, opt, freeze_head=False):
+        got[names[id(net)]] = grads.copy()
+        return apply_update(net, grads, opt, freeze_head=freeze_head)
+
+    monkeypatch.setattr(algos, "apply_update", spy)
+    losses = train_step(state, cfg, batch, freeze_head=freeze_head)
+    assert losses.keys() == ref_losses.keys()
+    for key, ref in ref_losses.items():
+        assert abs(losses[key] - ref) <= 1e-12 * abs(ref), key
+    # gradients, not post-Adam parameters: Adam's first step turns a sign flip
+    # of a near-zero gradient into a full-size parameter change
+    assert got.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert np.abs(got[name] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), name
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_net_runs_once_per_distinct_input_row(family, preset_dataset, monkeypatch):
+    cfg, state, batch, _ = _preset_learner(family, preset_dataset, steps=0)
+    tables = [np.unique(batch[key], axis=0) for key in ("obs", "next_obs")]
+    assert all(len(t) < 128 for t in tables)
+    calls = {"forward": 0, "forward_cache": 0}
+
+    def counting(name, fn):
+        def wrapped(net, x):
+            calls[name] += 1
+            assert any(np.array_equal(np.unique(x, axis=0), t) for t in tables)
+            assert len(x) == _n_distinct(x)
+            return fn(net, x)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(algos, name, counting(name, getattr(algos, name)))
+    train_step(state, cfg, batch)
+    # the call counts of a per-row step: one forward per net and input it reads
+    assert calls == {"expectile_awr": {"forward": 2, "forward_cache": 3},
+                     "conservative_q": {"forward": 1, "forward_cache": 1},
+                     "exp_adv_regression": {"forward": 2, "forward_cache": 2},
+                     "q_plus_bc": {"forward": 1, "forward_cache": 2}}[family]

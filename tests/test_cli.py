@@ -1,5 +1,4 @@
 import json
-import os
 import struct
 import subprocess
 import sys
@@ -7,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-import red_offline
 from red_offline.cli import main
 from red_offline.dataset import compute_trajectory_returns, load_dataset, return_histogram
 from red_offline.harness import blas_threads
+
+from conftest import src_env
 
 
 def write_config(tmp_path, name="cfg.json", **updates):
@@ -336,8 +336,8 @@ print(json.dumps({"before": before, "after": harness.blas_threads(), "workers": 
 def test_blas_threads_contract(tmp_path, case, env):
     # fresh processes, since the CLI pins the threads of the process it runs in
     cfg = write_config(tmp_path, algo={"total_steps": 20}, eval={"eval_every": 10})
-    proc_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    proc_env["PYTHONPATH"] = os.path.dirname(os.path.dirname(red_offline.__file__))
+    proc_env = src_env()
+    proc_env.pop("OPENBLAS_NUM_THREADS", None)
     if env is not None:
         proc_env["OPENBLAS_NUM_THREADS"] = env
     proc = subprocess.run([sys.executable, "-c", _BLAS_SCRIPT, str(cfg), str(tmp_path / "o"),

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -8,17 +10,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import red_offline
 from red_offline.algos import AlgoConfig, init_learner
 from red_offline.envsuite import PRESETS, env_from_name
 from red_offline.harness import (ConfigError, DatasetSource, DeredConfig, EvalConfig,
                                  ExperimentConfig, apply_overrides, blas_threads,
                                  compare_rebalance_methods, config_from_dict, config_to_dict,
-                                 dump_json, evaluate_policy, normalized_score,
+                                 dataset_checksum, dump_json, evaluate_policy, normalized_score,
                                  prepare_dataset, run_training,
                                  stream_seed, sweep_pbase, two_stage_train,
                                  _eval_points, _map_seeds)
 from red_offline.sampler import SamplerSpec, build_sampler
+
+from conftest import src_env
 
 
 def small_config(preset="replay_analog", **kw):
@@ -146,9 +149,8 @@ print(json.dumps(per_step))
 def test_train_steps_take_no_page_faults_after_import():
     # a fresh process: importing the package primes the allocator, so the
     # batch-256 temporaries of a step come from the heap, not from new mappings
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(red_offline.__file__))}
     proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=src_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     per_step = json.loads(proc.stdout)
     assert all(faults < 1 for faults in per_step.values()), per_step
@@ -442,3 +444,13 @@ def test_map_seeds_pool_size_and_handoff(monkeypatch):
     run_training(cfg, jobs=2)
     two_stage_train(replace(cfg, dered=DeredConfig(stage1_steps=5, stage2_steps=5)), jobs=3)
     assert [(p.size, p.tasks) for p in pools] == [(2, [0, 1]), (2, [0, 1])]
+
+
+def test_dataset_checksum_is_blake2b_of_the_array_bytes(preset_dataset, tiny_dataset):
+    for ds in (preset_dataset("sparse_analog"), tiny_dataset):
+        h = hashlib.blake2b(digest_size=16)
+        for arr in (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(json.dumps(ds.traj_bounds).encode())
+        h.update(json.dumps(dataclasses.asdict(ds.meta), sort_keys=True).encode())
+        assert dataset_checksum(ds) == h.hexdigest()
