@@ -74,60 +74,4 @@ from .nncore import (
     save_checkpoint,
 )
 
-__all__ = [
-    "DatasetError",
-    "DatasetMeta",
-    "OfflineDataset",
-    "TrajectoryReturns",
-    "compute_trajectory_returns",
-    "load_dataset",
-    "normalized_return",
-    "return_histogram",
-    "save_dataset",
-    "GeneratorConfig",
-    "Mdp",
-    "PRESETS",
-    "env_from_name",
-    "generate_dataset",
-    "mdp_dense_chain",
-    "mdp_grid_maze",
-    "preset_config",
-    "SamplerSpec",
-    "WeightedSampler",
-    "build_sampler",
-    "reward_weights",
-    "sampling_distribution",
-    "top_fraction_filter",
-    "AlgoConfig",
-    "LearnerState",
-    "NanLossError",
-    "awr_weight",
-    "cql_penalty",
-    "expectile_loss",
-    "extract_policy",
-    "init_learner",
-    "train_step",
-    "ConfigError",
-    "DatasetSource",
-    "DeredConfig",
-    "EvalConfig",
-    "ExperimentConfig",
-    "compare_rebalance_methods",
-    "normalized_score",
-    "run_training",
-    "stream_seed",
-    "sweep_pbase",
-    "two_stage_train",
-    "Mlp",
-    "OptimState",
-    "apply_update",
-    "backward",
-    "forward",
-    "forward_cache",
-    "init_mlp",
-    "init_optim",
-    "load_checkpoint",
-    "save_checkpoint",
-]
-
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Offline transition datasets with trajectory indexing and return statistics.
 
 An :class:`OfflineDataset` is a flat, immutable store of transitions plus the
-trajectory boundaries that partition it. Uniform sampling over it realizes the
-data-collection policy; reweighted sampling (see :mod:`red_offline.sampler`)
-realizes an alternative policy with the same support. Episode returns are
-undiscounted sums; trajectories cut off by the horizon contribute their
-partial sum (a known, documented bias).
+trajectory boundaries that partition it: one read-only (n, 2) int64 array of
+``[start, stop)`` rows. Uniform sampling over it realizes the data-collection
+policy; reweighted sampling (see :mod:`red_offline.sampler`) realizes an
+alternative policy with the same support. Episode returns are undiscounted
+sums; trajectories cut off by the horizon contribute their partial sum (a
+known, documented bias).
 """
 
 import math
@@ -45,7 +46,9 @@ class OfflineDataset:
 
     Immutable after construction; safe to share across concurrent runs.
     Arrays are float64 (observations, rewards), actions int64 in
-    ``[0, n_actions)``, flags bool.
+    ``[0, n_actions)``, flags bool, and ``traj_bounds`` one read-only,
+    C-contiguous (n, 2) int64 array whose row j is trajectory j's
+    ``[start, stop)``.
     """
 
     def __init__(self, obs, actions, rewards, next_obs, terminals, timeouts,
@@ -56,11 +59,17 @@ class OfflineDataset:
         self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64)
         self.terminals = np.ascontiguousarray(terminals, dtype=bool)
         self.timeouts = np.ascontiguousarray(timeouts, dtype=bool)
-        self.traj_bounds = [(int(s), int(e)) for s, e in traj_bounds]
+        try:  # ragged rows fail here; [] is the empty (0, 2) table
+            bounds = np.array(traj_bounds, dtype=np.int64, order="C")
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DatasetError(f"trajectory bounds are not an (n, 2) table: {exc}") from None
+        self.traj_bounds = bounds.reshape(0, 2) if bounds.shape == (0,) else bounds
+        if self.traj_bounds.ndim != 2 or self.traj_bounds.shape[1] != 2:
+            raise DatasetError(f"trajectory bounds have shape {bounds.shape}, not (n, 2)")
         self.meta = meta
         self._validate()
         for a in (self.obs, self.actions, self.rewards, self.next_obs,
-                  self.terminals, self.timeouts):
+                  self.terminals, self.timeouts, self.traj_bounds):
             a.setflags(write=False)
 
     def _validate(self) -> None:
@@ -80,8 +89,7 @@ class OfflineDataset:
         both = np.flatnonzero(self.terminals & self.timeouts)
         if both.size:
             raise DatasetError(f"transition {both[0]}: terminal and timeout both set")
-        bounds = np.asarray(self.traj_bounds, dtype=np.int64).reshape(-1, 2)
-        starts, ends = bounds[:, 0], bounds[:, 1]
+        starts, ends = self.traj_bounds.T
         cursors = np.concatenate(([0], ends))  # where each trajectory must start, then the end
         broken = np.flatnonzero((starts != cursors[:-1]) | (ends <= starts))
         # trajectories before the first broken bound partition [0, ends[j])
@@ -161,10 +169,9 @@ def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     """
     if len(ds) == 0:
         raise DatasetError("empty dataset")
-    bounds = np.array(ds.traj_bounds, dtype=np.int64)
-    returns = _segment_sums(ds.rewards, bounds[:, 0], bounds[:, 1])
-    lengths = bounds[:, 1] - bounds[:, 0]
-    per_transition = np.repeat(returns, lengths)
+    starts, stops = ds.traj_bounds.T
+    returns = _segment_sums(ds.rewards, starts, stops)
+    per_transition = np.repeat(returns, stops - starts)
     returns.setflags(write=False)
     per_transition.setflags(write=False)
     return TrajectoryReturns(
@@ -234,7 +241,6 @@ def save_dataset(ds: OfflineDataset, path) -> None:
     rec["next_obs"] = ds.next_obs
     rec["terminal"] = ds.terminals
     rec["timeout"] = ds.timeouts
-    bounds = np.array(ds.traj_bounds, dtype="<u8").reshape(-1, 2)
     header = {
         "obs_dim": meta.obs_dim,
         "action": meta.action,
@@ -243,7 +249,8 @@ def save_dataset(ds: OfflineDataset, path) -> None:
         "n_transitions": len(ds),
         "n_trajectories": ds.n_trajectories,
     }
-    write_envelope(path, ORDS_MAGIC, ORDS_VERSION, header, rec.tobytes() + bounds.tobytes())
+    write_envelope(path, ORDS_MAGIC, ORDS_VERSION, header,
+                   rec.tobytes() + ds.traj_bounds.astype("<u8").tobytes())
 
 
 def load_dataset(path) -> OfflineDataset:
@@ -288,7 +295,7 @@ def load_dataset(path) -> OfflineDataset:
             next_obs=rec["next_obs"],
             terminals=rec["terminal"].astype(bool),
             timeouts=rec["timeout"].astype(bool),
-            traj_bounds=bounds.astype(np.int64),
+            traj_bounds=bounds,
             meta=meta,
         )
     except DatasetError as exc:
@@ -299,7 +306,7 @@ def dataset_equal(a: OfflineDataset, b: OfflineDataset) -> bool:
     """Bit-level equality: same transitions, order, bounds, and meta."""
     return (
         a.meta == b.meta
-        and a.traj_bounds == b.traj_bounds
+        and np.array_equal(a.traj_bounds, b.traj_bounds)
         and np.array_equal(a.obs, b.obs)
         and np.array_equal(a.actions, b.actions)
         and np.array_equal(a.rewards, b.rewards)

@@ -284,34 +284,22 @@ def generate_dataset(cfg: GeneratorConfig) -> OfflineDataset:
     picks = rng.choice(len(qualities), size=cfg.n_trajectories, p=weights / weights.sum())
     eps = 1.0 - qualities[picks]
     states, actions, rewards, next_states, terminals, lengths = _simulate(mdp, eps, rng)
-
-    obs_parts, act_parts, rew_parts, nobs_parts, term_parts, tout_parts = [], [], [], [], [], []
-    bounds = []
-    cursor = 0
-    for j in range(cfg.n_trajectories):
-        m = int(lengths[j])
-        obs_parts.append(mdp.obs_table[states[:m, j]])
-        act_parts.append(actions[:m, j])
-        rew_parts.append(rewards[:m, j])
-        nobs_parts.append(mdp.obs_table[next_states[:m, j]])
-        term = terminals[:m, j].copy()
-        tout = np.zeros(m, dtype=bool)
-        if not term[m - 1]:
-            tout[m - 1] = True  # horizon cutoff
-        term_parts.append(term)
-        tout_parts.append(tout)
-        bounds.append((cursor, cursor + m))
-        cursor += m
+    # steps are (horizon, n); gather each field trajectory-major, kept steps only
+    keep = (np.arange(mdp.horizon)[:, None] < lengths).T
+    terminals = terminals.T[keep]
+    ends = np.cumsum(lengths)
+    timeouts = np.zeros_like(terminals)
+    timeouts[ends - 1] = ~terminals[ends - 1]  # horizon cutoff
     meta = DatasetMeta(obs_dim=mdp.obs_dim, action={"discrete": mdp.n_actions},
                        env_name=mdp.name, seed=cfg.seed)
     return OfflineDataset(
-        obs=np.concatenate(obs_parts),
-        actions=np.concatenate(act_parts),
-        rewards=np.concatenate(rew_parts),
-        next_obs=np.concatenate(nobs_parts),
-        terminals=np.concatenate(term_parts),
-        timeouts=np.concatenate(tout_parts),
-        traj_bounds=bounds,
+        obs=mdp.obs_table[states.T[keep]],
+        actions=actions.T[keep],
+        rewards=rewards.T[keep],
+        next_obs=mdp.obs_table[next_states.T[keep]],
+        terminals=terminals,
+        timeouts=timeouts,
+        traj_bounds=np.stack([ends - lengths, ends], axis=1),
         meta=meta,
     )
 

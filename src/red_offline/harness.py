@@ -256,7 +256,7 @@ def dataset_checksum(ds: OfflineDataset) -> str:
     h = hashlib.blake2b(digest_size=16)
     for arr in (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts):
         h.update(np.ascontiguousarray(arr))
-    h.update(json.dumps(ds.traj_bounds).encode())
+    h.update(json.dumps(ds.traj_bounds.tolist()).encode())
     h.update(json.dumps(dataclasses.asdict(ds.meta), sort_keys=True).encode())
     return h.hexdigest()
 

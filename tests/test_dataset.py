@@ -166,7 +166,7 @@ def test_round_trip_generated_field_by_field(tmp_path, preset_dataset):
     save_dataset(ds, path)
     loaded = load_dataset(path)
     assert loaded.meta == ds.meta
-    assert loaded.traj_bounds == ds.traj_bounds
+    assert np.array_equal(loaded.traj_bounds, ds.traj_bounds)
     for field in ("obs", "actions", "rewards", "next_obs", "terminals", "timeouts"):
         assert np.array_equal(getattr(loaded, field), getattr(ds, field)), field
     # bit-exact file round trip
@@ -228,6 +228,29 @@ def test_invariant_violations_rejected():
     for action in ({"box": 1}, {"discrete": 0}, {"discrete": 2, "box": 1}):
         with pytest.raises(DatasetError, match="is not"):
             DatasetMeta(obs_dim=1, action=action, env_name="x", seed=0)
+
+
+def test_traj_bounds_are_a_read_only_n_by_2_table(tiny_dataset):
+    meta = DatasetMeta(obs_dim=1, action={"discrete": 2}, env_name="x", seed=0)
+    base = dict(obs=np.zeros((3, 1)), actions=np.zeros(3, dtype=int), rewards=np.zeros(3),
+                next_obs=np.zeros((3, 1)), terminals=np.array([True, False, True]),
+                timeouts=np.zeros(3, bool), meta=meta)
+    assert OfflineDataset(traj_bounds=[(0, 1), (1, 3)], **base).n_trajectories == 2
+    # six entries, so a reshape to (-1, 2) would silently accept this table
+    with pytest.raises(DatasetError, match=re.escape("shape (2, 3), not (n, 2)")):
+        OfflineDataset(traj_bounds=np.array([[0, 1, 1], [1, 3, 3]]), **base)
+    with pytest.raises(DatasetError, match=re.escape("not an (n, 2) table")):
+        OfflineDataset(traj_bounds=[(0, 1), (1, 2, 3)], **base)
+    bounds = tiny_dataset.traj_bounds
+    assert bounds.dtype == np.int64 and bounds.shape == (3, 2) and bounds.flags.c_contiguous
+    assert bounds.tolist() == [[0, 3], [3, 4], [4, 6]]
+    with pytest.raises(ValueError, match="read-only"):
+        bounds[0, 1] = 2
+    empty = OfflineDataset(obs=np.zeros((0, 1)), actions=np.zeros(0, dtype=int),
+                           rewards=np.zeros(0), next_obs=np.zeros((0, 1)),
+                           terminals=np.zeros(0, bool), timeouts=np.zeros(0, bool),
+                           traj_bounds=[], meta=meta)
+    assert empty.traj_bounds.shape == (0, 2) and empty.n_trajectories == 0
 
 
 def test_returns_are_correctly_rounded_sums(preset_dataset):

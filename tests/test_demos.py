@@ -1,0 +1,31 @@
+import ast
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import src_env
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("name", ["01_datasets_and_returns.py", "02_rebalanced_sampling.py"])
+def test_fast_demos_run(name, tmp_path):
+    proc = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_demo_import_resolves_on_the_package():
+    imported = []
+    for path in sorted(DEMOS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            package = (getattr(node, "module", None) or "").split(".")[0]
+            if isinstance(node, ast.ImportFrom) and package == "red_offline":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert {demo for demo, _, _ in imported} == {p.name for p in DEMOS.glob("*.py")}
+    missing = [(demo, module, name) for demo, module, name in imported
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing

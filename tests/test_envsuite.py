@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
 
-from red_offline.dataset import compute_trajectory_returns, return_histogram, save_dataset
+from red_offline.dataset import (DatasetMeta, OfflineDataset, compute_trajectory_returns,
+                                 dataset_equal, return_histogram, save_dataset)
 from red_offline.envsuite import (PRESETS, GeneratorConfig, _simulate, env_from_name,
                                   generate_dataset, mdp_dense_chain, mdp_grid_maze,
                                   policy_value, preset_config)
+from red_offline.harness import dataset_checksum
+
+# dataset_checksum of each preset; `gen` output must not change bit for bit
+PRESET_CHECKSUMS = {
+    "replay_analog": "f1e21e6c6e2b85c0a938428c1ae81a73",
+    "expert_analog": "d465dfef6f97f2fd64b69a39b502d633",
+    "sparse_analog": "c0bceadf3d5c9e968afc0ee3ea35aacd",
+    "sparse_hard_analog": "69c95eee459b2b0bf6ed61214b0281ac",
+}
 
 
 def rollout_fixed_action(mdp, action):
@@ -193,3 +203,52 @@ def test_timeout_and_terminal_flags(preset_dataset):
         assert ends[e - 1]
         assert not ends[s:e - 1].any()
     assert not (ds.terminals & ds.timeouts).any()
+
+
+def reference_generate(cfg):
+    """Assemble the dataset one trajectory at a time from _simulate's step arrays."""
+    mdp = env_from_name(cfg.mdp_name)
+    rng = np.random.default_rng(cfg.seed)
+    qualities = np.array([q for q, _ in cfg.mixture])
+    weights = np.array([w for _, w in cfg.mixture])
+    picks = rng.choice(len(qualities), size=cfg.n_trajectories, p=weights / weights.sum())
+    states, actions, rewards, next_states, terminals, lengths = _simulate(
+        mdp, 1.0 - qualities[picks], rng)
+    parts = {k: [] for k in ("obs", "actions", "rewards", "next_obs", "terminals", "timeouts")}
+    bounds, cursor = [], 0
+    for j, m in enumerate(lengths.tolist()):
+        parts["obs"].append(mdp.obs_table[states[:m, j]])
+        parts["actions"].append(actions[:m, j])
+        parts["rewards"].append(rewards[:m, j])
+        parts["next_obs"].append(mdp.obs_table[next_states[:m, j]])
+        parts["terminals"].append(terminals[:m, j])
+        timeout = np.zeros(m, dtype=bool)
+        timeout[m - 1] = not terminals[m - 1, j]
+        parts["timeouts"].append(timeout)
+        bounds.append((cursor, cursor + m))
+        cursor += m
+    meta = DatasetMeta(obs_dim=mdp.obs_dim, action={"discrete": mdp.n_actions},
+                       env_name=mdp.name, seed=cfg.seed)
+    return OfflineDataset(**{k: np.concatenate(v) for k, v in parts.items()},
+                          traj_bounds=bounds, meta=meta)
+
+
+@pytest.mark.parametrize("cfg, n_terminal", [
+    *((cfg, None) for cfg in PRESETS.values()),
+    (preset_config("replay_analog", n_trajectories=1), None),
+    # the expert reaches the goal exactly at step h - 1: terminal, not a timeout
+    (GeneratorConfig("dense_chain-40-39", 20, ((1.0, 1.0),), seed=3), 20),
+    # uniform-random play never reaches the goal: every episode is cut off
+    (GeneratorConfig("dense_chain-40-39", 20, ((0.0, 1.0),), seed=4), 0),
+], ids=[*PRESETS, "one_trajectory", "all_terminal_at_horizon", "all_timeouts"])
+def test_generator_matches_per_trajectory_reference(cfg, n_terminal):
+    ds = generate_dataset(cfg)
+    assert dataset_equal(ds, reference_generate(cfg))
+    if n_terminal is not None:  # all 20 episodes run the full 39-step horizon
+        assert ds.traj_bounds.tolist() == [[39 * j, 39 * (j + 1)] for j in range(20)]
+        assert (ds.terminals.sum(), ds.timeouts.sum()) == (n_terminal, 20 - n_terminal)
+
+
+def test_preset_checksums_are_pinned(preset_dataset):
+    for name, digest in PRESET_CHECKSUMS.items():
+        assert dataset_checksum(preset_dataset(name)) == digest, name

@@ -451,6 +451,6 @@ def test_dataset_checksum_is_blake2b_of_the_array_bytes(preset_dataset, tiny_dat
         h = hashlib.blake2b(digest_size=16)
         for arr in (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts):
             h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(json.dumps(ds.traj_bounds).encode())
+        h.update(json.dumps(ds.traj_bounds.tolist()).encode())
         h.update(json.dumps(dataclasses.asdict(ds.meta), sort_keys=True).encode())
         assert dataset_checksum(ds) == h.hexdigest()
