@@ -44,21 +44,22 @@ class DatasetMeta:
 class OfflineDataset:
     """Flat transition arrays plus trajectory bounds.
 
-    Immutable after construction; safe to share across concurrent runs.
+    Its arrays are read-only views; safe to share across concurrent runs.
     Arrays are float64 (observations, rewards), actions int64 in
-    ``[0, n_actions)``, flags bool, and ``traj_bounds`` one read-only,
-    C-contiguous (n, 2) int64 array whose row j is trajectory j's
-    ``[start, stop)``.
+    ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
+    (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
+    Transition inputs already C-contiguous and of that dtype are shared, not
+    copied: they stay writable, and writing them changes the dataset.
     """
 
     def __init__(self, obs, actions, rewards, next_obs, terminals, timeouts,
                  traj_bounds, meta: DatasetMeta):
-        self.obs = np.ascontiguousarray(obs, dtype=np.float64)
-        self.actions = np.ascontiguousarray(actions, dtype=np.int64)
-        self.rewards = np.ascontiguousarray(rewards, dtype=np.float64)
-        self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64)
-        self.terminals = np.ascontiguousarray(terminals, dtype=bool)
-        self.timeouts = np.ascontiguousarray(timeouts, dtype=bool)
+        self.obs = np.ascontiguousarray(obs, dtype=np.float64).view()
+        self.actions = np.ascontiguousarray(actions, dtype=np.int64).view()
+        self.rewards = np.ascontiguousarray(rewards, dtype=np.float64).view()
+        self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64).view()
+        self.terminals = np.ascontiguousarray(terminals, dtype=bool).view()
+        self.timeouts = np.ascontiguousarray(timeouts, dtype=bool).view()
         try:  # ragged rows fail here; [] is the empty (0, 2) table
             bounds = np.array(traj_bounds, dtype=np.int64, order="C")
         except (TypeError, ValueError, OverflowError) as exc:

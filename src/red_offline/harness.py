@@ -11,8 +11,8 @@ Scores follow the usual normalization 100 * (raw - random) / (expert -
 random) against the environment's reference policies, and aggregates are the
 mean over the final K evaluations, then over seeds.
 
-Each experiment prepares and checksums its dataset once; each sampler arm
-builds its table once and its seeds share it.
+Each experiment prepares its dataset once and hashes it once, on a worker
+thread; each sampler arm builds its table once and its seeds share it.
 
 Every runner (:func:`run_training`, :func:`two_stage_train`,
 :func:`sweep_pbase`, :func:`compare_rebalance_methods`) returns
@@ -39,7 +39,7 @@ import os
 import tempfile
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -456,10 +456,18 @@ def _map_seeds(job, shared, seeds, jobs: int) -> list:
         return list(pool.map(_worker_seed_job, seeds))
 
 
-def _prepare(source: DatasetSource):
-    """The static work of an experiment: (dataset, returns, environment, checksum)."""
+@contextlib.contextmanager
+def _prepare(source: DatasetSource, jobs: int):
+    """The static work of an experiment: yields (dataset, returns, environment,
+    checksum); ``checksum()`` returns the digest or raises what hashing raised.
+    A worker thread hashes (blake2b releases the GIL) beside one-job training;
+    with more jobs it is joined first, so no thread is alive at a fork."""
     ds, tr, mdp = prepare_dataset(source)
-    return ds, tr, mdp, dataset_checksum(ds)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        digest = pool.submit(dataset_checksum, ds)  # the global, so a tracer's wrapper runs
+        if jobs > 1:
+            pool.shutdown()
+        yield ds, tr, mdp, digest.result
 
 
 def _timed_build(spec: SamplerSpec, ds, tr):
@@ -500,13 +508,14 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1):
     sampler, build_s = _timed_build(cfg.sampler, ds, tr)
     results = _map_seeds(_seed_job, (ds, mdp, cfg, sampler, build_s), cfg.eval.seeds, jobs)
     block, timing, losses = _stage(results, refs)
-    report = {**_run_header("experiment", cfg, refs, checksum), **block}
+    report = {**_run_header("experiment", cfg, refs, checksum()), **block}
     return report, {"per_seed": timing}, losses
 
 
 def run_training(cfg: ExperimentConfig, jobs: int = 1):
     """Single-stage run over all seeds; returns (report, timing, losses)."""
-    return _run_arm(cfg, _prepare(cfg.dataset), jobs)
+    with _prepare(cfg.dataset, jobs) as prepared:
+        return _run_arm(cfg, prepared, jobs)
 
 
 def _two_stage_seed_job(shared, seed):
@@ -553,23 +562,23 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     """
     if cfg.dered is None:
         raise ConfigError("two_stage_train requires the 'dered' config block")
-    ds, tr, mdp, checksum = _prepare(cfg.dataset)
-    refs = mdp.reference_scores
-    dered = cfg.dered
-    # one table per stage, shared by every seed; stage two rebalances even
-    # when the config says uniform
-    tables = (_timed_build(replace(cfg.sampler, mode="uniform"), ds, tr),
-              _timed_build(cfg.sampler if cfg.sampler.mode != "uniform" else replace(
-                  cfg.sampler, mode="return_resample"), ds, tr))
+    with _prepare(cfg.dataset, jobs) as (ds, tr, mdp, checksum):
+        refs = mdp.reference_scores
+        dered = cfg.dered
+        # one table per stage, shared by every seed; stage two rebalances even
+        # when the config says uniform
+        tables = (_timed_build(replace(cfg.sampler, mode="uniform"), ds, tr),
+                  _timed_build(cfg.sampler if cfg.sampler.mode != "uniform" else replace(
+                      cfg.sampler, mode="return_resample"), ds, tr))
 
-    if out_dir is None:
-        ckpt_ctx = tempfile.TemporaryDirectory()
-    else:
-        os.makedirs(out_dir, exist_ok=True)
-        ckpt_ctx = contextlib.nullcontext(out_dir)
-    with ckpt_ctx as ckpt_dir:
-        results = _map_seeds(_two_stage_seed_job, (ds, mdp, cfg, *tables, ckpt_dir),
-                             cfg.eval.seeds, jobs)
+        if out_dir is None:
+            ckpt_ctx = tempfile.TemporaryDirectory()
+        else:
+            os.makedirs(out_dir, exist_ok=True)
+            ckpt_ctx = contextlib.nullcontext(out_dir)
+        with ckpt_ctx as ckpt_dir:
+            results = _map_seeds(_two_stage_seed_job, (ds, mdp, cfg, *tables, ckpt_dir),
+                                 cfg.eval.seeds, jobs)
 
     for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results):
         if dered.freeze_head and not heads_equal:
@@ -579,7 +588,7 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     s2["head_checks"] = [{"seed": seed, "heads_bitwise_equal": bool(heads_equal)}
                          for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results)]
     m1, m2 = s1["aggregate"]["mean_normalized"], s2["aggregate"]["mean_normalized"]
-    report = {**_run_header("two_stage", cfg, refs, checksum), "stage1": s1, "stage2": s2,
+    report = {**_run_header("two_stage", cfg, refs, checksum()), "stage1": s1, "stage2": s2,
               "stage2_minus_stage1": None if m1 is None or m2 is None else m2 - m1}
     return report, {"stage1": t1, "stage2": t2}, {"stage1": l1, "stage2": l2}
 
@@ -603,18 +612,18 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
     is the uniform sampler."""
     if not values:
         raise ConfigError("need at least one p_base value")
-    prepared = _prepare(cfg.dataset)
     columns, runs = [], {}
-    for v in values:
-        if isinstance(v, str) and v.lower() in ("inf", "infinity"):
-            label = "inf"
-            arm = replace(cfg, sampler=replace(cfg.sampler, mode="uniform"))
-        else:
-            label = repr(float(v))
-            arm = replace(cfg, sampler=replace(cfg.sampler, mode="return_resample",
-                                               p_base=float(v)))
-        runs[label] = _run_arm(arm, prepared, jobs)
-        columns.append(label)
+    with _prepare(cfg.dataset, jobs) as prepared:
+        for v in values:
+            if isinstance(v, str) and v.lower() in ("inf", "infinity"):
+                label = "inf"
+                arm = replace(cfg, sampler=replace(cfg.sampler, mode="uniform"))
+            else:
+                label = repr(float(v))
+                arm = replace(cfg, sampler=replace(cfg.sampler, mode="return_resample",
+                                                   p_base=float(v)))
+            runs[label] = _run_arm(arm, prepared, jobs)
+            columns.append(label)
     return _arms_table("pbase_sweep", cfg, "columns", columns, runs)
 
 
@@ -627,15 +636,15 @@ def compare_rebalance_methods(cfg: ExperimentConfig, fraction: float = 0.1, jobs
     The dataset is prepared and checksummed once, so every arm sees the same
     bits by construction.
     """
-    prepared = _prepare(cfg.dataset)
     runs = {}
-    for arm_mode in COMPARE_ARMS:
-        spec = replace(cfg.sampler, mode=arm_mode)
-        if arm_mode == "top_fraction":
-            spec = replace(spec, fraction=fraction)
-        runs[arm_mode] = _run_arm(replace(cfg, sampler=spec), prepared, jobs)
+    with _prepare(cfg.dataset, jobs) as prepared:
+        for arm_mode in COMPARE_ARMS:
+            spec = replace(cfg.sampler, mode=arm_mode)
+            if arm_mode == "top_fraction":
+                spec = replace(spec, fraction=fraction)
+            runs[arm_mode] = _run_arm(replace(cfg, sampler=spec), prepared, jobs)
     table, timing, losses = _arms_table("rebalance_compare", cfg, "arms", list(COMPARE_ARMS), runs)
-    return {**table, "dataset_checksum": prepared[3]}, timing, losses
+    return {**table, "dataset_checksum": prepared[3]()}, timing, losses
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,11 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.weights, self.biases, self.activation, self.split_point, self.init_seed)
 
+    def __setstate__(self, state):
+        """After a pickle round trip or a deep copy, view the new ``params`` again."""
+        self.__dict__.update(state)
+        self.weights, self.biases = _split(self.params, self.layer_sizes)
+
     def copy_from(self, other: "Mlp") -> None:
         """In-place parameter copy (target-network sync)."""
         np.copyto(self.params, other.params)

@@ -3,9 +3,9 @@
 Per-transition weights (return-based, reward-based, or a top-fraction filter)
 are turned into a categorical distribution ``P(i) = w_i^alpha / sum_k w_k^alpha``
 once, before training; batches are then drawn i.i.d. with replacement. The
-weights are constant per trajectory or per reward value, so the vector takes
-few distinct values: one sort groups the equal ones, and a draw picks a group
-by its mass and then a uniform member.
+weights are constant per trajectory or per reward value, so the vector is runs
+of equal adjacent values: sorting the runs, not the transitions, groups the
+equal ones, and a draw picks a group by its mass and then a uniform member.
 """
 
 import copy
@@ -92,24 +92,25 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    n = len(ds)
-    k = int(np.ceil(fraction * n))
-    # stable sort on -return keeps storage order among ties, which is exactly
-    # the (trajectory, transition) lexicographic rule
-    order = np.argsort(-tr.per_transition_return, kind="stable")
-    return np.sort(order[:k])
+    k = int(np.ceil(fraction * len(ds)))
+    neg = -tr.per_transition_return
+    cut = np.partition(neg, k - 1)[k - 1]  # the k-th best; NaN ranks last, as in a sort
+    keep, tied = (~np.isnan(neg), np.isnan(neg)) if np.isnan(cut) else (neg < cut, neg == cut)
+    keep[np.flatnonzero(tied)[:k - np.count_nonzero(keep)]] = True  # first ties in storage order
+    return np.flatnonzero(keep)
 
 
 class WeightedSampler:
     """Categorical sampler over a fixed probability vector, drawn by groups.
 
-    One stable sort splits the indices into runs of bit-equal probability:
-    ``_order`` lists them run by run, ``_starts``/``_sizes`` locate each run
-    and ``_cdf`` is the normalized cumulative run mass. A draw picks a run by
-    its mass, then a uniform member; zero mass sorts first and is never
-    drawn. The table is immutable and built with no cache. The RNG stream is
-    per instance: ``with_seed`` shares the table under a new generator, so
-    an arm's seeds share one build and draw what fresh builds would draw.
+    ``_order`` is what a stable argsort of ``probs`` gives, built by sorting
+    runs of equal adjacent probability; ``_starts``/``_sizes`` locate each
+    group of bit-equal probability in it and ``_cdf`` is the normalized
+    cumulative group mass. A draw picks a group by its mass, then a uniform
+    member; zero mass sorts first and is never drawn. The table is immutable
+    and built with no cache. The RNG stream is per instance: ``with_seed``
+    shares the table under a new generator, so an arm's seeds share one
+    build and draw what fresh builds would draw.
     """
 
     def __init__(self, probs: np.ndarray, seed: int):
@@ -120,13 +121,21 @@ class WeightedSampler:
             raise ValueError("probs must be finite and non-negative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs sum to {probs.sum()!r}, expected 1 within 1e-12")
-        self.probs = probs.copy()
-        self._order = np.argsort(self.probs, kind="stable")
-        ranked = self.probs[self._order]
-        self._starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        self._sizes = np.diff(np.append(self._starts, ranked.size))
-        self._cdf = np.cumsum(ranked[self._starts] * self._sizes)
+        start = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1])))
+        size = np.diff(start, append=probs.size)
+        values, group = np.unique(probs[start], return_inverse=True)
+        self._sizes = np.bincount(group, weights=size).astype(np.int64)
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        # stable, so a group's runs keep storage order; a radix sort up to 2**16 groups
+        runs = np.argsort(group.astype(np.min_scalar_type(values.size)), kind="stable")
+        start, size = start[runs], size[runs]
+        del group, runs  # before the two N-sized arrays: keeps the peak RSS down
+        start += size - np.cumsum(size)  # each run's shift from storage to its slot in _order
+        self._order = np.repeat(start, size)
+        self._order += np.arange(probs.size)
+        self._cdf = np.cumsum(values * self._sizes)
         self._cdf /= self._cdf[-1]
+        self.probs = probs.copy()  # after the build, which then peaks lower
         for a in (self.probs, self._order, self._starts, self._sizes, self._cdf):
             a.setflags(write=False)
         self.seed = int(seed)

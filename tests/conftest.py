@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def one_blas_thread():
     """Run the suite at one OpenBLAS thread, as every CLI process and seed
     worker does; tests of the pinning itself run in fresh subprocesses."""
     pin_blas_threads()
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_runner(request):
+    """Harness and CLI tests: every thread a runner starts (the dataset
+    hashing thread) is joined by the time the runner returns or raises."""
+    before = set(threading.enumerate())
+    yield
+    if request.path.name in ("test_harness.py", "test_cli.py", "test_acceptance.py"):
+        left = [t.name for t in threading.enumerate() if t not in before]
+        assert not left, f"threads still alive after the test: {left}"
 
 
 @pytest.fixture(scope="session")

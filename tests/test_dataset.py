@@ -253,6 +253,24 @@ def test_traj_bounds_are_a_read_only_n_by_2_table(tiny_dataset):
     assert empty.traj_bounds.shape == (0, 2) and empty.n_trajectories == 0
 
 
+def test_inputs_stay_writable_and_the_dataset_arrays_are_read_only():
+    # inputs of the right dtype and layout are shared, not copied; freezing
+    # them in place would make the caller's own arrays read-only
+    meta = DatasetMeta(obs_dim=1, action={"discrete": 2}, env_name="x", seed=0)
+    inputs = dict(obs=np.zeros((3, 1)), actions=np.zeros(3, dtype=np.int64),
+                  rewards=np.zeros(3), next_obs=np.zeros((3, 1)),
+                  terminals=np.array([True, False, True]), timeouts=np.zeros(3, bool))
+    ds = OfflineDataset(traj_bounds=[(0, 1), (1, 3)], meta=meta, **inputs)
+    for name, arr in inputs.items():
+        assert arr.flags.writeable, name
+        field = getattr(ds, name)
+        assert np.shares_memory(field, arr) and not field.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 1
+    inputs["rewards"][1] = 2.0  # shared: the caller's write reaches the dataset
+    assert ds.rewards[1] == 2.0
+
+
 def test_returns_are_correctly_rounded_sums(preset_dataset):
     # every return is the correctly rounded sum of its rewards (math.fsum),
     # on the presets, on larger generated data and on rewards whose

@@ -381,6 +381,32 @@ def test_static_work_runs_once_per_experiment(monkeypatch, tmp_path, seeds):
                           "build_sampler": tables, "WeightedSampler": tables}, kind
 
 
+class _HashError(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("runner", ["train", "dered", "sweep", "compare"])
+def test_an_error_while_hashing_reaches_the_caller(monkeypatch, runner, jobs):
+    # the checksum is hashed on a worker thread; what it raises must not be lost
+    from red_offline import harness as hmod
+
+    def broken(ds):
+        raise _HashError("hashing failed")
+    monkeypatch.setattr(hmod, "dataset_checksum", broken)
+    cfg = small_config(algo=AlgoConfig(family="q_plus_bc", total_steps=4, batch_size=8,
+                                       hidden_units=4),
+                       eval=EvalConfig(eval_every=2, episodes_per_eval=1, final_k=1,
+                                       seeds=(0, 1)),
+                       dered=DeredConfig(stage1_steps=2, stage2_steps=2))
+    run = {"train": lambda: run_training(cfg, jobs=jobs),
+           "dered": lambda: two_stage_train(cfg, jobs=jobs),
+           "sweep": lambda: sweep_pbase(cfg, [0.0, "inf"], jobs=jobs),
+           "compare": lambda: compare_rebalance_methods(cfg, jobs=jobs)}[runner]
+    with pytest.raises(_HashError, match="hashing failed"):
+        run()
+
+
 def test_timing_records_one_cold_build_per_arm(tmp_path):
     from red_offline.cli import main
     cfg = config_to_dict(small_config(

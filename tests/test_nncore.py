@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -260,6 +262,21 @@ def test_mlp_copies_its_inputs():
     net = Mlp([w], [b], "relu")
     w[0, 0] = 7.0
     assert net.weights[0][0, 0] == 1.0
+
+
+@pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+def test_cloned_net_weight_views_follow_its_params(clone):
+    net = init_mlp([3, 4, 2], seed=8)
+    twin = copy.deepcopy(net) if clone == "deepcopy" else pickle.loads(pickle.dumps(net))
+    x = np.random.default_rng(0).random((5, 3))
+    assert np.array_equal(forward(twin, x), forward(net, x))
+    for a in (*twin.weights, *twin.biases):
+        assert np.shares_memory(a, twin.params) and not np.shares_memory(a, net.params)
+    opt = init_optim(twin, 1e-2)
+    _one_step(twin, opt, x, np.ones((5, 2)))
+    assert not np.array_equal(twin.params, net.params)
+    assert np.array_equal(forward(twin, x), reference_forward(twin, x))
+    assert not np.array_equal(forward(twin, x), forward(net, x))
 
 
 def test_wrong_gradient_shape_rejected():

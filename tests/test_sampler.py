@@ -118,6 +118,25 @@ def test_top_fraction_tie_break_matches_stable_sort_oracle():
         top_fraction_filter(ds, tr, 0.0)
 
 
+def test_top_fraction_matches_stable_sort_oracle_with_many_ties():
+    # few distinct returns over trajectories of mixed length, so the cutoff
+    # usually falls inside a tied block; some trials add NaN returns, which a
+    # sort on -return ranks last
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        n_traj = int(rng.integers(1, 40))
+        palette = rng.choice([-2.0, 0.0, 1.0, 3.0, np.inf, -np.inf] + [np.nan] * (trial % 3 == 0),
+                             int(rng.integers(1, 4)), replace=False)
+        lengths = rng.integers(1, 5, n_traj)
+        ds = make_dataset([[float(rng.choice(palette))] + [0.0] * (m - 1) for m in lengths])
+        tr = compute_trajectory_returns(ds)
+        r = tr.per_transition_return
+        for fraction in (1 / len(ds), 0.1, 0.37, 0.5, 1.0 - rng.random(), 1.0):
+            k = math.ceil(fraction * len(ds))
+            expected = np.sort(np.argsort(-r, kind="stable")[:k])
+            assert np.array_equal(top_fraction_filter(ds, tr, fraction), expected), (trial, k)
+
+
 def test_build_sampler_uniform():
     ds = make_dataset([[1.0], [2.0], [3.0], [4.0]])
     tr = compute_trajectory_returns(ds)
@@ -281,6 +300,33 @@ def test_alias_table_random_distributions_match_reference():
         s = WeightedSampler(probs, seed=trial)
         assert check_group_table(s) <= 1e-13
         assert [r.tolist() for r in np.split(s._order, s._starts[1:])] == reference_groups(s.probs)
+
+
+def blocky_probs(rng):
+    """Probabilities made of runs: long runs, length-1 runs, zero-mass runs,
+    and equal values in runs that are not adjacent."""
+    palette = np.concatenate(([0.0], rng.random(int(rng.integers(1, 6)))))
+    n_runs = int(rng.integers(1, 60))
+    values = rng.choice(palette, n_runs)
+    lengths = rng.choice([1, 1, 2, int(rng.integers(3, 400))], n_runs)
+    w = np.repeat(values, lengths)
+    if not w.any():
+        w[-1] = 1.0
+    return w / w.sum()
+
+
+def test_group_table_from_runs_matches_a_stable_sort_on_blocky_probabilities():
+    rng = np.random.default_rng(33)
+    for trial in range(300):
+        probs = blocky_probs(rng)
+        if abs(probs.sum() - 1.0) > 1e-12:
+            continue
+        s = WeightedSampler(probs, seed=trial)
+        assert np.array_equal(s._order, np.argsort(probs, kind="stable"))
+        assert check_group_table(s) <= 1e-13
+        assert [r.tolist() for r in np.split(s._order, s._starts[1:])] == reference_groups(s.probs)
+        assert s._order.dtype == s._starts.dtype == s._sizes.dtype == np.int64
+        assert not (s.probs == 0.0)[s.sample_batch(1000)].any()
 
 
 class _TopUniform:
