@@ -4,9 +4,9 @@ An :class:`OfflineDataset` is a flat, immutable store of transitions plus the
 trajectory boundaries that partition it: one read-only (n, 2) int64 array of
 ``[start, stop)`` rows. Uniform sampling over it realizes the data-collection
 policy; reweighted sampling (see :mod:`red_offline.sampler`) realizes an
-alternative policy with the same support. Episode returns are undiscounted
-sums; trajectories cut off by the horizon contribute their partial sum (a
-known, documented bias).
+alternative policy with the same support. Episode returns are undiscounted,
+correctly rounded (``math.fsum``) sums; trajectories cut off by the horizon
+contribute their partial sum (a known, documented bias).
 """
 
 import math
@@ -143,35 +143,24 @@ class TrajectoryReturns:
     per_transition_return: np.ndarray = field(repr=False)  # (N,)
 
 
-def _segment_sums(x: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each ``x[start:stop]``, as ``math.fsum`` gives.
-
-    A long-double sum is exact, so rounds once to float64, when every addend
-    is a multiple of ``2**q`` and the summed magnitudes stay below
-    ``2**(q + precision - 1)``; segments without that guarantee use ``fsum``.
-    """
-    wide = np.add.reduceat(x.astype(np.longdouble), starts)
-    mant, expo = np.frexp(np.where(np.isfinite(x), x, 0.0))  # non-finite sums stay so
-    sig = np.abs(np.ldexp(mant, 53)).astype(np.int64)  # integer significands
-    _, low = np.frexp((sig & -sig).astype(np.float64))  # 1 + lowest set bit
-    q = np.minimum.reduceat(np.where(sig > 0, expo - 54 + low, 1 << 20), starts)
-    _, top = np.frexp(np.add.reduceat(np.abs(x).astype(np.longdouble), starts))
-    out = wide.astype(np.float64)
-    for j in np.flatnonzero(top > q + np.finfo(np.longdouble).nmant):
-        out[j] = math.fsum(x[starts[j]:stops[j]].tolist())
-    return out
-
-
 def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     """Undiscounted reward sum per trajectory, broadcast back to transitions.
 
-    Sums are correctly rounded, so trajectories whose rewards add up to the
-    same value get bitwise-equal returns.
+    Each return is ``math.fsum`` of its rewards, so correctly rounded: equal
+    sums give bitwise-equal returns. NaN rewards give a NaN return, infinite
+    rewards of one sign an infinite one; +inf added to -inf, or finite
+    rewards that overflow float64 as they add up, raise a DatasetError
+    naming the trajectory.
     """
     if len(ds) == 0:
         raise DatasetError("empty dataset")
     starts, stops = ds.traj_bounds.T
-    returns = _segment_sums(ds.rewards, starts, stops)
+    returns = np.empty(ds.n_trajectories)
+    for j, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+        try:
+            returns[j] = math.fsum(ds.rewards[start:stop].tolist())
+        except (ValueError, OverflowError) as exc:
+            raise DatasetError(f"trajectory {j}: rewards have no float64 sum: {exc}") from None
     per_transition = np.repeat(returns, stops - starts)
     returns.setflags(write=False)
     per_transition.setflags(write=False)
@@ -271,6 +260,9 @@ def load_dataset(path) -> OfflineDataset:
         n_traj = int(header["n_trajectories"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetError(f"{path}: header missing or malformed field: {exc}") from exc
+    for name, count in (("n_transitions", n), ("n_trajectories", n_traj)):
+        if count < 0:
+            raise DatasetError(f"{path}: header field {name} is {count}, below 0")
     dtype = _record_dtype(meta)
     body = n * dtype.itemsize
     tail = n_traj * 16

@@ -100,6 +100,9 @@ class EvalConfig:
         if not self.seeds:
             raise ConfigError("need at least one seed")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        repeated = [s for s in self.seeds if self.seeds.count(s) > 1]
+        if repeated:
+            raise ConfigError(f"seed {repeated[0]} is listed more than once")
 
 
 @dataclass(frozen=True)
@@ -277,21 +280,6 @@ def evaluate_policy(mdp, policy_fn) -> float:
 # ---------------------------------------------------------------------------
 # single-seed training
 
-@dataclass
-class SeedResult:
-    seed: int
-    eval_steps: list
-    eval_returns: list
-    final_k_mean_raw: float | None
-    final_k_mean_normalized: float | None
-    aborted: bool
-    abort_step: int | None
-    flags: list
-    losses: list          # rows of (step, {loss name: value})
-    timing: dict
-    state: object = None  # final LearnerState; not serialized
-
-
 def _eval_points(total_steps: int, eval_every: int) -> list:
     points = list(range(eval_every, total_steps + 1, eval_every))
     if not points or points[-1] != total_steps:
@@ -302,9 +290,13 @@ def _eval_points(total_steps: int, eval_every: int) -> list:
 def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float,
                       eval_cfg: EvalConfig, root_seed: int, seed: int,
                       total_steps: int | None = None, resume_nets: dict | None = None,
-                      freeze_head: bool = False, backbone_mult: float = 1.0) -> SeedResult:
+                      freeze_head: bool = False, backbone_mult: float = 1.0) -> tuple:
     """Train one seed on the arm's sampler (built once, in ``build_s`` seconds)
-    with the seed's own ``"sampler/{seed}"`` stream; evaluate on schedule."""
+    with the seed's own ``"sampler/{seed}"`` stream; evaluate on schedule.
+
+    Returns ``(entry, timing, losses, state)``: the seed's report
+    ``per_seed`` entry, timing.json entry, loss rows and final LearnerState.
+    """
     steps = algo_cfg.total_steps if total_steps is None else total_steps
     refs = mdp.reference_scores
     flags = []
@@ -365,10 +357,18 @@ def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float
         "total_s": total_s,
         "overhead_fraction": build_s / total_s if total_s > 0 else 0.0,
     }
-    return SeedResult(seed=seed, eval_steps=eval_steps, eval_returns=eval_returns,
-                      final_k_mean_raw=final_raw, final_k_mean_normalized=final_norm,
-                      aborted=aborted, abort_step=abort_step, flags=flags,
-                      losses=losses, timing=timing, state=state)
+    entry = {
+        "seed": seed,
+        "eval_steps": eval_steps,
+        "eval_returns": eval_returns,
+        "eval_normalized": [normalized_score(r, refs) for r in eval_returns],
+        "final_k_mean_raw": final_raw,
+        "final_k_mean_normalized": final_norm,
+        "aborted": aborted,
+        "abort_step": abort_step,
+        "flags": flags,
+    }
+    return entry, timing, losses, state
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +378,12 @@ def _aggregate(per_seed: list) -> dict:
     norm = [s["final_k_mean_normalized"] for s in per_seed
             if s["final_k_mean_normalized"] is not None]
     raw = [s["final_k_mean_raw"] for s in per_seed if s["final_k_mean_raw"] is not None]
-    agg = {
+    return {
         "mean_normalized": float(np.mean(norm)) if norm else None,
         "std_normalized": float(np.std(norm)) if norm else None,
         "mean_raw": float(np.mean(raw)) if raw else None,
         "std_raw": float(np.std(raw)) if raw else None,
         "aborted_seeds": [s["seed"] for s in per_seed if s["aborted"]],
-    }
-    return agg
-
-
-def _seed_payload(res: SeedResult, refs: dict) -> dict:
-    return {
-        "seed": res.seed,
-        "eval_steps": res.eval_steps,
-        "eval_returns": res.eval_returns,
-        "eval_normalized": [normalized_score(r, refs) for r in res.eval_returns],
-        "final_k_mean_raw": res.final_k_mean_raw,
-        "final_k_mean_normalized": res.final_k_mean_normalized,
-        "aborted": res.aborted,
-        "abort_step": res.abort_step,
-        "flags": res.flags,
     }
 
 
@@ -477,15 +462,15 @@ def _timed_build(spec: SamplerSpec, ds, tr):
     return sampler, time.perf_counter() - t0
 
 
-def _stage(results: list, refs: dict):
-    """(block, timing, losses) of one arm or stage: the report's
-    ``{per_seed, aggregate, flags}`` block, plus per-seed timings and loss
-    rows keyed by string seed."""
-    per_seed = [_seed_payload(r, refs) for r in results]
+def _stage(results: list):
+    """(block, timing, losses) of one arm or stage from its seeds' ``(entry,
+    timing, losses)``: the report's ``{per_seed, aggregate, flags}`` block,
+    plus per-seed timings and loss rows keyed by string seed."""
+    per_seed = [entry for entry, _, _ in results]
     block = {"per_seed": per_seed, "aggregate": _aggregate(per_seed),
-             "flags": sorted({f for r in results for f in r.flags})}
-    timing = {str(r.seed): r.timing for r in results}
-    return block, timing, {str(r.seed): r.losses for r in results}
+             "flags": sorted({f for entry in per_seed for f in entry["flags"]})}
+    timing = {str(entry["seed"]): t for entry, t, _ in results}
+    return block, timing, {str(entry["seed"]): rows for entry, _, rows in results}
 
 
 def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> dict:
@@ -495,20 +480,19 @@ def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> 
 
 def _seed_job(shared, seed):
     ds, mdp, cfg, sampler, build_s = shared
-    res = train_single_seed(ds, mdp, cfg.algo, sampler, build_s, cfg.eval, cfg.root_seed, seed)
-    res.state = None  # pickles cheaply back from worker processes
-    return res
+    entry, timing, losses, _ = train_single_seed(ds, mdp, cfg.algo, sampler, build_s,
+                                                 cfg.eval, cfg.root_seed, seed)
+    return entry, timing, losses  # no learner state: pickles cheaply back from workers
 
 
 def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1):
     """One sampler arm on prepared data: build its table once, train every
     seed; returns (report, timing, losses)."""
     ds, tr, mdp, checksum = prepared
-    refs = mdp.reference_scores
     sampler, build_s = _timed_build(cfg.sampler, ds, tr)
     results = _map_seeds(_seed_job, (ds, mdp, cfg, sampler, build_s), cfg.eval.seeds, jobs)
-    block, timing, losses = _stage(results, refs)
-    report = {**_run_header("experiment", cfg, refs, checksum()), **block}
+    block, timing, losses = _stage(results)
+    report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum()), **block}
     return report, {"per_seed": timing}, losses
 
 
@@ -519,30 +503,30 @@ def run_training(cfg: ExperimentConfig, jobs: int = 1):
 
 
 def _two_stage_seed_job(shared, seed):
-    """One seed of two-stage training; returns (stage-1, stage-2, heads equal).
+    """One seed of two-stage training; returns (stage-1, stage-2, heads equal),
+    each stage as ``(entry, timing, losses)``.
 
     Stage one trains ``stage1_steps`` on the uniform table and is saved to
     ``<ckpt_dir>/stage1_seed{seed}.orck``. Stage two reloads that file and
     trains ``stage2_steps`` on the stage-two table. Both tables come built,
-    with their build seconds. Results drop their learner state so they
+    with their build seconds. Results leave out the learner states so they
     pickle cheaply back from worker processes.
     """
     ds, mdp, cfg, (stage1, build1_s), (stage2, build2_s), ckpt_dir = shared
     dered = cfg.dered
 
-    res1 = train_single_seed(ds, mdp, cfg.algo, stage1, build1_s, cfg.eval,
-                             cfg.root_seed, seed, total_steps=dered.stage1_steps)
+    *res1, state1 = train_single_seed(ds, mdp, cfg.algo, stage1, build1_s, cfg.eval,
+                                      cfg.root_seed, seed, total_steps=dered.stage1_steps)
     path = os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
-    save_checkpoint(path, res1.state.nets)
+    save_checkpoint(path, state1.nets)
     nets, _ = load_checkpoint(path)
     # init_learner inside train_single_seed builds fresh optimizer moments
-    res2 = train_single_seed(ds, mdp, cfg.algo, stage2, build2_s, cfg.eval,
-                             cfg.root_seed, seed, total_steps=dered.stage2_steps,
-                             resume_nets=nets, freeze_head=dered.freeze_head,
-                             backbone_mult=dered.backbone_lr_mult)
-    heads_equal = all(res2.state.nets[name].head_params().tobytes()
+    *res2, state2 = train_single_seed(ds, mdp, cfg.algo, stage2, build2_s, cfg.eval,
+                                      cfg.root_seed, seed, total_steps=dered.stage2_steps,
+                                      resume_nets=nets, freeze_head=dered.freeze_head,
+                                      backbone_mult=dered.backbone_lr_mult)
+    heads_equal = all(state2.nets[name].head_params().tobytes()
                       == net.head_params().tobytes() for name, net in nets.items())
-    res1.state = res2.state = None
     return res1, res2, heads_equal
 
 
@@ -564,7 +548,6 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
         raise ConfigError("two_stage_train requires the 'dered' config block")
     with _prepare(cfg.dataset, jobs) as (ds, tr, mdp, checksum):
         refs = mdp.reference_scores
-        dered = cfg.dered
         # one table per stage, shared by every seed; stage two rebalances even
         # when the config says uniform
         tables = (_timed_build(replace(cfg.sampler, mode="uniform"), ds, tr),
@@ -581,10 +564,10 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
                                  cfg.eval.seeds, jobs)
 
     for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results):
-        if dered.freeze_head and not heads_equal:
+        if cfg.dered.freeze_head and not heads_equal:
             raise RuntimeError(f"seed {seed}: frozen heads changed during stage 2")
 
-    (s1, t1, l1), (s2, t2, l2) = (_stage([r[i] for r in results], refs) for i in (0, 1))
+    (s1, t1, l1), (s2, t2, l2) = (_stage([r[i] for r in results]) for i in (0, 1))
     s2["head_checks"] = [{"seed": seed, "heads_bitwise_equal": bool(heads_equal)}
                          for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results)]
     m1, m2 = s1["aggregate"]["mean_normalized"], s2["aggregate"]["mean_normalized"]
@@ -612,19 +595,19 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
     is the uniform sampler."""
     if not values:
         raise ConfigError("need at least one p_base value")
-    columns, runs = [], {}
+    arms = {}
+    for v in values:
+        if isinstance(v, str) and v.lower() in ("inf", "infinity"):
+            label, spec = "inf", replace(cfg.sampler, mode="uniform")
+        else:
+            label = repr(float(v))
+            spec = replace(cfg.sampler, mode="return_resample", p_base=float(v))
+        if label in arms:
+            raise ConfigError(f"p_base value {v!r} repeats the column {label!r}")
+        arms[label] = replace(cfg, sampler=spec)
     with _prepare(cfg.dataset, jobs) as prepared:
-        for v in values:
-            if isinstance(v, str) and v.lower() in ("inf", "infinity"):
-                label = "inf"
-                arm = replace(cfg, sampler=replace(cfg.sampler, mode="uniform"))
-            else:
-                label = repr(float(v))
-                arm = replace(cfg, sampler=replace(cfg.sampler, mode="return_resample",
-                                                   p_base=float(v)))
-            runs[label] = _run_arm(arm, prepared, jobs)
-            columns.append(label)
-    return _arms_table("pbase_sweep", cfg, "columns", columns, runs)
+        runs = {label: _run_arm(arm, prepared, jobs) for label, arm in arms.items()}
+    return _arms_table("pbase_sweep", cfg, "columns", list(arms), runs)
 
 
 COMPARE_ARMS = ("uniform", "return_resample", "reward_resample", "top_fraction")

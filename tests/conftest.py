@@ -30,14 +30,13 @@ def one_blas_thread():
 
 
 @pytest.fixture(autouse=True)
-def no_thread_outlives_a_runner(request):
-    """Harness and CLI tests: every thread a runner starts (the dataset
-    hashing thread) is joined by the time the runner returns or raises."""
+def no_thread_outlives_a_runner():
+    """Every thread a test starts, such as a runner's dataset hashing
+    thread, is joined by the time the test ends."""
     before = set(threading.enumerate())
     yield
-    if request.path.name in ("test_harness.py", "test_cli.py", "test_acceptance.py"):
-        left = [t.name for t in threading.enumerate() if t not in before]
-        assert not left, f"threads still alive after the test: {left}"
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still alive after the test: {left}"
 
 
 @pytest.fixture(scope="session")

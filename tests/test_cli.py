@@ -258,6 +258,21 @@ def test_arms_jobs_match_sequential(tmp_path, command, extra):
         assert (par / name).read_bytes() == (seq / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("header,message", [
+    ({"n_transitions": -4, "n_trajectories": 2470}, "header field n_transitions is -4, below 0"),
+    ({"n_transitions": 788, "n_trajectories": -5}, "header field n_trajectories is -5, below 0"),
+])
+def test_negative_header_count_exits_two(tmp_path, capsys, header, message):
+    # 780 records of 50 bytes and 20 bounds of 16: both headers still add up
+    # to the payload length, so only the sign check catches them
+    good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(good)])
+    _refit_ords(good, bad, header=header)
+    capsys.readouterr()
+    assert main(["stats", "--dataset", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path)
@@ -437,6 +452,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"algo": {"family": "q_plus_bc"}}))
     assert main(["train", "--config", str(missing), "--out", str(tmp_path / "o3")]) == 2
+    capsys.readouterr()
+    # a seed or sweep arm listed twice would be trained twice
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o4"),
+                 "eval.seeds=[1,2,1]"]) == 2
+    assert "seed 1 is listed more than once" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o5"),
+                 "--values", "0.2,0.20,inf,infinity"]) == 2
+    assert "p_base value 0.2 repeats the column '0.2'" in capsys.readouterr().err
+    assert not (tmp_path / "o4").exists() and not (tmp_path / "o5").exists()
 
 
 DERED = {"stage1_steps": 40, "stage2_steps": 20}

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
                                  compute_trajectory_returns, dataset_equal,
                                  load_dataset, normalized_return,
                                  return_histogram, save_dataset)
+from red_offline.cli import main
+from red_offline.envsuite import generate_dataset, preset_config
 from conftest import make_dataset
 
 PRESET_NAMES = ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
@@ -296,6 +299,38 @@ def test_equal_sums_give_bitwise_equal_returns():
     tr = compute_trajectory_returns(ds)
     assert tr.returns[1] == tr.returns[2] == math.fsum([0.1, 0.2, 0.3])
     assert tr.r_min == tr.returns[1]
+
+
+@pytest.mark.parametrize("rewards,reason", [([np.inf, 1.0, -np.inf], "-inf + inf"),
+                                            ([1e308, 1e308], "overflow")])
+def test_reward_sums_without_a_float64_value_name_their_trajectory(tmp_path, capsys,
+                                                                  rewards, reason):
+    # NaN and one-signed infinite rewards still give NaN and infinite returns
+    ok = [[1.0, 2.0], [np.nan, 1.0], [np.inf, 2.0], [-np.inf]]
+    assert [str(r) for r in compute_trajectory_returns(make_dataset(ok)).returns] == [
+        "3.0", "nan", "inf", "-inf"]
+    ds = make_dataset(ok[:2] + [rewards] + ok[2:])
+    named = "trajectory 2: rewards have no float64 sum: .*" + re.escape(reason)
+    with pytest.raises(DatasetError, match=named):
+        compute_trajectory_returns(ds)
+    path = tmp_path / "bad.ords"
+    save_dataset(ds, path)
+    assert main(["stats", "--dataset", str(path)]) == 2
+    assert "error: trajectory 2: rewards have no float64 sum" in capsys.readouterr().err
+
+
+def test_returns_allocate_little_beyond_their_broadcast():
+    # the per-transition broadcast is 8 bytes a transition; per-trajectory
+    # sums must not add full-length temporaries on top of it
+    ds = generate_dataset(preset_config("replay_analog", seed=0, n_trajectories=5000))
+    assert len(ds) > 190_000
+    tracemalloc.start()
+    try:
+        compute_trajectory_returns(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(ds), f"{peak / len(ds):.1f} bytes per transition"
 
 
 def reference_validation_error(terminals, timeouts, bounds, n):

@@ -66,6 +66,10 @@ def test_config_rejects_unknown_keys_and_bad_types():
         config_from_dict(data)
     with pytest.raises(ConfigError, match="exactly one"):
         DatasetSource(preset="a", path="b")
+    data = config_to_dict(small_config())
+    data["eval"]["seeds"] = [0, 1, 0]
+    with pytest.raises(ConfigError, match="seed 0 is listed more than once"):
+        config_from_dict(data)
 
 
 def test_overrides_dotted_paths():
@@ -277,6 +281,11 @@ def test_sweep_pbase_table_shape_and_inf_column():
     inf_cfg = table["reports"]["inf"]["config"]
     assert inf_cfg["sampler"]["mode"] == "uniform"
     assert set(table["scores"]) == {"0.0", "inf"}
+    # a repeated column is rejected before the (here missing) dataset is read
+    missing = replace(cfg, dataset=DatasetSource(path="missing.ords"))
+    for values in ([0.2, 0.20], ["inf", 1.0, "Infinity"]):
+        with pytest.raises(ConfigError, match="repeats the column"):
+            sweep_pbase(missing, values)
 
 
 def test_sweep_deviation_decreases_with_pbase(preset_dataset):
