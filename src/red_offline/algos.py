@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import apply_update, backward, forward, forward_cache, init_mlp, init_optim
+from .nncore import (ACTIVATIONS, apply_update, backward, forward, forward_cache, init_mlp,
+                     init_optim)
 
 FAMILIES = ("expectile_awr", "conservative_q", "exp_adv_regression", "q_plus_bc")
 
@@ -71,12 +72,16 @@ class AlgoConfig:
             raise ValueError("gamma must be in [0, 1]")
         if not 0.0 < self.tau_expectile < 1.0:
             raise ValueError("tau_expectile must be in (0, 1)")
-        if self.beta_awr <= 0 or self.w_max <= 0:
+        if not (self.beta_awr > 0 and self.w_max > 0):  # NaN fails too
             raise ValueError("beta_awr and w_max must be > 0")
-        if self.cql_weight < 0 or self.bc_weight < 0:
-            raise ValueError("cql_weight and bc_weight must be >= 0")
+        if not (self.cql_weight >= 0 and self.bc_weight >= 0 and self.lr >= 0):
+            raise ValueError("cql_weight, bc_weight and lr must be >= 0")
         if min(self.target_update_period, self.batch_size, self.total_steps) < 1:
             raise ValueError("periods, batch size and step counts must be >= 1")
+        if not (self.hidden_units >= 1 and self.n_hidden_layers >= 0):
+            raise ValueError("hidden_units must be >= 1 and n_hidden_layers >= 0")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
 
 def expectile_loss(u, tau: float) -> float:

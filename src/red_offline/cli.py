@@ -86,9 +86,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _load_with_returns(path):
+    """(dataset, trajectory returns) of a dataset file; every error names the file."""
+    ds = load_dataset(path)
+    try:
+        return ds, compute_trajectory_returns(ds)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
+
+
 def cmd_stats(args) -> int:
-    ds = load_dataset(args.dataset)
-    tr = compute_trajectory_returns(ds)
+    ds, tr = _load_with_returns(args.dataset)
     hist = return_histogram(tr, args.bins)
     out = args.out or args.dataset + ".hist.csv"
     _write(out, histogram_csv(hist))
@@ -106,8 +114,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rebalance_preview(args) -> int:
-    ds = load_dataset(args.dataset)
-    tr = compute_trajectory_returns(ds)
+    _, tr = _load_with_returns(args.dataset)
     weights = normalized_return(tr, args.p_base)
     probs = sampling_distribution(weights, args.alpha)
     n = len(probs)
@@ -226,8 +233,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args.config, args.override)
-    run = harness.compare_rebalance_methods(cfg, fraction=args.fraction, jobs=args.jobs)
+    fraction = [] if args.fraction is None else [f"sampler.fraction={args.fraction!r}"]
+    cfg = _load_config(args.config, args.override + fraction)
+    run = harness.compare_rebalance_methods(cfg, jobs=args.jobs)
     return _finish_arms(args, run, "arms", "compare", "rebalance comparison")
 
 
@@ -338,7 +346,7 @@ def build_parser() -> _Parser:
             p.add_argument("--values", default="0,0.2,0.5,1.0,inf",
                            help="comma-separated p_base values ('inf' = uniform)")
         if "fraction" in extra:
-            p.add_argument("--fraction", type=float, default=0.1)
+            p.add_argument("--fraction", type=float, help="overrides sampler.fraction")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("report", help="merge run directories into one table")

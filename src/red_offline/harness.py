@@ -38,6 +38,7 @@ import json
 import os
 import tempfile
 import time
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -78,6 +79,11 @@ class DatasetSource:
     def __post_init__(self):
         if (self.preset is None) == (self.path is None):
             raise ConfigError("dataset needs exactly one of 'preset' or 'path'")
+        if self.path is not None and (self.seed, self.n_trajectories) != (None, None):
+            raise ConfigError("'seed' and 'n_trajectories' apply to a preset, not to a 'path'")
+        if (self.seed is not None and self.seed < 0
+                or self.n_trajectories is not None and self.n_trajectories < 1):
+            raise ConfigError("seed must be >= 0 and n_trajectories >= 1")
 
     @property
     def label(self) -> str:
@@ -92,7 +98,7 @@ class EvalConfig:
     eval_every: int = 1000
     episodes_per_eval: int = 10
     final_k: int = 10
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
         if min(self.eval_every, self.episodes_per_eval, self.final_k) < 1:
@@ -119,9 +125,9 @@ class DeredConfig:
     freeze_head: bool = True
 
     def __post_init__(self):
-        if self.stage1_steps < 1 or self.stage2_steps < 0:
+        if not (self.stage1_steps >= 1 and self.stage2_steps >= 0):
             raise ConfigError("stage1_steps must be >= 1 and stage2_steps >= 0")
-        if self.backbone_lr_mult < 0:
+        if not self.backbone_lr_mult >= 0:  # NaN fails too
             raise ConfigError("backbone_lr_mult must be >= 0")
 
 
@@ -138,63 +144,45 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config <-> JSON
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["eval"]["seeds"] = list(cfg.eval.seeds)
-    return out
+config_to_dict = dataclasses.asdict
+
+_EXPECTED = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+             tuple: "a list"}
+
+
+def _read_value(kind, value, path: str):
+    """A JSON value as its field's annotation ``kind``: a nested config for a
+    dataclass, None only where ``kind`` admits it, a tuple from a list."""
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        kind = args[0]
+    if dataclasses.is_dataclass(kind):
+        return _build_dataclass(kind, value, path)
+    base = typing.get_origin(kind) or kind  # tuple[int, ...] -> tuple
+    if base is tuple and isinstance(value, (list, tuple)):
+        return tuple(_read_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if {int: number and integral, float: number}.get(base, isinstance(value, base)):
+        return base(value)
+    raise ConfigError(f"{path}: expected {_EXPECTED[base]}, got {value!r}")
 
 
 def _build_dataclass(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        kwargs[name] = _coerce_field(fields[name], value, f"{path}.{name}")
+    kwargs = {name: _read_value(fields[name], value, f"{path}.{name}")
+              for name, value in data.items()}
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-_NESTED = {
-    "dataset": DatasetSource,
-    "algo": AlgoConfig,
-    "sampler": SamplerSpec,
-    "eval": EvalConfig,
-    "dered": DeredConfig,
-}
-
-
-def _coerce_field(fld, value, path: str):
-    if value is None:
-        return None
-    if fld.name in _NESTED and isinstance(value, dict):
-        return _build_dataclass(_NESTED[fld.name], value, path)
-    if fld.type in ("int", int):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return int(value)
-    if fld.type in ("float", float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if fld.type in ("bool", bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
-    if fld.type in ("str", str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if fld.name == "seeds":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list of integers")
-        return tuple(value)
-    return value
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -245,14 +233,15 @@ def prepare_dataset(source: DatasetSource):
         ds = generate_dataset(preset_config(source.preset, seed=source.seed,
                                             n_trajectories=source.n_trajectories))
     try:
+        tr = compute_trajectory_returns(ds)
         mdp = env_from_name(ds.meta.env_name)
-    except ValueError as exc:
+    except ValueError as exc:  # DatasetError included
         raise DatasetError(f"{source.label}: {exc}") from exc
     fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
     if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
         raise DatasetError(f"{source.label}: dataset has obs_dim {ds.meta.obs_dim} and action "
                            f"{ds.meta.action}, but {mdp.name} needs {fits}")
-    return ds, compute_trajectory_returns(ds), mdp
+    return ds, tr, mdp
 
 
 def dataset_checksum(ds: OfflineDataset) -> str:
@@ -613,19 +602,16 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
 COMPARE_ARMS = ("uniform", "return_resample", "reward_resample", "top_fraction")
 
 
-def compare_rebalance_methods(cfg: ExperimentConfig, fraction: float = 0.1, jobs: int = 1):
+def compare_rebalance_methods(cfg: ExperimentConfig, jobs: int = 1):
     """Four arms (uniform / return / reward / top-fraction), same seeds and data.
 
-    The dataset is prepared and checksummed once, so every arm sees the same
-    bits by construction.
+    Each arm is ``cfg.sampler`` with its own mode, so the top-fraction arm
+    keeps ``cfg.sampler.fraction``. The dataset is prepared and checksummed
+    once, so every arm sees the same bits by construction.
     """
-    runs = {}
     with _prepare(cfg.dataset, jobs) as prepared:
-        for arm_mode in COMPARE_ARMS:
-            spec = replace(cfg.sampler, mode=arm_mode)
-            if arm_mode == "top_fraction":
-                spec = replace(spec, fraction=fraction)
-            runs[arm_mode] = _run_arm(replace(cfg, sampler=spec), prepared, jobs)
+        runs = {arm: _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode=arm)), prepared, jobs)
+                for arm in COMPARE_ARMS}
     table, timing, losses = _arms_table("rebalance_compare", cfg, "arms", list(COMPARE_ARMS), runs)
     return {**table, "dataset_checksum": prepared[3]()}, timing, losses
 

@@ -16,7 +16,7 @@ from .io_envelope import EnvelopeError, read_envelope, write_envelope
 CKPT_MAGIC = b"ORCK"
 CKPT_VERSION = 1
 
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
@@ -47,8 +47,8 @@ class Mlp:
 
     def __init__(self, weights, biases, activation: str, split_point: int | None = None,
                  init_seed: int = 0):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if len(weights) != len(biases) or not weights:
             raise ValueError("weights and biases must be non-empty and aligned")
         for i in range(len(weights) - 1):

@@ -38,9 +38,9 @@ class SamplerSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown sampler mode {self.mode!r}, expected one of {MODES}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN fails too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.p_base < 0:
+        if not self.p_base >= 0:
             raise ValueError(f"p_base must be >= 0, got {self.p_base}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")

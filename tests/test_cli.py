@@ -9,6 +9,7 @@ import pytest
 from red_offline.cli import main
 from red_offline.dataset import compute_trajectory_returns, load_dataset, return_histogram
 from red_offline.harness import blas_threads
+from red_offline.sampler import build_sampler
 
 from conftest import src_env
 
@@ -375,6 +376,28 @@ def test_compare_emits_four_arm_csv(tmp_path):
     assert header == "task,uniform,return_resample,reward_resample,top_fraction"
 
 
+@pytest.mark.parametrize("flag,fraction", [([], 0.5), (["--fraction", "0.3"], 0.3)],
+                         ids=["config", "flag"])
+def test_compare_top_fraction_arm_uses_sampler_fraction(tmp_path, monkeypatch, flag, fraction):
+    # without the flag the config's sampler.fraction holds; the flag overrides it in every arm
+    from red_offline import harness as hmod
+    specs = []
+
+    def spy(spec, ds, tr):
+        specs.append(spec)
+        return build_sampler(spec, ds, tr)
+
+    monkeypatch.setattr(hmod, "build_sampler", spy)
+    cfg = write_config(tmp_path, sampler={"fraction": 0.5}, algo={"total_steps": 20},
+                       eval={"final_k": 1})
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), *flag]) == 0
+    assert [s.fraction for s in specs if s.mode == "top_fraction"] == [fraction]
+    reports = json.loads((out / "report.json").read_text())["reports"]
+    assert {arm: r["config"]["sampler"]["fraction"] for arm, r in reports.items()} == {
+        arm: fraction for arm in ("uniform", "return_resample", "reward_resample", "top_fraction")}
+
+
 def test_sweep_emits_table(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "sweep"
@@ -461,6 +484,38 @@ def test_config_errors_exit_two(tmp_path, capsys):
                  "--values", "0.2,0.20,inf,infinity"]) == 2
     assert "p_base value 0.2 repeats the column '0.2'" in capsys.readouterr().err
     assert not (tmp_path / "o4").exists() and not (tmp_path / "o5").exists()
+
+
+BAD_CONFIG_VALUES = [
+    ("algo=null", "config.algo: expected an object"),
+    ("eval=null", "config.eval: expected an object"),
+    ("sampler=null", "config.sampler: expected an object"),
+    ("algo.lr=null", "config.algo.lr: expected a number"),
+    ("algo.total_steps=1e400", "config.algo.total_steps: expected an integer"),
+    ("algo.total_steps=NaN", "config.algo.total_steps: expected an integer"),
+    ("root_seed=null", "config.root_seed: expected an integer"),
+    ("algo.lr=-1", "config.algo: cql_weight, bc_weight and lr must be >= 0"),
+    ("algo.hidden_units=0", "config.algo: hidden_units must be >= 1"),
+    ('algo.activation="sigmoid"', "config.algo: activation must be one of"),
+    ("sampler.p_base=NaN", "config.sampler: p_base must be >= 0"),
+    ("sampler.alpha=NaN", "config.sampler: alpha must be >= 0"),
+    ("dataset.seed=-1", "config.dataset: seed must be >= 0"),
+    ('dataset={"path": "x.ords", "seed": 5, "n_trajectories": 3}',
+     "config.dataset: 'seed' and 'n_trajectories' apply to a preset"),
+    ("eval.seeds=[0.5,1]", "config.eval.seeds[0]: expected an integer"),
+    ('eval.seeds=["3"]', "config.eval.seeds[0]: expected an integer"),
+    ("eval.seeds=[true]", "config.eval.seeds[0]: expected an integer"),
+]
+
+
+@pytest.mark.parametrize("override,field", BAD_CONFIG_VALUES,
+                         ids=[override for override, _ in BAD_CONFIG_VALUES])
+def test_bad_config_value_exits_two_naming_its_field(tmp_path, capsys, override, field):
+    out = tmp_path / "o"
+    assert main(["train", "--config", str(write_config(tmp_path)), "--out", str(out),
+                 override]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 DERED = {"stage1_steps": 40, "stage2_steps": 20}

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -315,8 +316,14 @@ def test_reward_sums_without_a_float64_value_name_their_trajectory(tmp_path, cap
         compute_trajectory_returns(ds)
     path = tmp_path / "bad.ords"
     save_dataset(ds, path)
-    assert main(["stats", "--dataset", str(path)]) == 2
-    assert "error: trajectory 2: rewards have no float64 sum" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": {"path": str(path)}}))
+    for command in (["stats", "--dataset", str(path)],
+                    ["rebalance-preview", "--dataset", str(path)],
+                    ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: trajectory 2: rewards have no float64 sum" in err, command
 
 
 def test_returns_allocate_little_beyond_their_broadcast():

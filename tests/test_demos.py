@@ -1,14 +1,19 @@
 import ast
 import importlib
+import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from red_offline.harness import config_from_dict
+
 from conftest import src_env
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_datasets_and_returns.py", "02_rebalanced_sampling.py"])
@@ -29,3 +34,10 @@ def test_every_demo_import_resolves_on_the_package():
     missing = [(demo, module, name) for demo, module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def test_readme_config_loads():
+    blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    cfg = config_from_dict(json.loads(blocks[0]))
+    assert cfg.dataset.preset == "replay_analog" and cfg.dered is not None

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -70,6 +72,71 @@ def test_config_rejects_unknown_keys_and_bad_types():
     data["eval"]["seeds"] = [0, 1, 0]
     with pytest.raises(ConfigError, match="seed 0 is listed more than once"):
         config_from_dict(data)
+    # null only where the annotation admits None; NaN fails every range check
+    for override, message in (
+            ("root_seed=null", "config.root_seed: expected an integer, got None"),
+            ("algo=null", "config.algo: expected an object, got NoneType"),
+            ("algo.lr=null", "config.algo.lr: expected a number, got None"),
+            ("algo.total_steps=1e400", "config.algo.total_steps: expected an integer, got inf"),
+            ("algo.total_steps=NaN", "config.algo.total_steps: expected an integer, got nan"),
+            ("algo.lr=-1", "config.algo: cql_weight, bc_weight and lr must be >= 0"),
+            ("algo.beta_awr=NaN", "config.algo: beta_awr and w_max must be > 0"),
+            ("algo.hidden_units=0", "config.algo: hidden_units must be >= 1"),
+            ("algo.n_hidden_layers=-1", "and n_hidden_layers >= 0"),
+            ('algo.activation="sigmoid"', "config.algo: activation must be one of"),
+            ("sampler.alpha=NaN", "config.sampler: alpha must be >= 0, got nan"),
+            ("sampler.p_base=NaN", "config.sampler: p_base must be >= 0, got nan"),
+            ('dered={"backbone_lr_mult": NaN}', "config.dered: backbone_lr_mult must be >= 0"),
+            ("dataset.seed=-1", "config.dataset: seed must be >= 0"),
+            ("dataset.n_trajectories=0", "seed must be >= 0 and n_trajectories >= 1"),
+            ('dataset={"path": "d", "seed": 5}', "config.dataset: 'seed' and 'n_trajectories'"),
+            ('dataset={"path": "d", "n_trajectories": 3}', "apply to a preset, not to a 'path'"),
+            ("eval.seeds=[1,0.5]", "config.eval.seeds[1]: expected an integer, got 0.5"),
+            ('eval.seeds=["3"]', "config.eval.seeds[0]: expected an integer, got '3'"),
+            ("eval.seeds=[true]", "config.eval.seeds[0]: expected an integer, got True")):
+        data = apply_overrides(config_to_dict(small_config()), [override])
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(data)
+    data = apply_overrides(config_to_dict(small_config()),
+                           ["dered=null", "dataset.seed=null", "eval.seeds=[2,3.0]"])
+    assert config_from_dict(data) == replace(small_config(), eval=replace(
+        small_config().eval, seeds=(2, 3)))
+
+
+NON_DEFAULT_STRINGS = {"family": "conservative_q", "activation": "tanh", "mode": "top_fraction",
+                       "preset": "expert_analog", "path": "data.ords"}
+
+
+def non_default_config(cls, skip=(), **given):
+    """``cls`` with every field not in ``given`` or ``skip`` set to a value of
+    its annotated type that differs from the field's default."""
+    kwargs = dict(given)
+    for f in dataclasses.fields(cls):
+        if f.name in given or f.name in skip:
+            continue
+        kind = f.type
+        if type(None) in typing.get_args(kind):
+            kind = typing.get_args(kind)[0]
+        base = typing.get_origin(kind) or kind
+        if dataclasses.is_dataclass(kind):
+            value = non_default_config(kind)
+        else:
+            value = {bool: lambda: not f.default, int: lambda: (f.default or 0) + 3,
+                     float: lambda: f.default / 2 + 0.3, tuple: lambda: (7, 3),
+                     str: lambda: NON_DEFAULT_STRINGS[f.name]}[base]()
+        assert value != f.default, f.name
+        kwargs[f.name] = value
+    return cls(**kwargs)
+
+
+def test_every_config_field_survives_json():
+    # the reader must parse every annotation a config field has: a field it
+    # cannot read fails here, not on a user's config
+    for source in (non_default_config(DatasetSource, skip={"path"}),
+                   non_default_config(DatasetSource, skip={"preset", "seed", "n_trajectories"})):
+        cfg = non_default_config(ExperimentConfig, dataset=source)
+        assert cfg.dered is not None and cfg.eval.seeds == (7, 3)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_overrides_dotted_paths():
@@ -307,7 +374,7 @@ def test_compare_rebalance_methods_schema():
                         lr=1e-3, hidden_units=16, target_update_period=20),
         eval=EvalConfig(eval_every=20, episodes_per_eval=1, final_k=2, seeds=(0, 1)),
     )
-    table, _, _ = compare_rebalance_methods(cfg, fraction=0.1)
+    table, _, _ = compare_rebalance_methods(cfg)
     assert table["arms"] == ["uniform", "return_resample", "reward_resample", "top_fraction"]
     checksums = {table["reports"][m]["dataset_checksum"] for m in table["arms"]}
     assert len(checksums) == 1
