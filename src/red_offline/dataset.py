@@ -18,6 +18,7 @@ from .io_envelope import EnvelopeError, read_envelope, write_envelope
 
 ORDS_MAGIC = b"ORDS"
 ORDS_VERSION = 1
+BLOCK_RECORDS = 65_536  # records packed or parsed per file read or write
 
 
 class DatasetError(ValueError):
@@ -122,14 +123,14 @@ class OfflineDataset:
         return len(self.traj_bounds)
 
     def batch(self, idx: np.ndarray) -> dict:
-        """Gather a training batch by transition indices."""
+        """Gather a training batch by transition indices (``take``: faster, same values)."""
         return {
-            "obs": self.obs[idx],
-            "action": self.actions[idx],
-            "reward": self.rewards[idx],
-            "next_obs": self.next_obs[idx],
-            "terminal": self.terminals[idx],
-            "timeout": self.timeouts[idx],
+            "obs": self.obs.take(idx, axis=0),
+            "action": self.actions.take(idx),
+            "reward": self.rewards.take(idx),
+            "next_obs": self.next_obs.take(idx, axis=0),
+            "terminal": self.terminals.take(idx),
+            "timeout": self.timeouts.take(idx),
         }
 
 
@@ -222,15 +223,8 @@ def _record_dtype(meta: DatasetMeta) -> np.dtype:
 
 
 def save_dataset(ds: OfflineDataset, path) -> None:
-    """Write a dataset as a versioned binary file with bit-exact round-trip."""
+    """Write a dataset as a versioned binary file, one block of records at a time."""
     meta = ds.meta
-    rec = np.zeros(len(ds), dtype=_record_dtype(meta))
-    rec["obs"] = ds.obs
-    rec["action"] = ds.actions
-    rec["reward"] = ds.rewards
-    rec["next_obs"] = ds.next_obs
-    rec["terminal"] = ds.terminals
-    rec["timeout"] = ds.timeouts
     header = {
         "obs_dim": meta.obs_dim,
         "action": meta.action,
@@ -239,58 +233,66 @@ def save_dataset(ds: OfflineDataset, path) -> None:
         "n_transitions": len(ds),
         "n_trajectories": ds.n_trajectories,
     }
-    write_envelope(path, ORDS_MAGIC, ORDS_VERSION, header,
-                   rec.tobytes() + ds.traj_bounds.astype("<u8").tobytes())
+    write_envelope(path, ORDS_MAGIC, ORDS_VERSION, header, _packed_blocks(ds))
+
+
+def _packed_blocks(ds: OfflineDataset):
+    fields = (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts)
+    block = np.zeros(min(len(ds), BLOCK_RECORDS), dtype=_record_dtype(ds.meta))
+    for start in range(0, len(ds), BLOCK_RECORDS):
+        rec = block[:len(ds) - start]
+        for name, field in zip(rec.dtype.names, fields):
+            rec[name] = field[start:start + len(rec)]
+        yield rec
+    yield ds.traj_bounds.astype("<i8", copy=False)  # the u64 bytes of non-negative int64s
 
 
 def load_dataset(path) -> OfflineDataset:
-    """Read a dataset file; raises DatasetError naming the offending record."""
+    """Read a dataset file block by block; raises DatasetError naming the offending record."""
+    with open(path, "rb") as f:
+        try:
+            _, header, size = read_envelope(f, ORDS_MAGIC, ORDS_VERSION)
+        except EnvelopeError as exc:
+            raise DatasetError(str(exc)) from exc
+        try:
+            meta = DatasetMeta(
+                obs_dim=int(header["obs_dim"]),
+                action=dict(header["action"]),
+                env_name=str(header["env_name"]),
+                seed=int(header["seed"]),
+            )
+            n = int(header["n_transitions"])
+            n_traj = int(header["n_trajectories"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}: header missing or malformed field: {exc}") from exc
+        for name, count in (("n_transitions", n), ("n_trajectories", n_traj)):
+            if count < 0:
+                raise DatasetError(f"{path}: header field {name} is {count}, below 0")
+        dtype = _record_dtype(meta)
+        expected = n * dtype.itemsize + n_traj * 16
+        if size != expected:
+            raise DatasetError(
+                f"{path}: payload has {size} bytes, expected {expected}; "
+                f"transitions block ends inside record {min(size // dtype.itemsize, n)}")
+        # the dataset's own arrays, in record and constructor order
+        kinds = (np.float64, np.int64, np.float64, np.float64, bool, bool)
+        arrays = [np.empty((n, *dtype[name].shape), kind) for name, kind in zip(dtype.names, kinds)]
+        block, got = np.empty(min(n, BLOCK_RECORDS), dtype=dtype), 0
+        for start in range(0, n, BLOCK_RECORDS):
+            rec = block[:n - start]
+            got += f.readinto(rec)
+            # NaN and inf pass here and fail the action range check
+            bad = np.flatnonzero(np.abs(rec["action"] - np.rint(rec["action"])) > 0)
+            if bad.size:
+                raise DatasetError(f"{path}: record {start + bad[0]}: non-integer discrete "
+                                   f"action {rec['action'][bad[0]]}")
+            for name, out in zip(dtype.names, arrays):  # an integral action casts exactly
+                out[start:start + len(rec)] = rec[name]
+        bounds = np.empty((n_traj, 2), "<u8")
+        if got + f.readinto(bounds) != size:
+            raise DatasetError(f"{path}: file shrank while being read")
     try:
-        _, header, payload = read_envelope(path, ORDS_MAGIC, ORDS_VERSION)
-    except EnvelopeError as exc:
-        raise DatasetError(str(exc)) from exc
-    try:
-        meta = DatasetMeta(
-            obs_dim=int(header["obs_dim"]),
-            action=dict(header["action"]),
-            env_name=str(header["env_name"]),
-            seed=int(header["seed"]),
-        )
-        n = int(header["n_transitions"])
-        n_traj = int(header["n_trajectories"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"{path}: header missing or malformed field: {exc}") from exc
-    for name, count in (("n_transitions", n), ("n_trajectories", n_traj)):
-        if count < 0:
-            raise DatasetError(f"{path}: header field {name} is {count}, below 0")
-    dtype = _record_dtype(meta)
-    body = n * dtype.itemsize
-    tail = n_traj * 16
-    if len(payload) != body + tail:
-        got_records = len(payload) // dtype.itemsize
-        raise DatasetError(
-            f"{path}: payload has {len(payload)} bytes, expected {body + tail}; "
-            f"transitions block ends inside record {min(got_records, n)}")
-    rec = np.frombuffer(payload[:body], dtype=dtype)
-    bounds = np.frombuffer(payload[body:], dtype="<u8").reshape(n_traj, 2)
-    actions = rec["action"]
-    rounded = np.rint(actions)
-    bad = np.flatnonzero(np.abs(actions - rounded) > 0)
-    if bad.size:
-        raise DatasetError(f"{path}: record {bad[0]}: non-integer discrete action "
-                           f"{actions[bad[0]]}")
-    actions = rounded.astype(np.int64)
-    try:
-        return OfflineDataset(
-            obs=rec["obs"],
-            actions=actions,
-            rewards=rec["reward"],
-            next_obs=rec["next_obs"],
-            terminals=rec["terminal"].astype(bool),
-            timeouts=rec["timeout"].astype(bool),
-            traj_bounds=bounds,
-            meta=meta,
-        )
+        return OfflineDataset(*arrays, bounds, meta)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 

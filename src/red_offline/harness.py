@@ -47,7 +47,7 @@ import numpy as np
 
 from .algos import AlgoConfig, NanLossError, extract_policy, init_learner, train_step
 from .dataset import DatasetError, OfflineDataset, compute_trajectory_returns, load_dataset
-from .envsuite import env_from_name, generate_dataset, policy_value, preset_config
+from .envsuite import PRESETS, env_from_name, generate_dataset, policy_value, preset_config
 from .nncore import load_checkpoint, save_checkpoint
 from .sampler import SamplerSpec, build_sampler
 
@@ -79,6 +79,8 @@ class DatasetSource:
     def __post_init__(self):
         if (self.preset is None) == (self.path is None):
             raise ConfigError("dataset needs exactly one of 'preset' or 'path'")
+        if self.preset is not None and self.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r}; known: {sorted(PRESETS)}")
         if self.path is not None and (self.seed, self.n_trajectories) != (None, None):
             raise ConfigError("'seed' and 'n_trajectories' apply to a preset, not to a 'path'")
         if (self.seed is not None and self.seed < 0

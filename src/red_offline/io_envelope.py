@@ -4,9 +4,14 @@ Both the dataset file format and the network checkpoint format use this
 envelope so round-trips are bit-exact and headers stay human-inspectable.
 Layout: magic (4 bytes), u32 version, u64 header length, UTF-8 JSON header,
 raw payload bytes. All integers little-endian.
+
+Payloads stream: :func:`write_envelope` writes the head and then each chunk
+it is handed, and :func:`read_envelope` reads only the head of an open file,
+leaving the caller to read the payload, whose size comes from ``os.fstat``.
 """
 
 import json
+import os
 import struct
 
 
@@ -19,37 +24,38 @@ def encode_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_envelope(path, magic: bytes, version: int, header: dict, payload: bytes) -> None:
+def write_envelope(path, magic: bytes, version: int, header: dict, chunks) -> None:
+    """Write the head, then each bytes-like object of ``chunks`` in order;
+    each chunk is written before the next is drawn, so a generator may reuse
+    one buffer."""
     if len(magic) != 4:
         raise ValueError("magic must be exactly 4 bytes")
     head = encode_header(header)
     with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<I", version))
-        f.write(struct.pack("<Q", len(head)))
-        f.write(head)
-        f.write(payload)
+        f.write(magic + struct.pack("<IQ", version, len(head)) + head)
+        for chunk in chunks:
+            f.write(chunk)
 
 
-def read_envelope(path, magic: bytes, max_version: int):
-    """Return (version, header, payload), the payload as a read-only
-    ``memoryview`` of the file bytes. Raises EnvelopeError on any defect."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise EnvelopeError(f"{path}: file too short ({len(raw)} bytes) for envelope")
+def read_envelope(f, magic: bytes, max_version: int):
+    """Read the head of the open binary file ``f`` and leave ``f`` at the
+    payload. Return (version, header, payload size in bytes). Raises
+    EnvelopeError, naming ``f.name``, on any defect."""
+    size = os.fstat(f.fileno()).st_size
+    if size < 16:
+        raise EnvelopeError(f"{f.name}: file too short ({size} bytes) for envelope")
+    raw = f.read(16)
     if raw[:4] != magic:
-        raise EnvelopeError(f"{path}: bad magic {raw[:4]!r}, expected {magic!r}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+        raise EnvelopeError(f"{f.name}: bad magic {raw[:4]!r}, expected {magic!r}")
+    version, header_len = struct.unpack_from("<IQ", raw, 4)
     if not 1 <= version <= max_version:
-        raise EnvelopeError(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    if 16 + header_len > len(raw):
-        raise EnvelopeError(f"{path}: header length {header_len} overruns file")
+        raise EnvelopeError(f"{f.name}: unsupported version {version}")
+    if 16 + header_len > size:
+        raise EnvelopeError(f"{f.name}: header length {header_len} overruns file")
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(f.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise EnvelopeError(f"{path}: header is not valid JSON: {exc}") from exc
+        raise EnvelopeError(f"{f.name}: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
-        raise EnvelopeError(f"{path}: header must be a JSON object")
-    return version, header, memoryview(raw)[16 + header_len :]
+        raise EnvelopeError(f"{f.name}: header must be a JSON object")
+    return version, header, size - 16 - header_len

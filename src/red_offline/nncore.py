@@ -261,14 +261,16 @@ def save_checkpoint(path, nets: dict, extra: dict | None = None) -> None:
                           "activation": nets[name].activation,
                           "split_point": nets[name].split_point,
                           "seed": nets[name].init_seed} for name in order}
-    payload = b"".join(nets[name].params.astype("<f8", copy=False).tobytes() for name in order)
     header = {"nets": header_nets, "order": order, "extra": extra or {}}
-    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, payload)
+    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header,
+                   (nets[name].params.astype("<f8", copy=False).tobytes() for name in order))
 
 
 def load_checkpoint(path):
     """Read back (nets, extra); raises EnvelopeError on malformed files."""
-    _, header, payload = read_envelope(path, CKPT_MAGIC, CKPT_VERSION)
+    with open(path, "rb") as f:  # small: read whole
+        _, header, size = read_envelope(f, CKPT_MAGIC, CKPT_VERSION)
+        payload = f.read(size)
     try:
         order = list(header["order"])
         specs = header["nets"]

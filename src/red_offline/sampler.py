@@ -44,6 +44,8 @@ class SamplerSpec:
             raise ValueError(f"p_base must be >= 0, got {self.p_base}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def sampling_distribution(p: np.ndarray, alpha: float) -> np.ndarray:

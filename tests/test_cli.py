@@ -141,11 +141,12 @@ def _refit_ords(src, dst, header=None, action0=None):
     """Copy an .ords file with header fields replaced and record 0's action set."""
     from red_offline.dataset import ORDS_MAGIC, ORDS_VERSION
     from red_offline.io_envelope import read_envelope, write_envelope
-    _, head, payload = read_envelope(src, ORDS_MAGIC, ORDS_VERSION)
-    payload = bytearray(payload)
+    with open(src, "rb") as f:
+        _, head, _ = read_envelope(f, ORDS_MAGIC, ORDS_VERSION)
+        payload = bytearray(f.read())
     if action0 is not None:  # a record starts with obs_dim float64s, then the action
         struct.pack_into("<d", payload, 8 * head["obs_dim"], action0)
-    write_envelope(dst, ORDS_MAGIC, ORDS_VERSION, {**head, **(header or {})}, bytes(payload))
+    write_envelope(dst, ORDS_MAGIC, ORDS_VERSION, {**head, **(header or {})}, [payload])
 
 
 @pytest.mark.parametrize("change,message", [
@@ -494,12 +495,16 @@ BAD_CONFIG_VALUES = [
     ("algo.total_steps=1e400", "config.algo.total_steps: expected an integer"),
     ("algo.total_steps=NaN", "config.algo.total_steps: expected an integer"),
     ("root_seed=null", "config.root_seed: expected an integer"),
-    ("algo.lr=-1", "config.algo: cql_weight, bc_weight and lr must be >= 0"),
+    ("algo.lr=-1", "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be >= 0"),
     ("algo.hidden_units=0", "config.algo: hidden_units must be >= 1"),
     ('algo.activation="sigmoid"', "config.algo: activation must be one of"),
     ("sampler.p_base=NaN", "config.sampler: p_base must be >= 0"),
     ("sampler.alpha=NaN", "config.sampler: alpha must be >= 0"),
     ("dataset.seed=-1", "config.dataset: seed must be >= 0"),
+    ('dataset.preset="bogus"', "config.dataset: unknown preset 'bogus'"),
+    ("sampler.seed=-3", "config.sampler: seed must be >= 0, got -3"),
+    ("algo.bc_q_scale=-5", "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be"),
+    ("algo.bc_q_scale=NaN", "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be"),
     ('dataset={"path": "x.ords", "seed": 5, "n_trajectories": 3}',
      "config.dataset: 'seed' and 'n_trajectories' apply to a preset"),
     ("eval.seeds=[0.5,1]", "config.eval.seeds[0]: expected an integer"),

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -10,8 +12,9 @@ from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
                                  compute_trajectory_returns, dataset_equal,
                                  load_dataset, normalized_return,
                                  return_histogram, save_dataset)
+from red_offline import dataset as dataset_module
 from red_offline.cli import main
-from red_offline.envsuite import generate_dataset, preset_config
+from red_offline.envsuite import PRESETS, generate_dataset, preset_config
 from conftest import make_dataset
 
 PRESET_NAMES = ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
@@ -279,7 +282,7 @@ def test_returns_are_correctly_rounded_sums(preset_dataset):
     # every return is the correctly rounded sum of its rewards (math.fsum),
     # on the presets, on larger generated data and on rewards whose
     # magnitudes defeat an exact long-double sum (the fsum fallback)
-    from red_offline.envsuite import generate_dataset, preset_config
+    from red_offline.envsuite import PRESETS, generate_dataset, preset_config
     datasets = [preset_dataset(name) for name in PRESET_NAMES]
     datasets += [generate_dataset(preset_config("replay_analog", seed=seed, n_trajectories=2000))
                  for seed in (1, 3, 7, 11)]
@@ -401,3 +404,124 @@ def test_validation_reports_the_same_first_offender_as_the_loop():
                 OfflineDataset(**kwargs)
             assert str(info.value) == expected
     assert seen == {None, "bounds", "final", "interior", "cover"}
+
+
+def dataset_of(n, obs_dim=2, n_actions=3, seed=0):
+    """n random transitions in trajectories of up to 3 steps, ending
+    alternately in a terminal and a timeout."""
+    rng = np.random.default_rng(seed)
+    starts = np.arange(0, n, 3)
+    stops = np.minimum(starts + 3, n)
+    terminals, timeouts = np.zeros(n, bool), np.zeros(n, bool)
+    terminals[stops[::2] - 1] = True
+    timeouts[stops[1::2] - 1] = True
+    meta = DatasetMeta(obs_dim, {"discrete": n_actions}, "synthetic", seed)
+    return OfflineDataset(rng.standard_normal((n, obs_dim)), rng.integers(0, n_actions, n),
+                          rng.standard_normal(n), rng.standard_normal((n, obs_dim)),
+                          terminals, timeouts, np.stack([starts, stops], axis=1), meta)
+
+
+def whole_payload(ds):
+    # the payload packed in one piece: every record, then the bounds as u64
+    rec = np.zeros(len(ds), dtype=dataset_module._record_dtype(ds.meta))
+    for name, field in (("obs", "obs"), ("action", "actions"), ("reward", "rewards"),
+                        ("next_obs", "next_obs"), ("terminal", "terminals"),
+                        ("timeout", "timeouts")):
+        rec[name] = getattr(ds, field)
+    return rec.tobytes() + ds.traj_bounds.astype("<u8").tobytes()
+
+
+def payload_offset(path):
+    return 16 + struct.unpack_from("<Q", path.read_bytes(), 8)[0]
+
+
+BLOCK = 8
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_streamed_round_trip_at_block_edges(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(dataset_module, "BLOCK_RECORDS", BLOCK)
+    ds = dataset_of(n)
+    first, second = tmp_path / "first.ords", tmp_path / "second.ords"
+    save_dataset(ds, first)
+    assert first.read_bytes()[payload_offset(first):] == whole_payload(ds)
+    loaded = load_dataset(first)
+    assert dataset_equal(ds, loaded) and len(loaded) == n
+    save_dataset(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_non_integer_action_in_a_later_block_names_its_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset_module, "BLOCK_RECORDS", BLOCK)
+    ds = dataset_of(3 * BLOCK)
+    path = tmp_path / "bad.ords"
+    save_dataset(ds, path)
+    raw = bytearray(path.read_bytes())
+    itemsize = dataset_module._record_dtype(ds.meta).itemsize
+    # a record starts with obs_dim float64s, then the action
+    struct.pack_into("<d", raw, payload_offset(path) + (BLOCK + 3) * itemsize + 16, 1.5)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DatasetError,
+                       match=f"record {BLOCK + 3}: non-integer discrete action 1.5"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("size,message", [
+    (1061, "payload has 1061 bytes, expected 1062; transitions block ends inside record 19"),
+    (1063, "payload has 1063 bytes, expected 1062; transitions block ends inside record 19"),
+    (253, "payload has 253 bytes, expected 1062; transitions block ends inside record 5"),
+])
+def test_payload_of_the_wrong_length_names_the_record_it_ends_in(tmp_path, monkeypatch,
+                                                                 size, message):
+    monkeypatch.setattr(dataset_module, "BLOCK_RECORDS", BLOCK)
+    path = tmp_path / "cut.ords"
+    save_dataset(dataset_of(2 * BLOCK + 3), path)  # 19 records of 50 bytes, 7 bounds
+    raw = path.read_bytes()
+    start = payload_offset(path)
+    assert len(raw) - start == 1062
+    path.write_bytes((raw + b"\0")[:start + size])
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: {message}")):
+        load_dataset(path)
+
+
+def test_file_io_allocates_little_beyond_its_arrays(tmp_path):
+    ds = dataset_of(200_000)
+    block = dataset_module.BLOCK_RECORDS * dataset_module._record_dtype(ds.meta).itemsize
+    assert len(ds) * 50 > 3 * block
+    path = tmp_path / "big.ords"
+    tracemalloc.start()
+    try:
+        save_dataset(ds, path)
+        saved = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = load_dataset(path)
+        loaded_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (loaded.obs, loaded.actions, loaded.rewards,
+                                    loaded.next_obs, loaded.terminals, loaded.timeouts,
+                                    loaded.traj_bounds))
+    assert saved < 2 * block, f"save peaked at {saved / block:.2f} blocks"
+    assert loaded_peak < arrays + 2 * block, \
+        f"load peaked {(loaded_peak - arrays) / block:.2f} blocks above its arrays"
+    assert dataset_equal(ds, loaded)
+
+
+# sha256 of each preset at 7 trajectories as written before records were
+# packed in blocks; any writer change that alters a file byte fails here
+PRESET_FILE_SHA256 = {
+    "expert_analog": "c0d8ba7a655fb3c02906bfc547ebcdd8496928abf283b82e8ac214373d866398",
+    "replay_analog": "9cae62e60bb9dfdd7ab01bd976964d3d17598b2bc423aaab7318de9ebf02c512",
+    "sparse_analog": "911dc1e3112f4dc422486f74a1c614bc20414d7cb624bfdded21642eb7733e13",
+    "sparse_hard_analog": "88ab19fcaf9a0cb8b6a50672ed3c958af9cc2384223c5e51cd190669d2a0c68f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_files_keep_their_bytes(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(dataset_module, "BLOCK_RECORDS", 64)
+    ds = generate_dataset(preset_config(name, n_trajectories=7))
+    assert len(ds) > 3 * 64
+    path = tmp_path / f"{name}.ords"
+    save_dataset(ds, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_FILE_SHA256[name]

@@ -79,7 +79,7 @@ def test_config_rejects_unknown_keys_and_bad_types():
             ("algo.lr=null", "config.algo.lr: expected a number, got None"),
             ("algo.total_steps=1e400", "config.algo.total_steps: expected an integer, got inf"),
             ("algo.total_steps=NaN", "config.algo.total_steps: expected an integer, got nan"),
-            ("algo.lr=-1", "config.algo: cql_weight, bc_weight and lr must be >= 0"),
+            ("algo.lr=-1", "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be >= 0"),
             ("algo.beta_awr=NaN", "config.algo: beta_awr and w_max must be > 0"),
             ("algo.hidden_units=0", "config.algo: hidden_units must be >= 1"),
             ("algo.n_hidden_layers=-1", "and n_hidden_layers >= 0"),

@@ -287,12 +287,19 @@ def test_wrong_gradient_shape_rejected():
     assert opt.step == 0 and net.version == 0
 
 
+def read_checkpoint_envelope(path):
+    """(header, payload bytes) of a checkpoint file, unchecked beyond the envelope."""
+    with open(path, "rb") as f:
+        _, header, size = read_envelope(f, CKPT_MAGIC, CKPT_VERSION)
+        return header, f.read(size)
+
+
 def test_checkpoint_payload_is_flat_params_in_name_order(tmp_path):
     nets = {"v": init_mlp([3, 5, 1], seed=3), "q": init_mlp([3, 8, 4], seed=1),
             "policy": init_mlp([3, 8, 2], "tanh", seed=2)}
     path = tmp_path / "ck.orck"
     save_checkpoint(path, nets)
-    _, header, payload = read_envelope(path, CKPT_MAGIC, CKPT_VERSION)
+    header, payload = read_checkpoint_envelope(path)
     assert header["order"] == ["policy", "q", "v"]
     expected = b"".join(np.asarray(a, dtype="<f8").tobytes()
                         for name in sorted(nets)
@@ -314,8 +321,8 @@ _HEADER_EDITS = {
 def test_malformed_checkpoint_header_rejected(tmp_path, edit):
     path = tmp_path / "ck.orck"
     save_checkpoint(path, {"q": init_mlp([3, 8, 4], seed=1)})
-    _, header, payload = read_envelope(path, CKPT_MAGIC, CKPT_VERSION)
+    header, payload = read_checkpoint_envelope(path)
     _HEADER_EDITS[edit](header)
-    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, payload)
+    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, [payload])
     with pytest.raises(EnvelopeError, match=re.escape(str(path))):
         load_checkpoint(path)
