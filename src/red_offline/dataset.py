@@ -281,11 +281,13 @@ def load_dataset(path) -> OfflineDataset:
         for start in range(0, n, BLOCK_RECORDS):
             rec = block[:n - start]
             got += f.readinto(rec)
-            # NaN and inf pass here and fail the action range check
-            bad = np.flatnonzero(np.abs(rec["action"] - np.rint(rec["action"])) > 0)
+            a = rec["action"]
+            fits = (a >= -2.0**63) & (a < 2.0**63)  # int64's range; NaN and inf fail it
+            bad = np.flatnonzero(~fits | (a != np.rint(a)))
             if bad.size:
-                raise DatasetError(f"{path}: record {start + bad[0]}: non-integer discrete "
-                                   f"action {rec['action'][bad[0]]}")
+                v = a[bad[0]]
+                kind = "non-integer" if v != np.rint(v) else "non-int64"
+                raise DatasetError(f"{path}: record {start + bad[0]}: {kind} discrete action {v}")
             for name, out in zip(dtype.names, arrays):  # an integral action casts exactly
                 out[start:start + len(rec)] = rec[name]
         bounds = np.empty((n_traj, 2), "<u8")

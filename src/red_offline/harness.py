@@ -12,7 +12,10 @@ random) against the environment's reference policies, and aggregates are the
 mean over the final K evaluations, then over seeds.
 
 Each experiment prepares its dataset once and hashes it once, on a worker
-thread; each sampler arm builds its table once and its seeds share it.
+thread; each sampler arm builds its table once and its seeds share it. A
+two-stage run is two arm passes: stage one for every seed, then stage two
+for every seed. With ``jobs > 1`` each arm or stage has its own worker pool,
+and each worker gets that arm's table once.
 
 Every runner (:func:`run_training`, :func:`two_stage_train`,
 :func:`sweep_pbase`, :func:`compare_rebalance_methods`) returns
@@ -453,82 +456,68 @@ def _timed_build(spec: SamplerSpec, ds, tr):
     return sampler, time.perf_counter() - t0
 
 
-def _stage(results: list):
-    """(block, timing, losses) of one arm or stage from its seeds' ``(entry,
-    timing, losses)``: the report's ``{per_seed, aggregate, flags}`` block,
-    plus per-seed timings and loss rows keyed by string seed."""
-    per_seed = [entry for entry, _, _ in results]
-    block = {"per_seed": per_seed, "aggregate": _aggregate(per_seed),
-             "flags": sorted({f for entry in per_seed for f in entry["flags"]})}
-    timing = {str(entry["seed"]): t for entry, t, _ in results}
-    return block, timing, {str(entry["seed"]): rows for entry, _, rows in results}
-
-
 def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> dict:
     return {"kind": kind, "config": config_to_dict(cfg), "task": cfg.dataset.label,
             "refs": refs, "dataset_checksum": checksum}
 
 
 def _seed_job(shared, seed):
-    ds, mdp, cfg, sampler, build_s = shared
-    entry, timing, losses, _ = train_single_seed(ds, mdp, cfg.algo, sampler, build_s,
-                                                 cfg.eval, cfg.root_seed, seed)
-    return entry, timing, losses  # no learner state: pickles cheaply back from workers
+    """One seed of an arm at its stage ``(steps, ckpt_dir, resume)``; returns
+    ``(entry, timing, losses, heads_equal)``, leaving out the learner state so
+    it pickles cheaply back from workers. With a ``ckpt_dir``, stage one saves
+    ``stage1_seed{seed}.orck`` there; stage two (``resume``) starts from that
+    file and sets ``heads_equal``, whether every head is still bitwise the
+    file's (None in any other pass)."""
+    ds, mdp, cfg, sampler, build_s, (steps, ckpt_dir, resume) = shared
+    path = ckpt_dir and os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
+    nets = load_checkpoint(path)[0] if resume else None
+    finetune = dict(freeze_head=cfg.dered.freeze_head,
+                    backbone_mult=cfg.dered.backbone_lr_mult) if resume else {}
+    entry, timing, losses, state = train_single_seed(
+        ds, mdp, cfg.algo, sampler, build_s, cfg.eval, cfg.root_seed, seed,
+        total_steps=steps, resume_nets=nets, **finetune)
+    if path and not resume:
+        save_checkpoint(path, state.nets)
+    heads_equal = None if nets is None else all(
+        state.nets[name].head_params().tobytes() == net.head_params().tobytes()
+        for name, net in nets.items())
+    return entry, timing, losses, heads_equal
 
 
-def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1):
+def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, False)):
     """One sampler arm on prepared data: build its table once, train every
-    seed; returns (report, timing, losses)."""
+    seed at ``stage`` (see :func:`_seed_job`; by default ``cfg.algo``'s
+    steps). Returns (report, timing, losses, heads_equal per seed): the run
+    header with the ``{per_seed, aggregate, flags}`` block, and per-seed
+    timings and loss rows keyed by string seed."""
     ds, tr, mdp, checksum = prepared
     sampler, build_s = _timed_build(cfg.sampler, ds, tr)
-    results = _map_seeds(_seed_job, (ds, mdp, cfg, sampler, build_s), cfg.eval.seeds, jobs)
-    block, timing, losses = _stage(results)
-    report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum()), **block}
-    return report, {"per_seed": timing}, losses
+    results = _map_seeds(_seed_job, (ds, mdp, cfg, sampler, build_s, stage), cfg.eval.seeds, jobs)
+    per_seed = [entry for entry, *_ in results]
+    report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum()),
+              "per_seed": per_seed, "aggregate": _aggregate(per_seed),
+              "flags": sorted({f for entry in per_seed for f in entry["flags"]})}
+    timing = {str(entry["seed"]): t for entry, t, *_ in results}
+    losses = {str(entry["seed"]): rows for entry, _, rows, _ in results}
+    return report, {"per_seed": timing}, losses, [heads for *_, heads in results]
 
 
 def run_training(cfg: ExperimentConfig, jobs: int = 1):
     """Single-stage run over all seeds; returns (report, timing, losses)."""
     with _prepare(cfg.dataset, jobs) as prepared:
-        return _run_arm(cfg, prepared, jobs)
-
-
-def _two_stage_seed_job(shared, seed):
-    """One seed of two-stage training; returns (stage-1, stage-2, heads equal),
-    each stage as ``(entry, timing, losses)``.
-
-    Stage one trains ``stage1_steps`` on the uniform table and is saved to
-    ``<ckpt_dir>/stage1_seed{seed}.orck``. Stage two reloads that file and
-    trains ``stage2_steps`` on the stage-two table. Both tables come built,
-    with their build seconds. Results leave out the learner states so they
-    pickle cheaply back from worker processes.
-    """
-    ds, mdp, cfg, (stage1, build1_s), (stage2, build2_s), ckpt_dir = shared
-    dered = cfg.dered
-
-    *res1, state1 = train_single_seed(ds, mdp, cfg.algo, stage1, build1_s, cfg.eval,
-                                      cfg.root_seed, seed, total_steps=dered.stage1_steps)
-    path = os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
-    save_checkpoint(path, state1.nets)
-    nets, _ = load_checkpoint(path)
-    # init_learner inside train_single_seed builds fresh optimizer moments
-    *res2, state2 = train_single_seed(ds, mdp, cfg.algo, stage2, build2_s, cfg.eval,
-                                      cfg.root_seed, seed, total_steps=dered.stage2_steps,
-                                      resume_nets=nets, freeze_head=dered.freeze_head,
-                                      backbone_mult=dered.backbone_lr_mult)
-    heads_equal = all(state2.nets[name].head_params().tobytes()
-                      == net.head_params().tobytes() for name, net in nets.items())
-    return res1, res2, heads_equal
+        return _run_arm(cfg, prepared, jobs)[:3]
 
 
 def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     """Uniform pretrain, checkpoint, then rebalanced head-frozen finetune.
 
-    Stage two resumes from the stage-one checkpoint file, multiplies the
-    backbone learning rate by ``backbone_lr_mult`` and freezes the heads when
-    configured. Optimizer moments restart fresh in stage two. Checkpoints are
-    written as ``stage1_seed{seed}.orck`` under ``out_dir``, or under a
-    temporary directory that is removed afterwards when ``out_dir`` is None.
+    Each stage is one arm pass over every seed. Stage two samples with the
+    config's sampler, or ``return_resample`` when that is uniform. It resumes
+    from the stage-one checkpoint file, multiplies the backbone learning rate
+    by ``backbone_lr_mult`` and freezes the heads when configured. Optimizer
+    moments restart fresh in stage two. Checkpoints are written as
+    ``stage1_seed{seed}.orck`` under ``out_dir``, or under a temporary
+    directory that is removed afterwards when ``out_dir`` is None.
 
     Returns ``(report, timing, losses)``. The report's ``stage2`` block
     records, per seed, whether the head parameters stayed bitwise identical
@@ -537,34 +526,30 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     """
     if cfg.dered is None:
         raise ConfigError("two_stage_train requires the 'dered' config block")
-    with _prepare(cfg.dataset, jobs) as (ds, tr, mdp, checksum):
-        refs = mdp.reference_scores
-        # one table per stage, shared by every seed; stage two rebalances even
-        # when the config says uniform
-        tables = (_timed_build(replace(cfg.sampler, mode="uniform"), ds, tr),
-                  _timed_build(cfg.sampler if cfg.sampler.mode != "uniform" else replace(
-                      cfg.sampler, mode="return_resample"), ds, tr))
+    mode2 = "return_resample" if cfg.sampler.mode == "uniform" else cfg.sampler.mode
+    if out_dir is None:
+        ckpt_ctx = tempfile.TemporaryDirectory()
+    else:
+        os.makedirs(out_dir, exist_ok=True)
+        ckpt_ctx = contextlib.nullcontext(out_dir)
+    with _prepare(cfg.dataset, jobs) as prepared, ckpt_ctx as ckpt_dir:
+        r1, t1, l1, _ = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode="uniform")),
+                                 prepared, jobs, (cfg.dered.stage1_steps, ckpt_dir, False))
+        r2, t2, l2, heads = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode=mode2)),
+                                     prepared, jobs, (cfg.dered.stage2_steps, ckpt_dir, True))
 
-        if out_dir is None:
-            ckpt_ctx = tempfile.TemporaryDirectory()
-        else:
-            os.makedirs(out_dir, exist_ok=True)
-            ckpt_ctx = contextlib.nullcontext(out_dir)
-        with ckpt_ctx as ckpt_dir:
-            results = _map_seeds(_two_stage_seed_job, (ds, mdp, cfg, *tables, ckpt_dir),
-                                 cfg.eval.seeds, jobs)
-
-    for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results):
+    for seed, heads_equal in zip(cfg.eval.seeds, heads):
         if cfg.dered.freeze_head and not heads_equal:
             raise RuntimeError(f"seed {seed}: frozen heads changed during stage 2")
 
-    (s1, t1, l1), (s2, t2, l2) = (_stage([r[i] for r in results]) for i in (0, 1))
-    s2["head_checks"] = [{"seed": seed, "heads_bitwise_equal": bool(heads_equal)}
-                         for seed, (_, _, heads_equal) in zip(cfg.eval.seeds, results)]
+    s1, s2 = ({k: r[k] for k in ("per_seed", "aggregate", "flags")} for r in (r1, r2))
+    s2["head_checks"] = [{"seed": seed, "heads_bitwise_equal": heads_equal}
+                         for seed, heads_equal in zip(cfg.eval.seeds, heads)]
     m1, m2 = s1["aggregate"]["mean_normalized"], s2["aggregate"]["mean_normalized"]
-    report = {**_run_header("two_stage", cfg, refs, checksum()), "stage1": s1, "stage2": s2,
-              "stage2_minus_stage1": None if m1 is None or m2 is None else m2 - m1}
-    return report, {"stage1": t1, "stage2": t2}, {"stage1": l1, "stage2": l2}
+    report = {**_run_header("two_stage", cfg, r1["refs"], r1["dataset_checksum"]), "stage1": s1,
+              "stage2": s2, "stage2_minus_stage1": None if m1 is None or m2 is None else m2 - m1}
+    return (report, {"stage1": t1["per_seed"], "stage2": t2["per_seed"]},
+            {"stage1": l1, "stage2": l2})
 
 
 def _arms_table(kind: str, cfg: ExperimentConfig, key: str, labels: list, runs: dict):

@@ -244,6 +244,23 @@ def test_dered_jobs_match_sequential(tmp_path):
         "stage1_seed0.orck", "stage1_seed1.orck"]
 
 
+def test_changed_frozen_head_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    from red_offline import harness
+    real_step = harness.train_step
+
+    def unfrozen_step(state, cfg, batch, freeze_head=False):
+        return real_step(state, cfg, batch, freeze_head=False)
+
+    monkeypatch.setattr(harness, "train_step", unfrozen_step)
+    cfg = write_config(tmp_path, eval={"seeds": [0, 1]},
+                       dered={"stage1_steps": 20, "stage2_steps": 20, "freeze_head": True})
+    message = "seed 0: frozen heads changed during stage 2"
+    with pytest.raises(RuntimeError, match=message):
+        harness.two_stage_train(harness.config_from_dict(json.loads(cfg.read_text())))
+    assert main(["dered", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+
+
 @pytest.mark.parametrize("command,extra", [("sweep", ["--values", "0,0.2,inf"]),
                                            ("compare", [])])
 def test_arms_jobs_match_sequential(tmp_path, command, extra):

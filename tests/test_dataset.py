@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,31 @@ def test_non_integer_action_in_a_later_block_names_its_record(tmp_path, monkeypa
     with pytest.raises(DatasetError,
                        match=f"record {BLOCK + 3}: non-integer discrete action 1.5"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("value,message", [
+    (math.nan, "record 3: non-integer discrete action nan"),
+    (math.inf, "record 3: non-int64 discrete action inf"),
+    (-math.inf, "record 3: non-int64 discrete action -inf"),
+    (2.0**70, "record 3: non-int64 discrete action 1.1805916207174113e+21"),
+    (2.0**63, "record 3: non-int64 discrete action 9.223372036854776e+18"),
+    (-2.0**63, "transition 3: action -9223372036854775808 outside [0, 3)"),  # fits int64
+])
+def test_action_outside_int64_is_named_before_the_cast(tmp_path, capsys, value, message):
+    ds = dataset_of(6)
+    path = tmp_path / "bad.ords"
+    save_dataset(ds, path)
+    raw = bytearray(path.read_bytes())
+    itemsize = dataset_module._record_dtype(ds.meta).itemsize
+    struct.pack_into("<d", raw, payload_offset(path) + 3 * itemsize + 16, value)
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "invalid value encountered in cast"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            load_dataset(path)
+        capsys.readouterr()
+        assert main(["stats", "--dataset", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("size,message", [

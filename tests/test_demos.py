@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 
-@pytest.mark.parametrize("name", ["01_datasets_and_returns.py", "02_rebalanced_sampling.py"])
+@pytest.mark.parametrize("name", ["01_datasets_and_returns.py", "02_rebalanced_sampling.py",
+                                  "04_two_stage_finetune.py"])
 def test_fast_demos_run(name, tmp_path):
     proc = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True, timeout=300)

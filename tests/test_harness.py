@@ -545,7 +545,8 @@ def test_map_seeds_pool_size_and_handoff(monkeypatch):
                                        seeds=(0, 1)))
     run_training(cfg, jobs=2)
     two_stage_train(replace(cfg, dered=DeredConfig(stage1_steps=5, stage2_steps=5)), jobs=3)
-    assert [(p.size, p.tasks) for p in pools] == [(2, [0, 1]), (2, [0, 1])]
+    # one pool for the run, then one per two-stage stage
+    assert [(p.size, p.tasks) for p in pools] == [(2, [0, 1])] * 3
 
 
 def test_dataset_checksum_is_blake2b_of_the_array_bytes(preset_dataset, tiny_dataset):
