@@ -16,12 +16,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .dataset import (compute_trajectory_returns, histogram_csv, load_dataset,
+from .dataset import (compute_trajectory_returns, finite_range, histogram_csv, load_dataset,
                       normalized_return, return_histogram, save_dataset, DatasetError)
 from .envsuite import PRESETS, generate_dataset, preset_config
 from .harness import (ConfigError, apply_overrides, config_from_dict, curves_csv,
                       dump_json, losses_csv)
-from .sampler import distribution_csv, sampling_distribution
+from .sampler import SamplerSpec, build_sampler, distribution_csv
 
 ROOT_SEED_ENV = "RED_OFFLINE_ROOT_SEED"
 
@@ -87,10 +87,12 @@ def cmd_gen(args) -> int:
 
 
 def _load_with_returns(path):
-    """(dataset, trajectory returns) of a dataset file; every error names the file."""
+    """(dataset, finite trajectory returns) of a dataset file; every error names the file."""
     ds = load_dataset(path)
     try:
-        return ds, compute_trajectory_returns(ds)
+        tr = compute_trajectory_returns(ds)
+        finite_range(tr.returns, "trajectory", "return")
+        return ds, tr
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
@@ -114,11 +116,11 @@ def cmd_stats(args) -> int:
 
 
 def cmd_rebalance_preview(args) -> int:
-    _, tr = _load_with_returns(args.dataset)
+    ds, tr = _load_with_returns(args.dataset)
+    sampler = build_sampler(SamplerSpec("return_resample", args.alpha, args.p_base), ds, tr)
+    probs, order = sampler.probs, sampler.order
     weights = normalized_return(tr, args.p_base)
-    probs = sampling_distribution(weights, args.alpha)
     n = len(probs)
-    order = np.argsort(probs, kind="stable")
     k = min(args.top_k, n)
     print(f"rebalance preview: alpha={args.alpha} p_base={args.p_base} N={n}")
     print(f"top-{k} probabilities:")
@@ -129,7 +131,7 @@ def cmd_rebalance_preview(args) -> int:
         print(f"  index {i}: P={probs[i]:.3e} (weight {weights[i]:.4f})")
     zero_frac = float((probs == 0.0).mean())
     max_dev = float(np.abs(probs - 1.0 / n).max())
-    if args.alpha == 0 or max_dev == 0.0:
+    if max_dev == 0.0:
         print("uniform, deviation 0")
     print(f"zero-mass fraction: {zero_frac:.4f}")
     print(f"max deviation from uniform: {max_dev:.3e}")
@@ -156,8 +158,7 @@ def _write_bundle(out_dir, payload, timing, losses, jobs) -> int:
     seeds, else 0."""
     runtime = {"jobs": jobs, "blas_threads": harness.blas_threads()}
     _write(os.path.join(out_dir, "report.json"), dump_json(payload))
-    _write(os.path.join(out_dir, "timing.json"),
-           json.dumps({**timing, "runtime": runtime}, sort_keys=True, indent=2) + "\n")
+    _write(os.path.join(out_dir, "timing.json"), dump_json({**timing, "runtime": runtime}))
     aborted = []
     for name, block in _blocks(payload):
         label, rows = ("", losses) if name is None else (f"_{name}", losses[name])

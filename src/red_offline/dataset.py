@@ -173,33 +173,45 @@ def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     )
 
 
+def finite_range(values: np.ndarray, item: str, name: str) -> tuple:
+    """``(min, max)`` of ``values``; DatasetError names a non-finite one as ``{item} {i}``."""
+    lo, hi = float(values.min()), float(values.max())  # NaN propagates through both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise DatasetError(f"{item} {i}: {name} {values[i]} is not finite")
+    return lo, hi
+
+
 def normalized_return(tr: TrajectoryReturns, p_base: float) -> np.ndarray:
     """Min-max normalized trajectory return per transition, plus the additive floor.
 
     With all returns equal the normalization is undefined; every weight
-    becomes ``1 + p_base`` so downstream sampling degenerates to uniform.
+    becomes ``1 + p_base`` so downstream sampling degenerates to uniform. A
+    non-finite return raises DatasetError naming its trajectory.
     """
     if p_base < 0:
         raise ValueError(f"p_base must be >= 0, got {p_base}")
     ptr = tr.per_transition_return
-    span = tr.r_max - tr.r_min
-    if span == 0.0:
+    r_min, r_max = finite_range(tr.returns, "trajectory", "return")
+    if r_max == r_min:
         return np.full(len(ptr), 1.0 + p_base)
-    return (ptr - tr.r_min) / span + p_base
+    return (ptr - r_min) / (r_max - r_min) + p_base
 
 
 def return_histogram(tr: TrajectoryReturns, bins: int) -> dict:
     """Equal-width histogram of trajectory returns over [r_min, r_max].
 
     Returns {"bin_edges": (bins+1,), "counts": (bins,)}; counts sum to the
-    number of trajectories. All-equal returns collapse to one unit-width bin.
+    number of trajectories. All-equal returns collapse to one unit-width bin;
+    a non-finite return raises DatasetError naming its trajectory.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    if tr.r_max == tr.r_min:
-        edges = np.array([tr.r_min - 0.5, tr.r_max + 0.5])
+    r_min, r_max = finite_range(tr.returns, "trajectory", "return")
+    if r_max == r_min:
+        edges = np.array([r_min - 0.5, r_max + 0.5])
         return {"bin_edges": edges, "counts": np.array([len(tr.returns)])}
-    counts, edges = np.histogram(tr.returns, bins=bins, range=(tr.r_min, tr.r_max))
+    counts, edges = np.histogram(tr.returns, bins=bins, range=(r_min, r_max))
     return {"bin_edges": edges, "counts": counts}
 
 

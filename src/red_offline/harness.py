@@ -12,10 +12,11 @@ random) against the environment's reference policies, and aggregates are the
 mean over the final K evaluations, then over seeds.
 
 Each experiment prepares its dataset once and hashes it once, on a worker
-thread; each sampler arm builds its table once and its seeds share it. A
-two-stage run is two arm passes: stage one for every seed, then stage two
-for every seed. With ``jobs > 1`` each arm or stage has its own worker pool,
-and each worker gets that arm's table once.
+thread; each sampler arm builds its table once and its seeds share it, each
+seed one :func:`train_single_seed` job. A two-stage run is two arm passes:
+stage one for every seed, then stage two for every seed. With ``jobs > 1``
+each arm or stage has its own worker pool, and each worker gets that arm's
+table once.
 
 Every runner (:func:`run_training`, :func:`two_stage_train`,
 :func:`sweep_pbase`, :func:`compare_rebalance_methods`) returns
@@ -281,31 +282,36 @@ def _eval_points(total_steps: int, eval_every: int) -> list:
     return points
 
 
-def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float,
-                      eval_cfg: EvalConfig, root_seed: int, seed: int,
-                      total_steps: int | None = None, resume_nets: dict | None = None,
-                      freeze_head: bool = False, backbone_mult: float = 1.0) -> tuple:
-    """Train one seed on the arm's sampler (built once, in ``build_s`` seconds)
-    with the seed's own ``"sampler/{seed}"`` stream; evaluate on schedule.
-
-    Returns ``(entry, timing, losses, state)``: the seed's report
-    ``per_seed`` entry, timing.json entry, loss rows and final LearnerState.
-    """
-    steps = algo_cfg.total_steps if total_steps is None else total_steps
+def train_single_seed(shared, seed: int) -> tuple:
+    """The seed job: train ``seed`` on its arm's sampler, built once in
+    ``build_s`` seconds, with the seed's own ``"sampler/{seed}"`` stream, and
+    evaluate on schedule. ``shared`` is ``(ds, mdp, cfg, sampler, build_s,
+    (steps, ckpt_dir, resume))``; ``steps`` None means ``cfg.algo``'s. With a
+    ``ckpt_dir``, stage one saves ``stage1_seed{seed}.orck`` there; stage two
+    (``resume``) finetunes from that file as ``cfg.dered`` says. Returns
+    ``(entry, timing, losses, heads_equal)``: the seed's report entry,
+    timing.json entry and loss rows, and whether every head is still bitwise
+    the file's (None unless resuming), but no learner state, so it pickles
+    cheaply back from workers."""
+    ds, mdp, cfg, arm_sampler, build_s, (steps, ckpt_dir, resume) = shared
+    steps = cfg.algo.total_steps if steps is None else steps
+    path = ckpt_dir and os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
+    nets = load_checkpoint(path)[0] if resume else None
+    freeze_head = resume and cfg.dered.freeze_head
     refs = mdp.reference_scores
     flags = []
 
-    sampler = arm_sampler.with_seed(stream_seed(root_seed, f"sampler/{seed}"))
-    state = init_learner(algo_cfg, ds.meta.obs_dim, mdp.n_actions,
-                         stream_seed(root_seed, f"init/{seed}"),
-                         backbone_mult=backbone_mult)
-    if resume_nets is not None:
-        for name, net in resume_nets.items():
+    sampler = arm_sampler.with_seed(stream_seed(cfg.root_seed, f"sampler/{seed}"))
+    state = init_learner(cfg.algo, ds.meta.obs_dim, mdp.n_actions,
+                         stream_seed(cfg.root_seed, f"init/{seed}"),
+                         backbone_mult=cfg.dered.backbone_lr_mult if resume else 1.0)
+    if nets is not None:
+        for name, net in nets.items():
             if name in state.nets:
                 state.nets[name].copy_from(net)
         state.targets["q"].copy_from(state.nets["q"])
 
-    eval_points = set(_eval_points(steps, eval_cfg.eval_every))
+    eval_points = set(_eval_points(steps, cfg.eval.eval_every))
     eval_steps, eval_returns, losses = [], [], []
     aborted, abort_step = False, None
     train_s = 0.0
@@ -314,10 +320,10 @@ def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float
     for step in range(steps + 1):  # step 0 trains nothing; it is an eval point iff steps == 0
         if step > 0:
             t1 = time.perf_counter()
-            idx = sampler.sample_batch(algo_cfg.batch_size)
+            idx = sampler.sample_batch(cfg.algo.batch_size)
             batch = ds.batch(idx)
             try:
-                step_losses = train_step(state, algo_cfg, batch, freeze_head=freeze_head)
+                step_losses = train_step(state, cfg.algo, batch, freeze_head=freeze_head)
             except NanLossError as exc:
                 aborted, abort_step = True, step
                 flags.append(f"nan abort at step {step}: {exc.losses}")
@@ -333,9 +339,9 @@ def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float
             eval_returns.append(ret)
 
     if eval_returns:
-        k = min(eval_cfg.final_k, len(eval_returns))
-        if k < eval_cfg.final_k:
-            flags.append(f"final_k clamped from {eval_cfg.final_k} to {k} "
+        k = min(cfg.eval.final_k, len(eval_returns))
+        if k < cfg.eval.final_k:
+            flags.append(f"final_k clamped from {cfg.eval.final_k} to {k} "
                          f"(only {len(eval_returns)} evaluations)")
             warnings.warn(flags[-1], RuntimeWarning, stacklevel=2)
         raw = float(np.mean(eval_returns[-k:]))
@@ -362,7 +368,12 @@ def train_single_seed(ds, mdp, algo_cfg: AlgoConfig, arm_sampler, build_s: float
         "abort_step": abort_step,
         "flags": flags,
     }
-    return entry, timing, losses, state
+    if path and not resume:
+        save_checkpoint(path, state.nets)
+    heads_equal = None if nets is None else all(
+        state.nets[name].head_params().tobytes() == net.head_params().tobytes()
+        for name, net in nets.items())
+    return entry, timing, losses, heads_equal
 
 
 # ---------------------------------------------------------------------------
@@ -449,50 +460,27 @@ def _prepare(source: DatasetSource, jobs: int):
         yield ds, tr, mdp, digest.result
 
 
-def _timed_build(spec: SamplerSpec, ds, tr):
-    """Build an arm's sampler table once; returns (sampler, seconds)."""
-    t0 = time.perf_counter()
-    sampler = build_sampler(spec, ds, tr)
-    return sampler, time.perf_counter() - t0
-
-
 def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> dict:
     return {"kind": kind, "config": config_to_dict(cfg), "task": cfg.dataset.label,
             "refs": refs, "dataset_checksum": checksum}
 
 
-def _seed_job(shared, seed):
-    """One seed of an arm at its stage ``(steps, ckpt_dir, resume)``; returns
-    ``(entry, timing, losses, heads_equal)``, leaving out the learner state so
-    it pickles cheaply back from workers. With a ``ckpt_dir``, stage one saves
-    ``stage1_seed{seed}.orck`` there; stage two (``resume``) starts from that
-    file and sets ``heads_equal``, whether every head is still bitwise the
-    file's (None in any other pass)."""
-    ds, mdp, cfg, sampler, build_s, (steps, ckpt_dir, resume) = shared
-    path = ckpt_dir and os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
-    nets = load_checkpoint(path)[0] if resume else None
-    finetune = dict(freeze_head=cfg.dered.freeze_head,
-                    backbone_mult=cfg.dered.backbone_lr_mult) if resume else {}
-    entry, timing, losses, state = train_single_seed(
-        ds, mdp, cfg.algo, sampler, build_s, cfg.eval, cfg.root_seed, seed,
-        total_steps=steps, resume_nets=nets, **finetune)
-    if path and not resume:
-        save_checkpoint(path, state.nets)
-    heads_equal = None if nets is None else all(
-        state.nets[name].head_params().tobytes() == net.head_params().tobytes()
-        for name, net in nets.items())
-    return entry, timing, losses, heads_equal
-
-
 def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, False)):
     """One sampler arm on prepared data: build its table once, train every
-    seed at ``stage`` (see :func:`_seed_job`; by default ``cfg.algo``'s
-    steps). Returns (report, timing, losses, heads_equal per seed): the run
-    header with the ``{per_seed, aggregate, flags}`` block, and per-seed
-    timings and loss rows keyed by string seed."""
+    seed at ``stage`` (see :func:`train_single_seed`; by default
+    ``cfg.algo``'s steps). Returns (report, timing, losses, heads_equal per
+    seed): the run header with the ``{per_seed, aggregate, flags}`` block, and
+    per-seed timings and loss rows keyed by string seed."""
     ds, tr, mdp, checksum = prepared
-    sampler, build_s = _timed_build(cfg.sampler, ds, tr)
-    results = _map_seeds(_seed_job, (ds, mdp, cfg, sampler, build_s, stage), cfg.eval.seeds, jobs)
+    t0 = time.perf_counter()
+    try:
+        sampler = build_sampler(cfg.sampler, ds, tr)
+    except DatasetError as exc:  # a non-finite return or reward
+        raise DatasetError(f"{cfg.dataset.label}: {exc}") from exc
+    build_s = time.perf_counter() - t0
+    # the global, looked up per call, so a tracer's wrapper runs
+    results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, build_s, stage),
+                         cfg.eval.seeds, jobs)
     per_seed = [entry for entry, *_ in results]
     report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum()),
               "per_seed": per_seed, "aggregate": _aggregate(per_seed),
@@ -576,8 +564,8 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
         if isinstance(v, str) and v.lower() in ("inf", "infinity"):
             label, spec = "inf", replace(cfg.sampler, mode="uniform")
         else:
-            label = repr(float(v))
-            spec = replace(cfg.sampler, mode="return_resample", p_base=float(v))
+            p_base = float(v) + 0.0  # -0.0 becomes 0.0, so "-0" repeats the column "0.0"
+            label, spec = repr(p_base), replace(cfg.sampler, mode="return_resample", p_base=p_base)
         if label in arms:
             raise ConfigError(f"p_base value {v!r} repeats the column {label!r}")
         arms[label] = replace(cfg, sampler=spec)

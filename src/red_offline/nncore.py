@@ -21,7 +21,10 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def _n_params(layer_sizes) -> int:
-    """Parameter count of the layers chained by ``layer_sizes``."""
+    """Parameter count of the layers chained by ``layer_sizes``, two or more positive ints."""
+    if len(layer_sizes) < 2 or not all(isinstance(s, (int, np.integer)) and type(s) is not bool
+                                       and s > 0 for s in layer_sizes):
+        raise ValueError(f"layer_sizes {list(layer_sizes)} must be two or more positive integers")
     return sum((d_in + 1) * d_out for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
@@ -39,35 +42,29 @@ def _split(flat: np.ndarray, layer_sizes):
 class Mlp:
     """Stack of linear layers with relu/tanh on hidden layers, identity output.
 
-    ``params`` is a copy of the inputs; ``weights`` and ``biases`` are views
-    into it. ``split_point`` is the index of the first head layer; layers below
-    it are the backbone, and the head is ``params[head_start:]``. ``version``
-    increments on every parameter update and is used to detect stale caches.
+    Built from ``layer_sizes`` and a copy of their flat ``params`` buffer;
+    ``weights`` and ``biases`` are views into it. ``split_point`` is the index
+    of the first head layer; layers below it are the backbone, and the head is
+    ``params[head_start:]``. ``version`` increments on every parameter update
+    and is used to detect stale caches.
     """
 
-    def __init__(self, weights, biases, activation: str, split_point: int | None = None,
+    def __init__(self, layer_sizes, params, activation: str, split_point: int | None = None,
                  init_seed: int = 0):
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if len(weights) != len(biases) or not weights:
-            raise ValueError("weights and biases must be non-empty and aligned")
-        for i in range(len(weights) - 1):
-            if weights[i].shape[1] != weights[i + 1].shape[0]:
-                raise ValueError(
-                    f"layer {i} output dim {weights[i].shape[1]} does not chain into "
-                    f"layer {i + 1} input dim {weights[i + 1].shape[0]}")
-        for w, b in zip(weights, biases):
-            if b.shape != (w.shape[1],):
-                raise ValueError("bias shape must match layer output dim")
-        n = len(weights)
+        size = _n_params(layer_sizes)
+        n = len(layer_sizes) - 1
         self.split_point = n - 1 if split_point is None else int(split_point)
         if not (self.split_point == 0 if n == 1 else 0 < self.split_point < n):
             raise ValueError(f"split_point {split_point} out of range for {n} layers")
-        self.layer_sizes = [weights[0].shape[0]] + [w.shape[1] for w in weights]
-        self.params = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb],
-                                     dtype=np.float64)
+        self.layer_sizes = [int(s) for s in layer_sizes]
+        self.params = np.array(params, dtype=np.float64)
+        if self.params.shape != (size,):
+            raise ValueError(f"params has shape {self.params.shape}, but layer_sizes "
+                             f"{self.layer_sizes} need ({size},)")
         self.weights, self.biases = _split(self.params, self.layer_sizes)
-        self.head_start = _n_params(self.layer_sizes[:self.split_point + 1])
+        self.head_start = size - _n_params(self.layer_sizes[self.split_point:])
         self.activation = activation
         self.init_seed = int(init_seed)
         self.version = 0
@@ -85,7 +82,7 @@ class Mlp:
         return self.params[self.head_start:].copy()
 
     def copy(self) -> "Mlp":
-        return Mlp(self.weights, self.biases, self.activation, self.split_point, self.init_seed)
+        return Mlp(self.layer_sizes, self.params, self.activation, self.split_point, self.init_seed)
 
     def __setstate__(self, state):
         """After a pickle round trip or a deep copy, view the new ``params`` again."""
@@ -100,16 +97,13 @@ class Mlp:
 
 def init_mlp(layer_sizes, activation: str = "relu", seed: int = 0,
              split_point: int | None = None) -> Mlp:
-    """Uniform fan-in initialization: W, b ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least an input and an output size")
+    """Uniform fan-in initialization: W, b ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)),
+    drawn layer by layer in buffer order, so each W before its b."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / np.sqrt(d_in)
-        weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
-        biases.append(rng.uniform(-bound, bound, size=d_out))
-    return Mlp(weights, biases, activation, split_point, init_seed=seed)
+    draws = [rng.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_in + 1) * d_out)
+             for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:])]
+    return Mlp(layer_sizes, np.concatenate(draws or [[]]), activation, split_point,
+               init_seed=seed)
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -282,18 +276,13 @@ def load_checkpoint(path):
     for name in order:
         try:
             spec = specs[name]
-            sizes = list(spec["layer_sizes"])
-            if len(sizes) < 2 or not all(type(s) is int and s > 0 for s in sizes):
-                raise ValueError(f"layer_sizes {sizes} must be two or more positive integers")
-            count = _n_params(sizes)
-            if offset + 8 * count > len(payload):
-                raise ValueError("payload truncated")
-            params = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-            nets[name] = Mlp(*_split(params, sizes), spec["activation"],
-                             int(spec["split_point"]), init_seed=int(spec.get("seed", 0)))
+            end = offset + 8 * _n_params(spec["layer_sizes"])
+            nets[name] = Mlp(spec["layer_sizes"], np.frombuffer(payload[offset:end], "<f8"),
+                             spec["activation"], int(spec["split_point"]),
+                             init_seed=int(spec.get("seed", 0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise EnvelopeError(f"{path}: net {name!r}: {exc}") from exc
-        offset += 8 * count
+        offset = end
     if offset != len(payload):
         raise EnvelopeError(f"{path}: {len(payload) - offset} trailing payload bytes")
     return nets, extra

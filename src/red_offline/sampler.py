@@ -9,12 +9,11 @@ equal ones, and a draw picks a group by its mass and then a uniform member.
 """
 
 import copy
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import OfflineDataset, TrajectoryReturns, normalized_return
+from .dataset import OfflineDataset, TrajectoryReturns, finite_range, normalized_return
 
 MODES = ("uniform", "return_resample", "reward_resample", "top_fraction")
 
@@ -52,8 +51,8 @@ def sampling_distribution(p: np.ndarray, alpha: float) -> np.ndarray:
     """Normalize weights to probabilities: P(i) = p_i^alpha / sum_k p_k^alpha.
 
     Convention 0^0 = 1, so alpha = 0 is exactly uniform even with zero
-    weights. If alpha > 0 zeroes out all mass, falls back to uniform with a
-    warning rather than dividing by zero.
+    weights. Raises ValueError when the powers sum to zero (every weight is
+    0 under alpha > 0) or overflow to infinity.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
@@ -64,23 +63,21 @@ def sampling_distribution(p: np.ndarray, alpha: float) -> np.ndarray:
         raise ValueError("weights contain negative entries")
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0.0:
-        return np.full(p.size, 1.0 / p.size)
-    powered = p ** alpha
-    total = powered.sum()
-    if total == 0.0:
-        warnings.warn("all weights are zero under alpha > 0; falling back to uniform",
-                      RuntimeWarning, stacklevel=2)
-        return np.full(p.size, 1.0 / p.size)
+    with np.errstate(over="ignore"):
+        powered = p ** alpha
+        total = powered.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"weights ** alpha sum to {total} at alpha={alpha}, not to a "
+                         "positive finite total")
     return powered / total
 
 
 def reward_weights(ds: OfflineDataset, p_base: float) -> np.ndarray:
-    """Min-max normalization over per-transition rewards instead of returns."""
+    """Min-max normalized rewards instead of returns; a non-finite one raises DatasetError."""
     if p_base < 0:
         raise ValueError(f"p_base must be >= 0, got {p_base}")
     r = ds.rewards
-    lo, hi = float(r.min()), float(r.max())
+    lo, hi = finite_range(r, "transition", "reward")
     if hi == lo:
         return np.full(len(r), 1.0 + p_base)
     return (r - lo) / (hi - lo) + p_base
@@ -105,7 +102,7 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
 class WeightedSampler:
     """Categorical sampler over a fixed probability vector, drawn by groups.
 
-    ``_order`` is what a stable argsort of ``probs`` gives, built by sorting
+    ``order`` is what a stable argsort of ``probs`` gives, built by sorting
     runs of equal adjacent probability; ``_starts``/``_sizes`` locate each
     group of bit-equal probability in it and ``_cdf`` is the normalized
     cumulative group mass. A draw picks a group by its mass, then a uniform
@@ -132,13 +129,13 @@ class WeightedSampler:
         runs = np.argsort(group.astype(np.min_scalar_type(values.size)), kind="stable")
         start, size = start[runs], size[runs]
         del group, runs  # before the two N-sized arrays: keeps the peak RSS down
-        start += size - np.cumsum(size)  # each run's shift from storage to its slot in _order
-        self._order = np.repeat(start, size)
-        self._order += np.arange(probs.size)
+        start += size - np.cumsum(size)  # each run's shift from storage to its slot in order
+        self.order = np.repeat(start, size)
+        self.order += np.arange(probs.size)
         self._cdf = np.cumsum(values * self._sizes)
         self._cdf /= self._cdf[-1]
         self.probs = probs.copy()  # after the build, which then peaks lower
-        for a in (self.probs, self._order, self._starts, self._sizes, self._cdf):
+        for a in (self.probs, self.order, self._starts, self._sizes, self._cdf):
             a.setflags(write=False)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
@@ -160,15 +157,15 @@ class WeightedSampler:
         u = self._rng.random((2, batch_size))
         g = np.searchsorted(self._cdf, u[0], side="right")
         # random() <= 1 - 2**-53, so floor(u * size) < size: no clamp needed
-        return self._order[self._starts[g] + (u[1] * self._sizes[g]).astype(np.int64)]
+        return self.order[self._starts[g] + (u[1] * self._sizes[g]).astype(np.int64)]
 
 
 def build_sampler(spec: SamplerSpec, ds: OfflineDataset, tr: TrajectoryReturns) -> WeightedSampler:
     """Build the static distribution for a dataset once, before training.
 
     Return and reward weights are exactly ``1 + p_base`` at their maximum,
-    so the powered weights never all vanish and ``sampling_distribution``'s
-    uniform fallback cannot fire here.
+    so their powers never all vanish: ``sampling_distribution`` raises only
+    when ``alpha`` overflows them.
     """
     n = len(ds)
     if len(tr.per_transition_return) != n:
@@ -179,19 +176,16 @@ def build_sampler(spec: SamplerSpec, ds: OfflineDataset, tr: TrajectoryReturns) 
         probs = sampling_distribution(normalized_return(tr, spec.p_base), spec.alpha)
     elif spec.mode == "reward_resample":
         probs = sampling_distribution(reward_weights(ds, spec.p_base), spec.alpha)
-    elif spec.mode == "top_fraction":
+    else:  # top_fraction; SamplerSpec rejects any other mode
         keep = top_fraction_filter(ds, tr, spec.fraction)
         probs = np.zeros(n)
         probs[keep] = 1.0 / keep.size
-    else:  # pragma: no cover - SamplerSpec already rejects unknown modes
-        raise ValueError(f"unknown sampler mode {spec.mode!r}")
     return WeightedSampler(probs, seed=spec.seed)
 
 
-def distribution_csv(probs: np.ndarray, weights: np.ndarray | None = None) -> str:
+def distribution_csv(probs: np.ndarray, weights: np.ndarray) -> str:
     """CSV export of a probability vector: index, weight, probability."""
     lines = ["index,weight,probability"]
-    w = weights if weights is not None else probs
     for i in range(len(probs)):
-        lines.append(f"{i},{float(w[i])!r},{float(probs[i])!r}")
+        lines.append(f"{i},{float(weights[i])!r},{float(probs[i])!r}")
     return "\n".join(lines) + "\n"

@@ -109,7 +109,7 @@ def test_gamma_zero_fits_immediate_rewards():
 def test_extract_policy_argmax_and_ties():
     cfg = AlgoConfig(family="q_plus_bc", hidden_units=8)
     state = init_learner(cfg, 2, 2, seed=0)
-    logits_net = Mlp([np.zeros((2, 2))], [np.array([0.0, 5.0])], "relu")
+    logits_net = Mlp([2, 2], [0.0, 0.0, 0.0, 0.0, 0.0, 5.0], "relu")
     state.nets["policy"] = logits_net
     policy = extract_policy(state)
     assert policy(np.zeros((3, 2))).tolist() == [1, 1, 1]

@@ -2,6 +2,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,79 @@ def test_dataset_that_does_not_fit_its_environment_exits_two(tmp_path, capsys, c
                  "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def _config_on_file(tmp_path, dataset):
+    cfg = write_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({**data, "dataset": {"path": str(dataset)}}))
+    return cfg
+
+
+@pytest.mark.parametrize("alpha,p_base,alpha_json", [("2000", "1", "2000"),
+                                                     ("inf", "1", "Infinity")])
+def test_overflowing_powers_exit_three_naming_alpha(tmp_path, capsys, alpha, p_base,
+                                                    alpha_json):
+    path = tmp_path / "replay.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(path)])
+    cfg = _config_on_file(tmp_path, path)
+    capsys.readouterr()
+    named = f"runtime error: weights ** alpha sum to inf at alpha={float(alpha)}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow or invalid-value warning
+        for command in (["rebalance-preview", "--dataset", str(path),
+                         "--alpha", alpha, "--p-base", p_base],
+                        ["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         f"sampler.alpha={alpha_json}", f"sampler.p_base={p_base}"]):
+            assert main(command) == 3, command
+            captured = capsys.readouterr()
+            assert captured.err.startswith(named) and "P=" not in captured.out, command
+
+
+def test_alpha_inf_without_a_floor_keeps_only_the_best_returns(tmp_path, capsys):
+    path = tmp_path / "replay.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(path)])
+    capsys.readouterr()
+    assert main(["rebalance-preview", "--dataset", str(path), "--alpha", "inf",
+                 "--p-base", "0", "--top-k", "1"]) == 0
+    tr = compute_trajectory_returns(load_dataset(path))
+    best = tr.per_transition_return == tr.r_max
+    out = capsys.readouterr().out
+    assert f"zero-mass fraction: {1 - best.mean():.4f}" in out
+    assert f"P={1 / best.sum():.3e} (weight 1.0000)" in out
+
+
+def _with_reward(src, dst, index, value):
+    """Save the dataset file ``src`` as ``dst`` with one reward replaced."""
+    from red_offline.dataset import OfflineDataset, save_dataset
+    ds = load_dataset(src)
+    rewards = ds.rewards.copy()
+    rewards[index] = value
+    save_dataset(OfflineDataset(ds.obs, ds.actions, rewards, ds.next_obs, ds.terminals,
+                                ds.timeouts, ds.traj_bounds, ds.meta), dst)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_returns_and_rewards_exit_two_naming_them(tmp_path, capsys, value):
+    good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(good)])
+    first = int(load_dataset(good).traj_bounds[1, 0]) - 1  # trajectory 0's last transition
+    _with_reward(good, bad, first, value)
+    cfg = _config_on_file(tmp_path, bad)
+    capsys.readouterr()
+    run = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    cases = [(["stats", "--dataset", str(bad)], f"trajectory 0: return {value} is not finite"),
+             (["rebalance-preview", "--dataset", str(bad)],
+              f"trajectory 0: return {value} is not finite"),
+             (run, f"trajectory 0: return {value} is not finite"),
+             (run + ["sampler.mode=reward_resample"],
+              f"transition {first}: reward {value} is not finite")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy range or invalid-value warning
+        for command, message in cases:
+            assert main(command) == 2, command
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n", command
     assert not (tmp_path / "o").exists()
 
 
@@ -424,6 +498,17 @@ def test_sweep_emits_table(tmp_path):
     header, row = (out / "sweep.csv").read_text().strip().splitlines()
     assert header == "task,0.0,0.5,inf"
     assert row.startswith("replay_analog,")
+
+
+def test_negative_zero_pbase_is_the_zero_column(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "twice"),
+                 "--values=0,-0"]) == 2
+    assert "p_base value -0.0 repeats the column '0.0'" in capsys.readouterr().err
+    out = tmp_path / "zero"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--values=-0"]) == 0
+    assert (out / "sweep.csv").read_text().splitlines()[0] == "task,0.0"
+    assert (out / "curves_0.0.csv").exists() and not (tmp_path / "twice").exists()
 
 
 def test_report_merges_and_marks_best(tmp_path, capsys):

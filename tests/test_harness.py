@@ -350,7 +350,7 @@ def test_sweep_pbase_table_shape_and_inf_column():
     assert set(table["scores"]) == {"0.0", "inf"}
     # a repeated column is rejected before the (here missing) dataset is read
     missing = replace(cfg, dataset=DatasetSource(path="missing.ords"))
-    for values in ([0.2, 0.20], ["inf", 1.0, "Infinity"]):
+    for values in ([0.2, 0.20], ["inf", 1.0, "Infinity"], [0.0, -0.0]):
         with pytest.raises(ConfigError, match="repeats the column"):
             sweep_pbase(missing, values)
 

@@ -27,13 +27,13 @@ def reference_forward(net, x):
 
 
 def test_zero_network_returns_zero():
-    net = Mlp([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)], "relu")
+    net = Mlp([3, 4, 2], np.zeros(3 * 4 + 4 + 4 * 2 + 2), "relu")
     out = forward(net, np.random.default_rng(0).random((5, 3)))
     assert np.array_equal(out, np.zeros((5, 2)))
 
 
 def test_identity_single_layer():
-    net = Mlp([np.eye(3)], [np.zeros(3)], "relu")
+    net = Mlp([3, 3], np.concatenate([np.eye(3).ravel(), np.zeros(3)]), "relu")
     x = np.random.default_rng(1).normal(size=(4, 3))
     assert np.array_equal(forward(net, x), x)
 
@@ -49,12 +49,45 @@ def test_dimension_mismatch_rejected():
     net = init_mlp([3, 4, 2], seed=0)
     with pytest.raises(ValueError, match="input shape"):
         forward(net, np.zeros((5, 4)))
-    with pytest.raises(ValueError):
-        Mlp([np.zeros((3, 4)), np.zeros((5, 2))], [np.zeros(4), np.zeros(2)], "relu")
+    # a [3, 4, 2] buffer under layer sizes that do not chain the same way
+    with pytest.raises(ValueError, match="params has shape"):
+        Mlp([3, 5, 2], net.params, "relu")
+
+
+@pytest.mark.parametrize("size", [0, 25, 27])
+def test_buffer_of_the_wrong_size_rejected(size):
+    with pytest.raises(ValueError, match=r"params has shape \(%d,\), but layer_sizes "
+                                         r"\[3, 4, 2\] need \(26,\)" % size):
+        Mlp([3, 4, 2], np.zeros(size), "relu")
+    with pytest.raises(ValueError, match="params has shape"):
+        Mlp([3, 4, 2], np.zeros((1, 26)), "relu")
+
+
+@pytest.mark.parametrize("sizes", [[3], [3, 0], [3, "4"], [3, -4, 2], [3, True], []])
+def test_bad_layer_sizes_rejected(sizes):
+    with pytest.raises(ValueError, match="must be two or more positive integers"):
+        Mlp(sizes, np.zeros(0), "relu")
+    if sizes in ([3], [3, 0]):
+        with pytest.raises(ValueError, match="must be two or more positive integers"):
+            init_mlp(sizes)
+
+
+@pytest.mark.parametrize("sizes", [[3, 8, 8, 2], [2, 1]])
+def test_init_mlp_draws_each_weight_then_its_bias(sizes):
+    # reference: one generator, each layer's W (row-major) and then its b
+    rng = np.random.default_rng(17)
+    expected = []
+    for d_in, d_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / np.sqrt(d_in)
+        expected.append(rng.uniform(-bound, bound, size=(d_in, d_out)).ravel())
+        expected.append(rng.uniform(-bound, bound, size=d_out))
+    net = init_mlp(sizes, seed=17)
+    assert net.params.tobytes() == np.concatenate(expected).tobytes()
+    assert net.layer_sizes == sizes and net.init_seed == 17
 
 
 def test_linear_net_analytic_gradient():
-    net = Mlp([np.zeros((3, 1))], [np.zeros(1)], "relu")
+    net = Mlp([3, 1], np.zeros(4), "relu")
     x = np.array([[0.5, -1.5, 2.0]])
     _, cache = forward_cache(net, x)
     grads, gin = backward(net, cache, np.ones((1, 1)))
@@ -237,13 +270,13 @@ def test_backbone_multiplier_at_non_default_split():
 
 def test_split_point_range_checked():
     with pytest.raises(ValueError, match="split_point"):
-        Mlp([np.eye(3)], [np.zeros(3)], "relu", split_point=5)
+        Mlp([3, 3], np.zeros(12), "relu", split_point=5)
     with pytest.raises(ValueError, match="split_point"):
-        Mlp([np.eye(3)], [np.zeros(3)], "relu", split_point=1)
+        Mlp([3, 3], np.zeros(12), "relu", split_point=1)
     for bad in (0, 2, -1):
         with pytest.raises(ValueError, match="split_point"):
             init_mlp([3, 4, 2], split_point=bad)
-    assert Mlp([np.eye(3)], [np.zeros(3)], "relu").head_params().size == 12
+    assert Mlp([3, 3], np.zeros(12), "relu").head_params().size == 12
 
 
 def test_weight_views_alias_params():
@@ -258,9 +291,9 @@ def test_weight_views_alias_params():
 
 
 def test_mlp_copies_its_inputs():
-    w, b = np.eye(3), np.zeros(3)
-    net = Mlp([w], [b], "relu")
-    w[0, 0] = 7.0
+    params = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
+    net = Mlp([3, 3], params, "relu")
+    params[0] = 7.0
     assert net.weights[0][0, 0] == 1.0
 
 
@@ -314,6 +347,8 @@ _HEADER_EDITS = {
     "unknown_activation": lambda h: h["nets"]["q"].update(activation="sigmoid"),
     "single_layer_size": lambda h: h["nets"]["q"].update(layer_sizes=[3]),
     "negative_layer_size": lambda h: h["nets"]["q"].update(layer_sizes=[3, -8, 4]),
+    "string_layer_size": lambda h: h["nets"]["q"].update(layer_sizes=[3, "8", 4]),
+    "sizes_beyond_payload": lambda h: h["nets"]["q"].update(layer_sizes=[3, 9, 4]),
 }
 
 

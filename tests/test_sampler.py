@@ -55,10 +55,31 @@ def test_invalid_weights_rejected():
         sampling_distribution(np.array([1.0]), -1.0)
 
 
-def test_all_zero_weights_fall_back_to_uniform():
-    with pytest.warns(RuntimeWarning, match="uniform"):
-        out = sampling_distribution(np.zeros(4), 1.0)
-    assert np.array_equal(out, np.full(4, 0.25))
+def test_all_zero_weights_raise_naming_alpha():
+    # all zero, or all underflowing to zero: no mass to normalize
+    for p, alpha in ((np.zeros(4), 1.0), (np.full(3, 1e-200), 2.0)):
+        with pytest.raises(ValueError, match=f"sum to 0.0 at alpha={alpha}"):
+            sampling_distribution(p, alpha)
+
+
+@pytest.mark.parametrize("p,alpha", [(np.array([1.0, 2.0]), 2000.0),
+                                     (np.array([1.0, 1.5]), np.inf),
+                                     (np.full(3, 1e308), 1.0)])
+def test_overflowing_powers_raise_naming_alpha(p, alpha):
+    # one power overflows, or only their sum does; numpy warns about neither
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"sum to inf at alpha={alpha}"):
+            sampling_distribution(p, alpha)
+
+
+def test_alpha_inf_keeps_only_the_largest_weights():
+    # weights at most 1: every power is 0 except the maxima's, which stay 1
+    ds = make_dataset([[1.0], [3.0, 0.0], [0.0, 3.0], [2.0]])
+    tr = compute_trajectory_returns(ds)
+    s = build_sampler(SamplerSpec(mode="return_resample", alpha=np.inf, p_base=0.0), ds, tr)
+    assert s.probs.tolist() == [0.0, 0.25, 0.25, 0.25, 0.25, 0.0]
+    assert sampling_distribution(np.array([0.5, 1.0, 0.0]), np.inf).tolist() == [0.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("name", ["replay_analog", "expert_analog", "sparse_analog",
@@ -253,7 +274,7 @@ def check_group_table(s):
     """Runs partition range(N), hold bit-equal probabilities in strictly
     increasing order, and imply each index's probability; returns the worst
     implied-probability error relative to ``probs.max()``."""
-    probs, order, starts, sizes, cdf = s.probs, s._order, s._starts, s._sizes, s._cdf
+    probs, order, starts, sizes, cdf = s.probs, s.order, s._starts, s._sizes, s._cdf
     assert np.array_equal(np.sort(order), np.arange(probs.size))
     assert starts[0] == 0 and np.array_equal(starts[1:], (starts + sizes)[:-1])
     assert starts[-1] + sizes[-1] == probs.size and sizes.min() >= 1
@@ -280,7 +301,7 @@ def test_alias_table_against_reference_loop(preset_dataset, name, mode, p_base):
     tr = compute_trajectory_returns(ds)
     s = build_sampler(SamplerSpec(mode=mode, p_base=p_base, seed=11), ds, tr)
     assert check_group_table(s) <= 1e-13
-    runs = np.split(s._order, s._starts[1:])
+    runs = np.split(s.order, s._starts[1:])
     assert [r.tolist() for r in runs] == reference_groups(s.probs)
     zero = s.probs == 0.0
     assert not zero[s.sample_batch(200_000)].any()
@@ -299,7 +320,7 @@ def test_alias_table_random_distributions_match_reference():
             continue
         s = WeightedSampler(probs, seed=trial)
         assert check_group_table(s) <= 1e-13
-        assert [r.tolist() for r in np.split(s._order, s._starts[1:])] == reference_groups(s.probs)
+        assert [r.tolist() for r in np.split(s.order, s._starts[1:])] == reference_groups(s.probs)
 
 
 def blocky_probs(rng):
@@ -322,10 +343,10 @@ def test_group_table_from_runs_matches_a_stable_sort_on_blocky_probabilities():
         if abs(probs.sum() - 1.0) > 1e-12:
             continue
         s = WeightedSampler(probs, seed=trial)
-        assert np.array_equal(s._order, np.argsort(probs, kind="stable"))
+        assert np.array_equal(s.order, np.argsort(probs, kind="stable"))
         assert check_group_table(s) <= 1e-13
-        assert [r.tolist() for r in np.split(s._order, s._starts[1:])] == reference_groups(s.probs)
-        assert s._order.dtype == s._starts.dtype == s._sizes.dtype == np.int64
+        assert [r.tolist() for r in np.split(s.order, s._starts[1:])] == reference_groups(s.probs)
+        assert s.order.dtype == s._starts.dtype == s._sizes.dtype == np.int64
         assert not (s.probs == 0.0)[s.sample_batch(1000)].any()
 
 
@@ -341,7 +362,7 @@ class _TopUniform:
 def test_largest_uniform_draws_the_last_member_of_the_last_group(probs):
     s = WeightedSampler(probs, seed=0)
     s._rng = _TopUniform()
-    assert np.array_equal(s.sample_batch(3), np.full(3, s._order[-1]))
+    assert np.array_equal(s.sample_batch(3), np.full(3, s.order[-1]))
 
 
 @pytest.mark.parametrize("name", ["replay_analog", "expert_analog", "sparse_analog",
@@ -365,7 +386,7 @@ def test_with_seed_shares_the_table_and_matches_a_fresh_build():
     tr = compute_trajectory_returns(ds)
     arm = build_sampler(SamplerSpec(mode="return_resample", p_base=0.1, seed=0), ds, tr)
     seeded = arm.with_seed(777)
-    assert seeded._order is arm._order and seeded._cdf is arm._cdf
+    assert seeded.order is arm.order and seeded._cdf is arm._cdf
     assert seeded.probs is arm.probs and not seeded.probs.flags.writeable
     fresh = build_sampler(SamplerSpec(mode="return_resample", p_base=0.1, seed=777), ds, tr)
     assert np.array_equal(seeded.sample_batch(5000), fresh.sample_batch(5000))
