@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness
-from .dataset import (compute_trajectory_returns, finite_range, histogram_csv, load_dataset,
+from .dataset import (compute_trajectory_returns, histogram_csv, load_dataset,
                       normalized_return, return_histogram, save_dataset, DatasetError)
 from .envsuite import PRESETS, generate_dataset, preset_config
 from .harness import (ConfigError, apply_overrides, config_from_dict, curves_csv,
@@ -87,12 +87,10 @@ def cmd_gen(args) -> int:
 
 
 def _load_with_returns(path):
-    """(dataset, finite trajectory returns) of a dataset file; every error names the file."""
+    """(dataset, trajectory returns) of a dataset file; every error names the file."""
     ds = load_dataset(path)
     try:
-        tr = compute_trajectory_returns(ds)
-        finite_range(tr.returns, "trajectory", "return")
-        return ds, tr
+        return ds, compute_trajectory_returns(ds)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
@@ -266,17 +264,24 @@ def cmd_report(args) -> int:
             raise SystemExit_(EXIT_CONFIG, f"cannot read {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise SystemExit_(EXIT_CONFIG, f"{path} is not valid JSON: {exc}")
-        if payload.get("kind") not in ("experiment", "two_stage"):
-            raise SystemExit_(EXIT_CONFIG, f"{path}: not a run report (kind={payload.get('kind')!r})")
-        label = _run_label(payload)
-        while label in labels and (payload["task"], label) in cells:
-            label += "'"
-        task = payload["task"]
+        kind = payload.get("kind") if isinstance(payload, dict) else None
+        if kind not in ("experiment", "two_stage"):
+            raise SystemExit_(EXIT_CONFIG, f"{path}: not a run report: kind {kind!r}")
+        try:
+            label, task, score = _run_label(payload), payload["task"], _run_score(payload)
+            if type(task) is not str or not (score is None or type(score) in (int, float)):
+                raise TypeError(f"task {task!r} must be a string and score {score!r} a number "
+                                "or null")
+            while label in labels and (task, label) in cells:
+                label += "'"
+        except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
+            raise SystemExit_(EXIT_CONFIG, f"{path}: not a run report: "
+                              + (f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)))
         if label not in labels:
             labels.append(label)
         if task not in tasks:
             tasks.append(task)
-        cells[(task, label)] = _run_score(payload)
+        cells[(task, label)] = score
     missing = [(t, l) for t in tasks for l in labels if (t, l) not in cells]
     if missing:
         raise SystemExit_(EXIT_CONFIG,

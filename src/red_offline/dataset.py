@@ -33,6 +33,8 @@ class DatasetMeta:
     seed: int
 
     def __post_init__(self):
+        if type(self.obs_dim) is not int or self.obs_dim < 1:
+            raise DatasetError(f"obs_dim {self.obs_dim!r} is not an int >= 1")
         n = self.action.get("discrete")
         if list(self.action) != ["discrete"] or type(n) is not int or n < 1:
             raise DatasetError(f"action space {self.action!r} is not {{'discrete': n >= 1}}")
@@ -49,6 +51,7 @@ class OfflineDataset:
     Arrays are float64 (observations, rewards), actions int64 in
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
+    Every observation and reward is finite, and so is the rewards' span.
     Transition inputs already C-contiguous and of that dtype are shared, not
     copied: they stay writable, and writing them changes the dataset.
     """
@@ -88,6 +91,16 @@ class OfflineDataset:
             bad = np.flatnonzero((self.actions < 0) | (self.actions >= n_actions))[0]
             raise DatasetError(f"transition {bad}: action {self.actions[bad]} "
                                f"outside [0, {n_actions})")
+        for name, values in (("obs", self.obs), ("next_obs", self.next_obs),
+                             ("reward", self.rewards)):
+            # one min and one max pass, no N-sized temporary; NaN propagates through both
+            lo, hi = (float(values.min()), float(values.max())) if n else (0.0, 0.0)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                row, *col = np.argwhere(~np.isfinite(values))[0]
+                raise DatasetError(f"transition {row}: {name} {values[(row, *col)]} is not finite")
+        if hi - lo == math.inf:  # the rewards', in Python floats: no numpy overflow warning
+            raise DatasetError(f"transitions {self.rewards.argmin()} and {self.rewards.argmax()}: "
+                               f"rewards {lo!r} and {hi!r} span more than float64")
         both = np.flatnonzero(self.terminals & self.timeouts)
         if both.size:
             raise DatasetError(f"transition {both[0]}: terminal and timeout both set")
@@ -148,10 +161,9 @@ def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     """Undiscounted reward sum per trajectory, broadcast back to transitions.
 
     Each return is ``math.fsum`` of its rewards, so correctly rounded: equal
-    sums give bitwise-equal returns. NaN rewards give a NaN return, infinite
-    rewards of one sign an infinite one; +inf added to -inf, or finite
-    rewards that overflow float64 as they add up, raise a DatasetError
-    naming the trajectory.
+    sums give bitwise-equal returns. Rewards that overflow float64 as they
+    add up, or returns whose max - min does, raise a DatasetError naming the
+    trajectory or the two trajectories.
     """
     if len(ds) == 0:
         raise DatasetError("empty dataset")
@@ -160,58 +172,45 @@ def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     for j, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
         try:
             returns[j] = math.fsum(ds.rewards[start:stop].tolist())
-        except (ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise DatasetError(f"trajectory {j}: rewards have no float64 sum: {exc}") from None
+    r_min, r_max = float(returns.min()), float(returns.max())
+    if r_max - r_min == math.inf:  # Python floats: no numpy overflow warning
+        raise DatasetError(f"trajectories {returns.argmin()} and {returns.argmax()}: returns "
+                           f"{r_min!r} and {r_max!r} span more than float64")
     per_transition = np.repeat(returns, stops - starts)
     returns.setflags(write=False)
     per_transition.setflags(write=False)
-    return TrajectoryReturns(
-        returns=returns,
-        r_min=float(returns.min()),
-        r_max=float(returns.max()),
-        per_transition_return=per_transition,
-    )
+    return TrajectoryReturns(returns, r_min, r_max, per_transition)
 
 
-def finite_range(values: np.ndarray, item: str, name: str) -> tuple:
-    """``(min, max)`` of ``values``; DatasetError names a non-finite one as ``{item} {i}``."""
-    lo, hi = float(values.min()), float(values.max())  # NaN propagates through both
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise DatasetError(f"{item} {i}: {name} {values[i]} is not finite")
-    return lo, hi
+def minmax_weights(values: np.ndarray, lo: float, hi: float, p_base: float) -> np.ndarray:
+    """``(values - lo) / (hi - lo) + p_base``; all ``1 + p_base`` (so sampling is
+    uniform) when ``hi == lo``, where the normalization is undefined."""
+    if p_base < 0:
+        raise ValueError(f"p_base must be >= 0, got {p_base}")
+    if hi == lo:
+        return np.full(len(values), 1.0 + p_base)
+    return (values - lo) / (hi - lo) + p_base
 
 
 def normalized_return(tr: TrajectoryReturns, p_base: float) -> np.ndarray:
-    """Min-max normalized trajectory return per transition, plus the additive floor.
-
-    With all returns equal the normalization is undefined; every weight
-    becomes ``1 + p_base`` so downstream sampling degenerates to uniform. A
-    non-finite return raises DatasetError naming its trajectory.
-    """
-    if p_base < 0:
-        raise ValueError(f"p_base must be >= 0, got {p_base}")
-    ptr = tr.per_transition_return
-    r_min, r_max = finite_range(tr.returns, "trajectory", "return")
-    if r_max == r_min:
-        return np.full(len(ptr), 1.0 + p_base)
-    return (ptr - r_min) / (r_max - r_min) + p_base
+    """Min-max normalized trajectory return per transition, plus the additive floor."""
+    return minmax_weights(tr.per_transition_return, tr.r_min, tr.r_max, p_base)
 
 
 def return_histogram(tr: TrajectoryReturns, bins: int) -> dict:
     """Equal-width histogram of trajectory returns over [r_min, r_max].
 
     Returns {"bin_edges": (bins+1,), "counts": (bins,)}; counts sum to the
-    number of trajectories. All-equal returns collapse to one unit-width bin;
-    a non-finite return raises DatasetError naming its trajectory.
+    number of trajectories. All-equal returns collapse to one unit-width bin.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    r_min, r_max = finite_range(tr.returns, "trajectory", "return")
-    if r_max == r_min:
-        edges = np.array([r_min - 0.5, r_max + 0.5])
+    if tr.r_max == tr.r_min:
+        edges = np.array([tr.r_min - 0.5, tr.r_max + 0.5])
         return {"bin_edges": edges, "counts": np.array([len(tr.returns)])}
-    counts, edges = np.histogram(tr.returns, bins=bins, range=(r_min, r_max))
+    counts, edges = np.histogram(tr.returns, bins=bins, range=(tr.r_min, tr.r_max))
     return {"bin_edges": edges, "counts": counts}
 
 
@@ -267,20 +266,22 @@ def load_dataset(path) -> OfflineDataset:
         except EnvelopeError as exc:
             raise DatasetError(str(exc)) from exc
         try:
+            for name in ("obs_dim", "seed", "n_transitions", "n_trajectories"):
+                if type(header[name]) is not int:
+                    raise TypeError(f"{name} {header[name]!r} is not an integer")
             meta = DatasetMeta(
-                obs_dim=int(header["obs_dim"]),
+                obs_dim=header["obs_dim"],
                 action=dict(header["action"]),
                 env_name=str(header["env_name"]),
-                seed=int(header["seed"]),
+                seed=header["seed"],
             )
-            n = int(header["n_transitions"])
-            n_traj = int(header["n_trajectories"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n, n_traj = header["n_transitions"], header["n_trajectories"]
+            dtype = _record_dtype(meta)
+        except (KeyError, TypeError, ValueError) as exc:  # DatasetError included
             raise DatasetError(f"{path}: header missing or malformed field: {exc}") from exc
         for name, count in (("n_transitions", n), ("n_trajectories", n_traj)):
             if count < 0:
                 raise DatasetError(f"{path}: header field {name} is {count}, below 0")
-        dtype = _record_dtype(meta)
         expected = n * dtype.itemsize + n_traj * 16
         if size != expected:
             raise DatasetError(

@@ -296,7 +296,7 @@ def train_single_seed(shared, seed: int) -> tuple:
     ds, mdp, cfg, arm_sampler, build_s, (steps, ckpt_dir, resume) = shared
     steps = cfg.algo.total_steps if steps is None else steps
     path = ckpt_dir and os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
-    nets = load_checkpoint(path)[0] if resume else None
+    nets = load_checkpoint(path) if resume else None
     freeze_head = resume and cfg.dered.freeze_head
     refs = mdp.reference_scores
     flags = []
@@ -473,10 +473,7 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, 
     per-seed timings and loss rows keyed by string seed."""
     ds, tr, mdp, checksum = prepared
     t0 = time.perf_counter()
-    try:
-        sampler = build_sampler(cfg.sampler, ds, tr)
-    except DatasetError as exc:  # a non-finite return or reward
-        raise DatasetError(f"{cfg.dataset.label}: {exc}") from exc
+    sampler = build_sampler(cfg.sampler, ds, tr)
     build_s = time.perf_counter() - t0
     # the global, looked up per call, so a tracer's wrapper runs
     results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, build_s, stage),

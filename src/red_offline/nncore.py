@@ -244,7 +244,7 @@ def max_relative_gradient_error(analytic, numeric) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def save_checkpoint(path, nets: dict, extra: dict | None = None) -> None:
+def save_checkpoint(path, nets: dict) -> None:
     """Write named networks into one envelope file for stage handoffs.
 
     The payload is each net's ``params`` as little-endian float64, in sorted
@@ -255,20 +255,20 @@ def save_checkpoint(path, nets: dict, extra: dict | None = None) -> None:
                           "activation": nets[name].activation,
                           "split_point": nets[name].split_point,
                           "seed": nets[name].init_seed} for name in order}
-    header = {"nets": header_nets, "order": order, "extra": extra or {}}
+    # "extra" is unused; an empty one keeps the file bytes of earlier versions
+    header = {"nets": header_nets, "order": order, "extra": {}}
     write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header,
                    (nets[name].params.astype("<f8", copy=False).tobytes() for name in order))
 
 
 def load_checkpoint(path):
-    """Read back (nets, extra); raises EnvelopeError on malformed files."""
+    """Read back the named networks; raises EnvelopeError on malformed files."""
     with open(path, "rb") as f:  # small: read whole
         _, header, size = read_envelope(f, CKPT_MAGIC, CKPT_VERSION)
         payload = f.read(size)
     try:
         order = list(header["order"])
         specs = header["nets"]
-        extra = dict(header.get("extra", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise EnvelopeError(f"{path}: checkpoint header malformed: {exc}") from exc
     nets = {}
@@ -285,4 +285,4 @@ def load_checkpoint(path):
         offset = end
     if offset != len(payload):
         raise EnvelopeError(f"{path}: {len(payload) - offset} trailing payload bytes")
-    return nets, extra
+    return nets

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import OfflineDataset, TrajectoryReturns, finite_range, normalized_return
+from .dataset import OfflineDataset, TrajectoryReturns, minmax_weights, normalized_return
 
 MODES = ("uniform", "return_resample", "reward_resample", "top_fraction")
 
@@ -73,14 +73,8 @@ def sampling_distribution(p: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def reward_weights(ds: OfflineDataset, p_base: float) -> np.ndarray:
-    """Min-max normalized rewards instead of returns; a non-finite one raises DatasetError."""
-    if p_base < 0:
-        raise ValueError(f"p_base must be >= 0, got {p_base}")
-    r = ds.rewards
-    lo, hi = finite_range(r, "transition", "reward")
-    if hi == lo:
-        return np.full(len(r), 1.0 + p_base)
-    return (r - lo) / (hi - lo) + p_base
+    """Min-max normalized rewards instead of returns, plus the additive floor."""
+    return minmax_weights(ds.rewards, float(ds.rewards.min()), float(ds.rewards.max()), p_base)
 
 
 def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: float) -> np.ndarray:
@@ -93,8 +87,8 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     k = int(np.ceil(fraction * len(ds)))
     neg = -tr.per_transition_return
-    cut = np.partition(neg, k - 1)[k - 1]  # the k-th best; NaN ranks last, as in a sort
-    keep, tied = (~np.isnan(neg), np.isnan(neg)) if np.isnan(cut) else (neg < cut, neg == cut)
+    cut = np.partition(neg, k - 1)[k - 1]  # the k-th best
+    keep, tied = neg < cut, neg == cut
     keep[np.flatnonzero(tied)[:k - np.count_nonzero(keep)]] = True  # first ties in storage order
     return np.flatnonzero(keep)
 

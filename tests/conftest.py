@@ -1,10 +1,13 @@
+import json
 import os
+import struct
 import threading
 
 import numpy as np
 import pytest
 
 import red_offline
+from red_offline import dataset as dataset_module
 from red_offline.dataset import DatasetMeta, OfflineDataset
 from red_offline.envsuite import PRESETS, generate_dataset
 from red_offline.harness import pin_blas_threads
@@ -87,3 +90,18 @@ def make_dataset(rewards_per_traj, obs_dim=1, n_actions=2, seed=0, returns_as_re
 @pytest.fixture
 def tiny_dataset():
     return make_dataset([[1.0, 2.0, 3.0], [0.5], [-1.0, 1.0]])
+
+
+def write_record_value(path, record, field, value, col=0):
+    """Overwrite one float64 of an ``.ords`` file in place: column ``col`` of
+    ``field`` ("obs", "action", "reward" or "next_obs") in record ``record``.
+    The dataset constructor refuses non-finite values, so tests that need a
+    file holding one write it into the record bytes."""
+    raw = bytearray(path.read_bytes())
+    head_len = struct.unpack_from("<Q", raw, 8)[0]
+    header = json.loads(raw[16:16 + head_len])
+    meta = DatasetMeta(header["obs_dim"], header["action"], header["env_name"], header["seed"])
+    dtype = dataset_module._record_dtype(meta)
+    offset = 16 + head_len + record * dtype.itemsize + dtype.fields[field][1] + 8 * col
+    struct.pack_into("<d", raw, offset, value)
+    path.write_bytes(bytes(raw))

@@ -1,4 +1,6 @@
 import json
+import math
+import shutil
 import struct
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from red_offline.dataset import compute_trajectory_returns, load_dataset, return
 from red_offline.harness import blas_threads
 from red_offline.sampler import build_sampler
 
-from conftest import src_env
+from conftest import src_env, write_record_value
 
 
 def write_config(tmp_path, name="cfg.json", **updates):
@@ -213,37 +215,66 @@ def test_alpha_inf_without_a_floor_keeps_only_the_best_returns(tmp_path, capsys)
     assert f"P={1 / best.sum():.3e} (weight 1.0000)" in out
 
 
-def _with_reward(src, dst, index, value):
-    """Save the dataset file ``src`` as ``dst`` with one reward replaced."""
-    from red_offline.dataset import OfflineDataset, save_dataset
-    ds = load_dataset(src)
-    rewards = ds.rewards.copy()
-    rewards[index] = value
-    save_dataset(OfflineDataset(ds.obs, ds.actions, rewards, ds.next_obs, ds.terminals,
-                                ds.timeouts, ds.traj_bounds, ds.meta), dst)
+def _every_command_exits_two(tmp_path, capsys, bad, message):
+    """Each command that reads the dataset file ``bad`` exits 2 with
+    ``error: {bad}: {message}``, writes no report and fires no numpy warning."""
+    cfg = _config_on_file(tmp_path, bad)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                               "dered": {"stage1_steps": 20, "stage2_steps": 20}}))
+    runs = {f"train_{mode}": ["train", f"sampler.mode={mode}"]
+            for mode in ("uniform", "return_resample", "reward_resample", "top_fraction")}
+    runs.update(sweep=["sweep", "--values", "0,inf"], compare=["compare"], dered=["dered"])
+    commands = [["stats", "--dataset", str(bad)], ["rebalance-preview", "--dataset", str(bad)]]
+    commands += [[command, "--config", str(cfg), "--out", str(tmp_path / name), *rest]
+                 for name, (command, *rest) in runs.items()]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy range, overflow or invalid-value warning
+        for command in commands:
+            assert main(command) == 2, command
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n", command
+    assert not list(tmp_path.glob("*/report.json"))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_returns_and_rewards_exit_two_naming_them(tmp_path, capsys, value):
+    # a non-finite reward is refused at load, so no return is ever non-finite
     good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
     main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(good)])
     first = int(load_dataset(good).traj_bounds[1, 0]) - 1  # trajectory 0's last transition
-    _with_reward(good, bad, first, value)
-    cfg = _config_on_file(tmp_path, bad)
-    capsys.readouterr()
-    run = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    cases = [(["stats", "--dataset", str(bad)], f"trajectory 0: return {value} is not finite"),
-             (["rebalance-preview", "--dataset", str(bad)],
-              f"trajectory 0: return {value} is not finite"),
-             (run, f"trajectory 0: return {value} is not finite"),
-             (run + ["sampler.mode=reward_resample"],
-              f"transition {first}: reward {value} is not finite")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy range or invalid-value warning
-        for command, message in cases:
-            assert main(command) == 2, command
-            assert capsys.readouterr().err == f"error: {bad}: {message}\n", command
-    assert not (tmp_path / "o").exists()
+    shutil.copy(good, bad)
+    write_record_value(bad, first, "reward", value)
+    _every_command_exits_two(tmp_path, capsys, bad,
+                             f"transition {first}: reward {value} is not finite")
+
+
+@pytest.mark.parametrize("case", ["obs_nan", "next_obs_inf", "reward_span", "return_span"])
+def test_values_beyond_float64_exit_two_naming_where(tmp_path, capsys, case):
+    good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(good)])
+    bounds = load_dataset(good).traj_bounds
+    (a, _), (b, _) = bounds[bounds[:, 1] - bounds[:, 0] >= 2][:2]  # two trajectories of 2+
+    shutil.copy(good, bad)
+    if case == "obs_nan":
+        write_record_value(bad, 7, "obs", np.nan, col=1)
+        message = "transition 7: obs nan is not finite"
+    elif case == "next_obs_inf":
+        write_record_value(bad, 5, "next_obs", -np.inf)
+        message = "transition 5: next_obs -inf is not finite"
+    elif case == "reward_span":
+        write_record_value(bad, a, "reward", 1e308)
+        write_record_value(bad, b, "reward", -1e308)
+        message = f"transitions {b} and {a}: rewards -1e+308 and 1e+308 span more than float64"
+    else:  # finite rewards and reward span; returns of about -1e308 and 1e308
+        for record, value in ((a, 5e307), (a + 1, 5e307), (b, -5e307), (b + 1, -5e307)):
+            write_record_value(bad, record, "reward", value)
+        ds = load_dataset(bad)  # a legal dataset: only its returns' span overflows
+        returns = [math.fsum(ds.rewards[start:stop].tolist()) for start, stop in ds.traj_bounds]
+        lo, hi = min(returns), max(returns)
+        assert -1.0001e308 < lo < -0.9999e308 and 0.9999e308 < hi < 1.0001e308
+        message = (f"trajectories {returns.index(lo)} and {returns.index(hi)}: returns "
+                   f"{lo!r} and {hi!r} span more than float64")
+    _every_command_exits_two(tmp_path, capsys, bad, message)
 
 
 def test_train_is_deterministic(tmp_path):
@@ -364,6 +395,29 @@ def test_negative_header_count_exits_two(tmp_path, capsys, header, message):
     capsys.readouterr()
     assert main(["stats", "--dataset", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header,message", [
+    ({"obs_dim": -1}, "obs_dim -1 is not an int >= 1"),
+    ({"obs_dim": 0}, "obs_dim 0 is not an int >= 1"),
+    ({"obs_dim": 10**30}, "invalid shape"),
+    ({"obs_dim": 2.5}, "obs_dim 2.5 is not an integer"),
+    ({"obs_dim": 2.0}, "obs_dim 2.0 is not an integer"),
+    ({"obs_dim": True}, "obs_dim True is not an integer"),
+    ({"seed": "0"}, "seed '0' is not an integer"),
+    ({"n_transitions": 780.0}, "n_transitions 780.0 is not an integer"),
+    ({"n_trajectories": None}, "n_trajectories None is not an integer"),
+])
+def test_malformed_header_integer_exits_two_naming_the_file(tmp_path, capsys, header, message):
+    good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "5", "--out", str(good)])
+    _refit_ords(good, bad, header=header)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stats", "--dataset", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: header missing or malformed field: ") and message in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -535,6 +589,35 @@ def test_report_single_run_passthrough(tmp_path, capsys):
     out = capsys.readouterr().out
     report = json.loads((out_a / "report.json").read_text())
     assert repr(report["aggregate"]["mean_normalized"]) in out
+
+
+_RUN_REPORT = {"kind": "experiment", "task": "replay_analog",
+               "config": {"algo": {"family": "q_plus_bc"}, "sampler": {"mode": "uniform"}},
+               "aggregate": {"mean_normalized": 50.0}}
+
+
+@pytest.mark.parametrize("payload,message", [
+    ([1, 2], "not a run report: kind None"),
+    ({"kind": "sweep"}, "not a run report: kind 'sweep'"),
+    ({"kind": "experiment"}, "not a run report: missing key 'config'"),
+    ({**_RUN_REPORT, "aggregate": {}}, "not a run report: missing key 'mean_normalized'"),
+    ({**_RUN_REPORT, "kind": "two_stage"}, "not a run report: missing key 'stage2'"),
+    ({**_RUN_REPORT, "task": ["replay_analog"]},
+     "not a run report: task ['replay_analog'] must be a string and score 50.0 a number or null"),
+    ({**_RUN_REPORT, "task": 7},
+     "not a run report: task 7 must be a string and score 50.0 a number or null"),
+    ({**_RUN_REPORT, "aggregate": {"mean_normalized": "50"}},
+     "not a run report: task 'replay_analog' must be a string and score '50' a number or null"),
+])
+def test_report_of_the_wrong_shape_exits_two_naming_it(tmp_path, capsys, payload, message):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    for path, body in ((good, _RUN_REPORT), (bad, payload)):
+        path.mkdir()
+        (path / "report.json").write_text(json.dumps(body))
+    assert main(["report", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(good), str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad / 'report.json'}: {message}\n"
 
 
 def test_report_mismatched_runs_error(tmp_path, capsys):

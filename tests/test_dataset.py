@@ -16,7 +16,7 @@ from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
 from red_offline import dataset as dataset_module
 from red_offline.cli import main
 from red_offline.envsuite import PRESETS, generate_dataset, preset_config
-from conftest import make_dataset
+from conftest import make_dataset, write_record_value
 
 PRESET_NAMES = ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
 
@@ -310,16 +310,22 @@ def test_equal_sums_give_bitwise_equal_returns():
                                             ([1e308, 1e308], "overflow")])
 def test_reward_sums_without_a_float64_value_name_their_trajectory(tmp_path, capsys,
                                                                   rewards, reason):
-    # NaN and one-signed infinite rewards still give NaN and infinite returns
-    ok = [[1.0, 2.0], [np.nan, 1.0], [np.inf, 2.0], [-np.inf]]
-    assert [str(r) for r in compute_trajectory_returns(make_dataset(ok)).returns] == [
-        "3.0", "nan", "inf", "-inf"]
-    ds = make_dataset(ok[:2] + [rewards] + ok[2:])
-    named = "trajectory 2: rewards have no float64 sum: .*" + re.escape(reason)
-    with pytest.raises(DatasetError, match=named):
-        compute_trajectory_returns(ds)
+    # finite rewards that overflow as they add up name their trajectory; a
+    # sum of infinite rewards is never taken, as the file is refused at load
+    # naming the first infinite reward's transition
+    ds = make_dataset([[1.0, 2.0], [3.0, 1.0], [0.0] * len(rewards), [4.0]])
     path = tmp_path / "bad.ords"
     save_dataset(ds, path)
+    for i, r in enumerate(rewards):  # trajectory 2 starts at transition 4
+        write_record_value(path, 4 + i, "reward", r)
+    if reason == "overflow":
+        message = "trajectory 2: rewards have no float64 sum: intermediate overflow in fsum"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            compute_trajectory_returns(load_dataset(path))
+    else:
+        message = "transition 4: reward inf is not finite"
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: {message}")):
+            load_dataset(path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": {"path": str(path)}}))
     for command in (["stats", "--dataset", str(path)],
@@ -327,7 +333,52 @@ def test_reward_sums_without_a_float64_value_name_their_trajectory(tmp_path, cap
                     ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]):
         assert main(command) == 2
         err = capsys.readouterr().err
-        assert f"error: {path}: trajectory 2: rewards have no float64 sum" in err, command
+        assert err == f"error: {path}: {message}\n", command
+
+
+@pytest.mark.parametrize("field,row,col", [("obs", 3, 0), ("obs", 4, 1), ("next_obs", 0, 1),
+                                           ("reward", 5, 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_is_refused_naming_field_and_transition(field, row, col, value):
+    ds = dataset_of(7)
+    arrays = {"obs": ds.obs.copy(), "next_obs": ds.next_obs.copy(),
+              "reward": ds.rewards.copy()}
+    arrays[field].reshape(7, -1)[row, col] = value
+    arrays[field].reshape(7, -1)[6, 0] = np.nan  # a later one is not the one named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match=re.escape(
+                f"transition {row}: {field} {value} is not finite")):
+            OfflineDataset(arrays["obs"], ds.actions, arrays["reward"], arrays["next_obs"],
+                           ds.terminals, ds.timeouts, ds.traj_bounds, ds.meta)
+
+
+def test_rewards_whose_span_overflows_name_both_transitions():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning
+        with pytest.raises(DatasetError, match=re.escape(
+                "transitions 3 and 1: rewards -1e+308 and 1e+308 span more than float64")):
+            make_dataset([[0.0, 1e308], [2.0, -1e308]])
+        # the widest finite span still builds
+        make_dataset([[0.0, 1e308], [2.0, -7.9e307]])
+
+
+def test_returns_whose_span_overflows_name_both_trajectories():
+    # every reward and the rewards' span are finite; the returns' span is not
+    ds = make_dataset([[1.0], [-5e307, -5e307], [5e307, 5e307]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match=re.escape(
+                "trajectories 1 and 2: returns -1e+308 and 1e+308 span more than float64")):
+            compute_trajectory_returns(ds)
+        tr = compute_trajectory_returns(make_dataset([[1.0], [-5e307, -5e307], [5e307, 2e307]]))
+    assert (tr.r_min, tr.r_max) == (-1e308, math.fsum([5e307, 2e307]))
+
+
+@pytest.mark.parametrize("obs_dim", [0, -1, 2.5, True, "2", None])
+def test_meta_obs_dim_must_be_an_int_of_at_least_one(obs_dim):
+    with pytest.raises(DatasetError, match=re.escape(f"obs_dim {obs_dim!r} is not an int >= 1")):
+        DatasetMeta(obs_dim=obs_dim, action={"discrete": 2}, env_name="x", seed=0)
 
 
 def test_returns_allocate_little_beyond_their_broadcast():
