@@ -98,9 +98,9 @@ class OfflineDataset:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 row, *col = np.argwhere(~np.isfinite(values))[0]
                 raise DatasetError(f"transition {row}: {name} {values[(row, *col)]} is not finite")
-        if hi - lo == math.inf:  # the rewards', in Python floats: no numpy overflow warning
-            raise DatasetError(f"transitions {self.rewards.argmin()} and {self.rewards.argmax()}: "
-                               f"rewards {lo!r} and {hi!r} span more than float64")
+            if name == "reward" and hi - lo == math.inf:  # Python floats: no numpy warning
+                raise DatasetError(f"transitions {values.argmin()} and {values.argmax()}: "
+                                   f"rewards {lo!r} and {hi!r} span more than float64")
         both = np.flatnonzero(self.terminals & self.timeouts)
         if both.size:
             raise DatasetError(f"transition {both[0]}: terminal and timeout both set")

@@ -512,12 +512,10 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     if cfg.dered is None:
         raise ConfigError("two_stage_train requires the 'dered' config block")
     mode2 = "return_resample" if cfg.sampler.mode == "uniform" else cfg.sampler.mode
-    if out_dir is None:
-        ckpt_ctx = tempfile.TemporaryDirectory()
-    else:
-        os.makedirs(out_dir, exist_ok=True)
-        ckpt_ctx = contextlib.nullcontext(out_dir)
+    ckpt_ctx = (tempfile.TemporaryDirectory() if out_dir is None
+                else contextlib.nullcontext(out_dir))
     with _prepare(cfg.dataset, jobs) as prepared, ckpt_ctx as ckpt_dir:
+        os.makedirs(ckpt_dir, exist_ok=True)  # after the load, so a bad file leaves no dir
         r1, t1, l1, _ = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode="uniform")),
                                  prepared, jobs, (cfg.dered.stage1_steps, ckpt_dir, False))
         r2, t2, l2, heads = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode=mode2)),

@@ -1,4 +1,3 @@
-import json
 import os
 import struct
 import threading
@@ -8,9 +7,10 @@ import pytest
 
 import red_offline
 from red_offline import dataset as dataset_module
-from red_offline.dataset import DatasetMeta, OfflineDataset
+from red_offline.dataset import ORDS_MAGIC, ORDS_VERSION, DatasetMeta, OfflineDataset
 from red_offline.envsuite import PRESETS, generate_dataset
 from red_offline.harness import pin_blas_threads
+from red_offline.io_envelope import read_envelope, write_envelope
 
 _PRESET_CACHE = {}
 
@@ -97,11 +97,11 @@ def write_record_value(path, record, field, value, col=0):
     ``field`` ("obs", "action", "reward" or "next_obs") in record ``record``.
     The dataset constructor refuses non-finite values, so tests that need a
     file holding one write it into the record bytes."""
-    raw = bytearray(path.read_bytes())
-    head_len = struct.unpack_from("<Q", raw, 8)[0]
-    header = json.loads(raw[16:16 + head_len])
+    with open(path, "rb") as f:
+        _, header, _ = read_envelope(f, ORDS_MAGIC, ORDS_VERSION)
+        payload = bytearray(f.read())
     meta = DatasetMeta(header["obs_dim"], header["action"], header["env_name"], header["seed"])
     dtype = dataset_module._record_dtype(meta)
-    offset = 16 + head_len + record * dtype.itemsize + dtype.fields[field][1] + 8 * col
-    struct.pack_into("<d", raw, offset, value)
-    path.write_bytes(bytes(raw))
+    struct.pack_into("<d", payload, record * dtype.itemsize + dtype.fields[field][1] + 8 * col,
+                     value)
+    write_envelope(path, ORDS_MAGIC, ORDS_VERSION, header, [payload])

@@ -1,7 +1,6 @@
 import json
 import math
 import shutil
-import struct
 import subprocess
 import sys
 import warnings
@@ -146,10 +145,10 @@ def _refit_ords(src, dst, header=None, action0=None):
     from red_offline.io_envelope import read_envelope, write_envelope
     with open(src, "rb") as f:
         _, head, _ = read_envelope(f, ORDS_MAGIC, ORDS_VERSION)
-        payload = bytearray(f.read())
-    if action0 is not None:  # a record starts with obs_dim float64s, then the action
-        struct.pack_into("<d", payload, 8 * head["obs_dim"], action0)
+        payload = f.read()
     write_envelope(dst, ORDS_MAGIC, ORDS_VERSION, {**head, **(header or {})}, [payload])
+    if action0 is not None:
+        write_record_value(dst, 0, "action", action0)
 
 
 @pytest.mark.parametrize("change,message", [
@@ -217,7 +216,8 @@ def test_alpha_inf_without_a_floor_keeps_only_the_best_returns(tmp_path, capsys)
 
 def _every_command_exits_two(tmp_path, capsys, bad, message):
     """Each command that reads the dataset file ``bad`` exits 2 with
-    ``error: {bad}: {message}``, writes no report and fires no numpy warning."""
+    ``error: {bad}: {message}``, creates no output directory and fires no
+    numpy warning."""
     cfg = _config_on_file(tmp_path, bad)
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
                                "dered": {"stage1_steps": 20, "stage2_steps": 20}}))
@@ -233,7 +233,7 @@ def _every_command_exits_two(tmp_path, capsys, bad, message):
         for command in commands:
             assert main(command) == 2, command
             assert capsys.readouterr().err == f"error: {bad}: {message}\n", command
-    assert not list(tmp_path.glob("*/report.json"))
+    assert not [name for name in runs if (tmp_path / name).exists()]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

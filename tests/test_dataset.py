@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import re
-import struct
 import tracemalloc
 import warnings
 
@@ -16,6 +15,7 @@ from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
 from red_offline import dataset as dataset_module
 from red_offline.cli import main
 from red_offline.envsuite import PRESETS, generate_dataset, preset_config
+from red_offline.io_envelope import read_envelope
 from conftest import make_dataset, write_record_value
 
 PRESET_NAMES = ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
@@ -484,7 +484,9 @@ def whole_payload(ds):
 
 
 def payload_offset(path):
-    return 16 + struct.unpack_from("<Q", path.read_bytes(), 8)[0]
+    with open(path, "rb") as f:
+        read_envelope(f, dataset_module.ORDS_MAGIC, dataset_module.ORDS_VERSION)
+        return f.tell()
 
 
 BLOCK = 8
@@ -508,11 +510,7 @@ def test_non_integer_action_in_a_later_block_names_its_record(tmp_path, monkeypa
     ds = dataset_of(3 * BLOCK)
     path = tmp_path / "bad.ords"
     save_dataset(ds, path)
-    raw = bytearray(path.read_bytes())
-    itemsize = dataset_module._record_dtype(ds.meta).itemsize
-    # a record starts with obs_dim float64s, then the action
-    struct.pack_into("<d", raw, payload_offset(path) + (BLOCK + 3) * itemsize + 16, 1.5)
-    path.write_bytes(bytes(raw))
+    write_record_value(path, BLOCK + 3, "action", 1.5)
     with pytest.raises(DatasetError,
                        match=f"record {BLOCK + 3}: non-integer discrete action 1.5"):
         load_dataset(path)
@@ -530,10 +528,7 @@ def test_action_outside_int64_is_named_before_the_cast(tmp_path, capsys, value, 
     ds = dataset_of(6)
     path = tmp_path / "bad.ords"
     save_dataset(ds, path)
-    raw = bytearray(path.read_bytes())
-    itemsize = dataset_module._record_dtype(ds.meta).itemsize
-    struct.pack_into("<d", raw, payload_offset(path) + 3 * itemsize + 16, value)
-    path.write_bytes(bytes(raw))
+    write_record_value(path, 3, "action", value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's "invalid value encountered in cast"
         with pytest.raises(DatasetError, match=re.escape(message)):
