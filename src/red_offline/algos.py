@@ -31,6 +31,11 @@ import numpy as np
 from .nncore import (ACTIVATIONS, apply_update, backward, forward, forward_cache, init_mlp,
                      init_optim)
 
+# Free 4 MiB, never touched, at import: freeing an mmapped block raises glibc's
+# dynamic mmap threshold to its size, so train_step's 128 KiB-and-up
+# temporaries come from the heap, not a fresh mmap (and page faults) per step.
+np.empty(1 << 19)
+
 FAMILIES = ("expectile_awr", "conservative_q", "exp_adv_regression", "q_plus_bc")
 
 

@@ -13,6 +13,12 @@ import os
 import sys
 from dataclasses import replace
 
+# Before numpy loads, so its OpenBLAS starts on one thread and no idle helper
+# thread spins beside the work; a user's value stands. If numpy was loaded
+# first, main pins the threads instead.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import harness
@@ -107,7 +113,7 @@ def cmd_stats(args) -> int:
     print(f"returns: mean={mean:.4f} median={median:.4f} min={tr.r_min:.4f} max={tr.r_max:.4f}")
     if median < mean:
         print("shape: right-skewed (median < mean)")
-    print(f"histogram ({args.bins} bins) -> {out}")
+    print(f"histogram ({len(hist['counts'])} bins) -> {out}")
     for i, c in enumerate(hist["counts"]):
         print(f"  [{hist['bin_edges'][i]:.3f}, {hist['bin_edges'][i + 1]:.3f}): {int(c)}")
     return EXIT_OK

@@ -55,11 +55,6 @@ from .envsuite import PRESETS, env_from_name, generate_dataset, policy_value, pr
 from .nncore import load_checkpoint, save_checkpoint
 from .sampler import SamplerSpec, build_sampler
 
-# Free 4 MiB, never touched, at import: freeing an mmapped block raises glibc's
-# dynamic mmap threshold to its size, so train_step's 128 KiB-and-up
-# temporaries come from the heap, not a fresh mmap (and page faults) per step.
-np.empty(1 << 19)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or override."""
@@ -414,7 +409,10 @@ def blas_threads() -> int | None:
 
 def pin_blas_threads():
     """One BLAS thread in this process, unless OPENBLAS_NUM_THREADS is set: on
-    these small nets more threads cost CPU and gain no wall time."""
+    these small nets more threads cost CPU and gain no wall time. The CLI sets
+    the variable before numpy loads, so this acts only where numpy loaded first
+    (embedding, the tests, an API caller's seed workers): after OpenBLAS has
+    started its helper thread, which spins idle for about 0.12 s of CPU."""
     fns = None if "OPENBLAS_NUM_THREADS" in os.environ else _openblas()
     if fns is not None:
         fns[1](1)

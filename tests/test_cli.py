@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from red_offline.cli import main
-from red_offline.dataset import compute_trajectory_returns, load_dataset, return_histogram
+from red_offline.dataset import (compute_trajectory_returns, load_dataset, return_histogram,
+                                 save_dataset)
 from red_offline.harness import blas_threads
 from red_offline.sampler import build_sampler
 
-from conftest import src_env, write_record_value
+from conftest import make_dataset, src_env, write_record_value
 
 
 def write_config(tmp_path, name="cfg.json", **updates):
@@ -82,6 +83,15 @@ def test_stats_flags_right_skew(tmp_path, capsys):
     assert main(["stats", "--dataset", str(path), "--bins", "15"]) == 0
     out = capsys.readouterr().out
     assert "right-skewed" in out
+    assert "histogram (15 bins)" in out and len(out.split("histogram ")[1].splitlines()) == 16
+    # every reward 0: the histogram collapses to one bin, and says so
+    path = tmp_path / "zeros.ords"
+    save_dataset(make_dataset([[0.0, 0.0], [0.0], [0.0, 0.0, 0.0]]), path)
+    assert main(["stats", "--dataset", str(path), "--bins", "15"]) == 0
+    out = capsys.readouterr().out
+    assert "right-skewed" not in out
+    assert out.split("histogram ")[1].splitlines()[1:] == ["  [-0.500, 0.500): 3"]
+    assert "histogram (1 bins)" in out
 
 
 def test_rebalance_preview_uniform_and_zero_mass(tmp_path, capsys):
@@ -473,30 +483,38 @@ def test_out_of_range_flag_is_usage_error(tmp_path, capsys, command, flag, value
 
 
 _BLAS_SCRIPT = """
-import json, sys
-from red_offline import cli, harness
+import json, os, sys
+cfg, out, case = sys.argv[1:]
+if case == "cli":
+    from red_offline import cli
+from red_offline import harness
 
 def probe(shared, seed):
     return harness.blas_threads()
 
-cfg, out, case = sys.argv[1:]
 before = harness.blas_threads()
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 workers = None
 if case == "api":
-    harness.run_training(cli._load_config(cfg, []), jobs=1)
+    with open(cfg) as f:
+        harness.run_training(harness.config_from_dict(json.load(f)), jobs=1)
 elif case == "worker":
     workers = harness._map_seeds(probe, None, [0, 1], 2)
 else:
     assert cli.main(["train", "--config", cfg, "--out", out]) == 0
-print(json.dumps({"before": before, "after": harness.blas_threads(), "workers": workers}))
+print(json.dumps({"before": before, "after": harness.blas_threads(), "threads": threads,
+                  "env": os.environ.get("OPENBLAS_NUM_THREADS"), "workers": workers}))
 """
+
+_NUMPY_THREADS_SCRIPT = 'import os, numpy; print(len(os.listdir("/proc/self/task")))'
 
 
 @pytest.mark.skipif(blas_threads() is None, reason="numpy's bundled OpenBLAS not found")
 @pytest.mark.parametrize("case,env", [("api", None), ("cli", None), ("worker", None),
                                       ("cli", "2")])
 def test_blas_threads_contract(tmp_path, case, env):
-    # fresh processes, since the CLI pins the threads of the process it runs in
+    # fresh processes: the CLI sets up the BLAS of the process it runs in, and
+    # only the CLI and the API's seed workers do
     cfg = write_config(tmp_path, algo={"total_steps": 20}, eval={"eval_every": 10})
     proc_env = src_env()
     proc_env.pop("OPENBLAS_NUM_THREADS", None)
@@ -507,9 +525,17 @@ def test_blas_threads_contract(tmp_path, case, env):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     if case == "cli" and env is None:
-        assert got["after"] == 1
+        # OpenBLAS started on one thread, before numpy loaded: no helper thread
+        assert got["env"] == "1" and got["before"] == got["after"] == 1
+        assert got["threads"] in (1, None)
     else:  # the API, a worker's parent and a user's OPENBLAS_NUM_THREADS are left alone
-        assert got["after"] == got["before"]
+        assert got["env"] == env and got["after"] == got["before"]
+    if case == "cli" and env is not None:
+        assert got["after"] == int(env)
+    if case == "api" and got["threads"] is not None:
+        bare = subprocess.run([sys.executable, "-c", _NUMPY_THREADS_SCRIPT], capture_output=True,
+                              text=True, env=proc_env, timeout=60)
+        assert got["threads"] == int(bare.stdout), "importing the API started threads of its own"
     if case == "worker":
         assert got["workers"] == [1, 1]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from red_offline.dataset import compute_trajectory_returns
+from red_offline.envsuite import PRESETS, generate_dataset, preset_config
 from red_offline.sampler import (SamplerSpec, WeightedSampler, build_sampler,
                                  reward_weights, sampling_distribution,
                                  top_fraction_filter)
@@ -175,6 +176,46 @@ def test_build_sampler_binary_return_ratio():
     p_succ = s.probs[2]
     p_fail = s.probs[0]
     assert p_succ / p_fail == pytest.approx(1.2 / 0.2, rel=1e-12)
+
+
+# "ReD in six lines" as README states it, independent of the shipped path
+def red_probs(rewards, bounds, alpha=1.0, p_base=0.0):
+    ret = np.array([math.fsum(rewards[a:b]) for a, b in bounds])  # episode returns
+    ret = np.repeat(ret, bounds[:, 1] - bounds[:, 0])  # each transition's return
+    lo, hi = ret.min(), ret.max()
+    w = (ret - lo) / (hi - lo) if hi > lo else np.ones_like(ret)  # all equal: uniform
+    p = (w + p_base) ** alpha
+    return p / p.sum()
+
+
+RED_PARAMS = [(1.0, 0.0), (2.0, 0.2), (0.5, 1.0), (0.0, 0.0), (7.0, 0.05)]
+
+
+@pytest.mark.parametrize("n_trajectories", [None, 3000], ids=["default", "3000"])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_return_resample_equals_red_in_six_lines(preset_dataset, name, n_trajectories):
+    if n_trajectories is None:
+        ds = preset_dataset(name)
+    else:
+        ds = generate_dataset(preset_config(name, n_trajectories=n_trajectories))
+    tr = compute_trajectory_returns(ds)
+    assert tr.r_max > tr.r_min
+    for alpha, p_base in RED_PARAMS:
+        s = build_sampler(SamplerSpec("return_resample", alpha, p_base), ds, tr)
+        assert s.probs.tobytes() == red_probs(ds.rewards, ds.traj_bounds, alpha, p_base).tobytes()
+
+
+@pytest.mark.parametrize("rewards", [[[0.0, 0.0], [0.0], [0.0, 0.0, 0.0]],
+                                     [[1.0, 2.0], [3.0], [-1.0, 4.0]]], ids=["zeros", "threes"])
+def test_return_resample_equals_red_in_six_lines_on_equal_returns(rewards):
+    ds = make_dataset(rewards)
+    tr = compute_trajectory_returns(ds)
+    assert tr.r_max == tr.r_min
+    for alpha, p_base in RED_PARAMS:
+        s = build_sampler(SamplerSpec("return_resample", alpha, p_base), ds, tr)
+        expected = red_probs(ds.rewards, ds.traj_bounds, alpha, p_base)
+        assert s.probs.tobytes() == expected.tobytes()
+        assert np.unique(expected).size == 1
 
 
 def test_build_sampler_top_fraction_half():
