@@ -23,8 +23,8 @@ _EXPORTS = {
                 "mdp_grid_maze preset_config",
     "sampler": "SamplerSpec WeightedSampler build_sampler reward_weights sampling_distribution "
                "top_fraction_filter",
-    "algos": "AlgoConfig LearnerState NanLossError awr_weight cql_penalty expectile_loss "
-             "extract_policy init_learner train_step",
+    "algos": "AlgoConfig LearnerState NanLossError awr_weight expectile_loss extract_policy "
+             "init_learner train_step",
     "harness": "ConfigError DatasetSource DeredConfig EvalConfig ExperimentConfig "
                "compare_rebalance_methods normalized_score run_training stream_seed sweep_pbase "
                "two_stage_train",

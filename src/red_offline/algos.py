@@ -19,9 +19,11 @@ lambda-scaled Q plus cross-entropy (q_plus_bc).
 
 A batch repeats observations (each one is a state of a small tabular MDP), so
 every net runs once per distinct row of the input it reads, ``obs`` or
-``next_obs``, and its outputs are gathered back to batch rows. The per-row
-output gradients are summed onto those distinct rows before ``backward``; that
-sum is the only arithmetic that differs from a per-row pass.
+``next_obs``, and its outputs are gathered back to batch rows. The rows'
+state ids (``OfflineDataset.map_states``) give the distinct rows, in
+``np.unique``'s byte order, through one mask and one cumsum over the states.
+The per-row output gradients are summed onto those distinct rows before
+``backward``; that sum is the only arithmetic that differs from a per-row pass.
 """
 
 from dataclasses import dataclass
@@ -107,15 +109,6 @@ def awr_weight(advantage, beta: float, w_max: float):
     return float(out) if out.ndim == 0 else out
 
 
-def cql_penalty(q_row: np.ndarray, data_action: int) -> float:
-    """logsumexp(q_row) - q_row[data_action], computed with a max shift."""
-    q = np.asarray(q_row, dtype=np.float64)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q_row must be finite")
-    m = q.max()
-    return float(m + np.log(np.exp(q - m).sum()) - q[data_action])
-
-
 @dataclass
 class LearnerState:
     family: str
@@ -157,11 +150,13 @@ def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
 
 
-def _distinct(x: np.ndarray):
-    """Distinct rows of ``x`` by exact float64 bytes: (table, inverse), x == table[inverse]."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    keys, inverse = np.unique(x.view(np.dtype((np.void, 8 * x.shape[1]))), return_inverse=True)
-    return keys.view(np.float64).reshape(-1, x.shape[1]), inverse.reshape(-1)
+def _state_table(rows: np.ndarray, ids: np.ndarray):
+    """Distinct ``rows`` in id order, and each row's index into them: (table,
+    inverse), the pair ``np.unique`` gives over void rows, as ids rank bytes."""
+    seen = np.bincount(ids) > 0
+    first = np.empty(len(seen), np.intp)
+    first[ids] = np.arange(len(ids))  # any row of an id: its rows have equal bytes
+    return rows.take(first[seen], axis=0), (np.cumsum(seen) - 1).take(ids)
 
 
 def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
@@ -171,8 +166,8 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
     Raises :class:`NanLossError` instead of silently continuing when any loss
     goes non-finite.
     """
-    obs, o_inv = _distinct(batch["obs"])
-    nobs, n_inv = _distinct(batch["next_obs"])
+    obs, o_inv = _state_table(batch["obs"], batch["obs_id"])
+    nobs, n_inv = _state_table(batch["next_obs"], batch["next_obs_id"])
     act = np.asarray(batch["action"], dtype=np.int64)
     rew = np.asarray(batch["reward"], dtype=np.float64)
     term = np.asarray(batch["terminal"], dtype=np.float64)

@@ -52,6 +52,7 @@ class OfflineDataset:
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
     Every observation and reward is finite, and so is the rewards' span.
+    :meth:`map_states` adds ``states``, the state ids that :meth:`batch` reads.
     Transition inputs already C-contiguous and of that dtype are shared, not
     copied: they stay writable, and writing them changes the dataset.
     """
@@ -128,6 +129,41 @@ class OfflineDataset:
         if cursors[-1] != n:
             raise DatasetError(f"trajectory bounds cover [0, {cursors[-1]}) but N={n}")
 
+    def map_states(self, obs_table: np.ndarray, next_state: np.ndarray) -> None:
+        """Give each transition's obs its state id, for :meth:`batch`: the rank of
+        its row in ``obs_table`` sorted by bytes, as ``np.unique`` sorts void rows.
+        Ids come from walking ``next_state`` from each trajectory's first row, and
+        each obs and next_obs must have the bytes of its walked state: otherwise a
+        DatasetError names the first transition that does not."""
+        void = np.dtype((np.void, 8 * self.meta.obs_dim))
+        order = np.argsort(obs_table.view(void).ravel())
+        states = obs_table[order]
+        next_id = np.argsort(order).astype(np.min_scalar_type(len(order) - 1))[next_state[order]]
+        # every trajectory in step, the longest first; a first row that is a state
+        # finds its rank among all states but the last
+        starts, stops = self.traj_bounds.T
+        pos = starts[np.argsort(starts - stops)]
+        cur = np.searchsorted(states[:-1].view(void).ravel(), self.obs[pos].view(void).ravel())
+        ids = np.empty(len(self), next_id.dtype)
+        for alive in len(pos) - np.cumsum(np.bincount(stops - starts))[:-1]:
+            ids[pos[:alive]] = cur[:alive]
+            pos, cur = pos[:alive] + 1, next_id[cur[:alive], self.actions[pos[:alive]]]
+        rows, table = (self.obs, self.next_obs), states.view(np.uint64)  # bytes: -0.0 is not 0.0
+        for start in range(0, len(self), BLOCK_RECORDS):
+            span = slice(start, start + BLOCK_RECORDS)
+            want = ids[span], next_id[ids[span], self.actions[span]]
+            pairs = [(x[span].view(np.uint64), table.take(w, axis=0)) for x, w in zip(rows, want)]
+            if not all(np.array_equal(*pair) for pair in pairs):  # the first row off, obs first
+                k, f = np.argwhere(np.stack([(a != b).any(1) for a, b in pairs], axis=1))[0]
+                i, env = start + k, self.meta.env_name
+                fresh = f == 0 and (i == 0 or self.terminals[i - 1] or self.timeouts[i - 1])
+                where = (f"a state of {env}" if fresh else
+                         f"{states[want[f][k]].tolist()}, where transition {i - 1 + f} leads")
+                raise DatasetError(f"transition {i}: {('obs', 'next_obs')[f]} "
+                                   f"{rows[f][i].tolist()} is not {where}")
+        ids.setflags(write=False)
+        self.states = ids, next_id
+
     def __len__(self) -> int:
         return len(self.rewards)
 
@@ -136,10 +172,14 @@ class OfflineDataset:
         return len(self.traj_bounds)
 
     def batch(self, idx: np.ndarray) -> dict:
-        """Gather a training batch by transition indices (``take``: faster, same values)."""
+        """Gather a training batch by transition indices (``take``: faster, same
+        values) and the state ids of its rows, once :meth:`map_states` has run."""
+        ids, next_id = self.states
+        obs_id, action = ids.take(idx), self.actions.take(idx)
         return {
             "obs": self.obs.take(idx, axis=0),
-            "action": self.actions.take(idx),
+            "obs_id": obs_id, "next_obs_id": next_id[obs_id, action],
+            "action": action,
             "reward": self.rewards.take(idx),
             "next_obs": self.next_obs.take(idx, axis=0),
             "terminal": self.terminals.take(idx),
@@ -311,16 +351,3 @@ def load_dataset(path) -> OfflineDataset:
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 
-
-def dataset_equal(a: OfflineDataset, b: OfflineDataset) -> bool:
-    """Bit-level equality: same transitions, order, bounds, and meta."""
-    return (
-        a.meta == b.meta
-        and np.array_equal(a.traj_bounds, b.traj_bounds)
-        and np.array_equal(a.obs, b.obs)
-        and np.array_equal(a.actions, b.actions)
-        and np.array_equal(a.rewards, b.rewards)
-        and np.array_equal(a.next_obs, b.next_obs)
-        and np.array_equal(a.terminals, b.terminals)
-        and np.array_equal(a.timeouts, b.timeouts)
-    )

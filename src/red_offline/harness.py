@@ -225,8 +225,9 @@ def apply_overrides(data: dict, overrides) -> dict:
 def prepare_dataset(source: DatasetSource):
     """Resolve a dataset source to (dataset, trajectory returns, environment).
 
-    Raises DatasetError when the dataset names an unknown environment or its
-    obs_dim or action space differ from the environment's.
+    Raises DatasetError when the dataset names an unknown environment, its
+    obs_dim or action space differ from the environment's, or its rows do not
+    walk the environment's states (:meth:`OfflineDataset.map_states`).
     """
     if source.path is not None:
         ds = load_dataset(source.path)
@@ -236,12 +237,13 @@ def prepare_dataset(source: DatasetSource):
     try:
         tr = compute_trajectory_returns(ds)
         mdp = env_from_name(ds.meta.env_name)
+        fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
+        if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
+            raise DatasetError(f"dataset has obs_dim {ds.meta.obs_dim} and action "
+                               f"{ds.meta.action}, but {mdp.name} needs {fits}")
+        ds.map_states(mdp.obs_table, mdp.next_state)
     except ValueError as exc:  # DatasetError included
         raise DatasetError(f"{source.label}: {exc}") from exc
-    fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
-    if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
-        raise DatasetError(f"{source.label}: dataset has obs_dim {ds.meta.obs_dim} and action "
-                           f"{ds.meta.action}, but {mdp.name} needs {fits}")
     return ds, tr, mdp
 
 

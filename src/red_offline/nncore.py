@@ -215,35 +215,6 @@ def apply_update(net: Mlp, grads: np.ndarray, opt: OptimState, freeze_head: bool
     net.version += 1
 
 
-def numeric_gradients(net: Mlp, x: np.ndarray, grad_out: np.ndarray, eps: float = 1e-5):
-    """Central-difference gradients of J = sum(forward(x) * grad_out).
-
-    Independent of :func:`backward`; used to validate it. Laid out like
-    ``net.params``.
-    """
-    def objective():
-        y, _ = forward_cache(net, x)
-        return float((y * grad_out).sum())
-
-    p = net.params
-    grads = np.zeros_like(p)
-    for k in range(p.size):
-        orig = p[k]
-        p[k] = orig + eps
-        up = objective()
-        p[k] = orig - eps
-        down = objective()
-        p[k] = orig
-        grads[k] = (up - down) / (2.0 * eps)
-    return grads
-
-
-def max_relative_gradient_error(analytic, numeric) -> float:
-    """max |a - n| / max(1, |a|, |n|) over all parameters."""
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float((np.abs(analytic - numeric) / denom).max())
-
-
 def save_checkpoint(path, nets: dict) -> None:
     """Write named networks into one envelope file for stage handoffs.
 

@@ -8,8 +8,7 @@ import pytest
 import red_offline
 from red_offline import dataset as dataset_module
 from red_offline.dataset import ORDS_MAGIC, ORDS_VERSION, DatasetMeta, OfflineDataset
-from red_offline.envsuite import PRESETS, generate_dataset
-from red_offline.harness import pin_blas_threads
+from red_offline.harness import DatasetSource, pin_blas_threads, prepare_dataset
 from red_offline.io_envelope import read_envelope, write_envelope
 
 _PRESET_CACHE = {}
@@ -44,10 +43,11 @@ def no_thread_outlives_a_runner():
 
 @pytest.fixture(scope="session")
 def preset_dataset():
-    """Factory returning cached generated datasets for the named presets."""
+    """Factory returning cached generated datasets for the named presets, mapped
+    to their environment's states as an experiment prepares them."""
     def get(name):
         if name not in _PRESET_CACHE:
-            _PRESET_CACHE[name] = generate_dataset(PRESETS[name])
+            _PRESET_CACHE[name] = prepare_dataset(DatasetSource(preset=name))[0]
         return _PRESET_CACHE[name]
     return get
 

@@ -5,11 +5,13 @@ import pytest
 
 from red_offline import algos
 from red_offline.algos import (AlgoConfig, FAMILIES, NanLossError,
-                               awr_weight, cql_penalty, expectile_loss,
+                               awr_weight, expectile_loss,
                                extract_policy, init_learner, train_step)
+from red_offline.envsuite import PRESETS, GeneratorConfig, env_from_name, generate_dataset
 from red_offline.nncore import Mlp, backward, forward, forward_cache
 
 from conftest import make_dataset
+from oracles import cql_penalty, distinct_rows, row_batch, with_row_ids
 
 
 def test_expectile_loss_examples():
@@ -82,11 +84,11 @@ def _zeroed_learner(family, obs_dim=2, n_actions=3):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_zero_nets_zero_rewards_step_is_finite(family):
     cfg, state = _zeroed_learner(family)
-    batch = {
+    batch = with_row_ids({
         "obs": np.zeros((4, 2)), "action": np.array([0, 1, 2, 0]),
         "reward": np.zeros(4), "next_obs": np.zeros((4, 2)),
         "terminal": np.zeros(4, bool), "timeout": np.zeros(4, bool),
-    }
+    })
     losses = train_step(state, cfg, batch)
     assert all(np.isfinite(v) for v in losses.values())
     assert losses["q_loss"] == 0.0
@@ -98,7 +100,7 @@ def test_gamma_zero_fits_immediate_rewards():
                      lr=3e-3, hidden_units=16, target_update_period=10,
                      batch_size=len(ds), total_steps=1)
     state = init_learner(cfg, ds.meta.obs_dim, 2, seed=4)
-    batch = ds.batch(np.arange(len(ds)))
+    batch = row_batch(ds, np.arange(len(ds)))
     for _ in range(1200):
         train_step(state, cfg, batch)
     q = forward(state.nets["q"], ds.obs)
@@ -143,11 +145,11 @@ def test_greedy_policy_for_pure_q_family():
 def test_nan_loss_aborts_with_diagnostics():
     cfg = AlgoConfig(family="conservative_q", hidden_units=8)
     state = init_learner(cfg, 2, 2, seed=0)
-    batch = {
+    batch = with_row_ids({
         "obs": np.zeros((2, 2)), "action": np.array([0, 1]),
         "reward": np.array([np.inf, 0.0]), "next_obs": np.zeros((2, 2)),
         "terminal": np.zeros(2, bool), "timeout": np.zeros(2, bool),
-    }
+    })
     with pytest.raises(NanLossError) as err:
         train_step(state, cfg, batch)
     assert err.value.family == "conservative_q"
@@ -164,7 +166,7 @@ def test_training_is_bitwise_deterministic(family):
         rng = np.random.default_rng(0)
         for _ in range(30):
             idx = rng.integers(0, len(ds), 4)
-            train_step(state, cfg, ds.batch(idx))
+            train_step(state, cfg, row_batch(ds, idx))
         return state
 
     a, b = run(), run()
@@ -177,11 +179,11 @@ def test_timeout_transitions_bootstrap():
     # one terminal and one timeout transition with identical rewards: the
     # fitted Q must differ because only the timeout row bootstraps
     obs = np.array([[0.0, 0.0], [1.0, 1.0]])
-    batch = {
+    batch = with_row_ids({
         "obs": obs, "action": np.array([0, 0]), "reward": np.array([1.0, 1.0]),
         "next_obs": np.array([[0.5, 0.5], [0.5, 0.5]]),
         "terminal": np.array([True, False]), "timeout": np.array([False, True]),
-    }
+    })
     cfg = AlgoConfig(family="conservative_q", gamma=0.9, cql_weight=0.0, lr=3e-3,
                      hidden_units=16, target_update_period=25)
     state = init_learner(cfg, 2, 2, seed=8)
@@ -214,8 +216,8 @@ def _trained_learner(family, steps=3):
     state = init_learner(cfg, 2, 3, seed=2)
     rng = np.random.default_rng(1)
     for _ in range(steps):
-        train_step(state, cfg, ds.batch(rng.integers(0, len(ds), 6)))
-    return cfg, state, ds.batch(rng.integers(0, len(ds), 6))
+        train_step(state, cfg, row_batch(ds, rng.integers(0, len(ds), 6)))
+    return cfg, state, row_batch(ds, rng.integers(0, len(ds), 6))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -320,9 +322,9 @@ def _per_row_reference(state, cfg, batch):
     return losses, grads
 
 
-def _preset_learner(family, preset_dataset, steps=3):
-    """A learner a few steps into training on replay_analog, and a 128-row batch."""
-    ds = preset_dataset("replay_analog")
+def _preset_learner(family, preset_dataset, steps=3, preset="replay_analog"):
+    """A learner a few steps into training on ``preset``, and a 128-row batch."""
+    ds = preset_dataset(preset)
     cfg = AlgoConfig(family=family, batch_size=128, lr=1e-2)
     state = init_learner(cfg, ds.meta.obs_dim, ds.meta.action["discrete"], seed=3)
     rng = np.random.default_rng(7)
@@ -335,16 +337,26 @@ def _n_distinct(x):
     return len(np.unique(x, axis=0))
 
 
+def _all_states_batch(mdp, rng):
+    """One row for each state of ``mdp``, walls included, each with a random action."""
+    s, a = np.arange(mdp.n_states), rng.integers(0, mdp.n_actions, mdp.n_states)
+    return with_row_ids({"obs": mdp.obs_table, "action": a, "reward": mdp.reward[s, a],
+                         "next_obs": mdp.obs_table[mdp.next_state[s, a]],
+                         "terminal": mdp.terminal[s, a], "timeout": np.zeros(len(s), bool)})
+
+
 @pytest.mark.parametrize("freeze_head", [False, True])
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("rows", ["preset", "all_distinct"])
 def test_distinct_row_step_hands_adam_the_per_row_gradients(
         family, freeze_head, rows, preset_dataset, monkeypatch):
-    cfg, state, batch, rng = _preset_learner(family, preset_dataset)
+    # all_distinct: every state of sparse_hard_analog's 100-state maze once, the
+    # widest table a batch of states can reach
+    preset = "sparse_hard_analog" if rows == "all_distinct" else "replay_analog"
+    cfg, state, batch, rng = _preset_learner(family, preset_dataset, preset=preset)
     if rows == "all_distinct":
-        batch = dict(batch, obs=rng.normal(size=batch["obs"].shape),
-                     next_obs=rng.normal(size=batch["next_obs"].shape))
-        assert _n_distinct(batch["obs"]) == _n_distinct(batch["next_obs"]) == 128
+        batch = _all_states_batch(env_from_name(PRESETS[preset].mdp_name), rng)
+        assert _n_distinct(batch["obs"]) == len(batch["obs"]) == 100
     else:
         assert _n_distinct(batch["obs"]) < 64 and _n_distinct(batch["next_obs"]) < 64
     ref_losses, ref_grads = _per_row_reference(state, cfg, batch)
@@ -391,3 +403,37 @@ def test_every_net_runs_once_per_distinct_input_row(family, preset_dataset, monk
                      "conservative_q": {"forward": 1, "forward_cache": 1},
                      "exp_adv_regression": {"forward": 2, "forward_cache": 2},
                      "q_plus_bc": {"forward": 1, "forward_cache": 2}}[family]
+
+
+# the 400-state maze: its ids are uint16, the presets' (at most 100 states) uint8
+_WIDE_MAZE = GeneratorConfig(mdp_name="grid_maze-20-80", n_trajectories=150,
+                             mixture=((0.3, 0.5), (0.9, 0.5)), seed=3)
+
+
+@pytest.mark.parametrize("name", [*PRESETS, "grid_maze-20-80"])
+def test_state_id_tables_equal_the_void_unique_byte_for_byte(name, preset_dataset):
+    # the property that keeps every report byte: the distinct table and inverse
+    # train_step builds from ids are the ones np.unique gives over void rows
+    if name in PRESETS:
+        ds = preset_dataset(name)
+    else:
+        ds = generate_dataset(_WIDE_MAZE)
+        ds.map_states(env_from_name(name).obs_table, env_from_name(name).next_state)
+    mdp = env_from_name(ds.meta.env_name)
+    ranked, _ = distinct_rows(mdp.obs_table)  # every state, in byte order
+    assert ds.states[0].dtype == (np.uint16 if mdp.n_states > 256 else np.uint8)
+    # each obs id is the rank of its row among all states
+    assert np.array_equal(ds.states[0], distinct_rows(np.vstack([ranked, ds.obs]))[1][len(ranked):])
+    rng = np.random.default_rng(11)
+    batches = [ds.batch(rng.integers(0, len(ds), size)) for size in (1, 5, 128, 2048)]
+    for size in (1, 5, 128, 2048):  # ids over every state, walls and unvisited states included
+        ids = rng.integers(0, mdp.n_states, size).astype(ds.states[0].dtype)
+        batches.append({"obs": ranked[ids], "obs_id": ids,
+                        "next_obs": ranked[ids[::-1]], "next_obs_id": ids[::-1]})
+    for batch in batches:
+        for key in ("obs", "next_obs"):
+            table, inverse = algos._state_table(batch[key], batch[f"{key}_id"])
+            want_table, want_inverse = distinct_rows(batch[key])
+            assert table.shape == want_table.shape and table.tobytes() == want_table.tobytes()
+            assert inverse.dtype == want_inverse.dtype
+            assert inverse.tobytes() == want_inverse.tobytes()

@@ -11,6 +11,7 @@ import pytest
 from red_offline.cli import main
 from red_offline.dataset import (compute_trajectory_returns, load_dataset, return_histogram,
                                  save_dataset)
+from red_offline.envsuite import env_from_name
 from red_offline.harness import blas_threads
 from red_offline.sampler import build_sampler
 
@@ -224,17 +225,20 @@ def test_alpha_inf_without_a_floor_keeps_only_the_best_returns(tmp_path, capsys)
     assert f"P={1 / best.sum():.3e} (weight 1.0000)" in out
 
 
-def _every_command_exits_two(tmp_path, capsys, bad, message):
+def _every_command_exits_two(tmp_path, capsys, bad, message, environment=False):
     """Each command that reads the dataset file ``bad`` exits 2 with
     ``error: {bad}: {message}``, creates no output directory and fires no
-    numpy warning."""
+    numpy warning. With ``environment``, the fault shows only against the
+    file's environment, which ``stats`` and ``rebalance-preview`` do not
+    read: those two exit 0."""
     cfg = _config_on_file(tmp_path, bad)
     cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
                                "dered": {"stage1_steps": 20, "stage2_steps": 20}}))
     runs = {f"train_{mode}": ["train", f"sampler.mode={mode}"]
             for mode in ("uniform", "return_resample", "reward_resample", "top_fraction")}
     runs.update(sweep=["sweep", "--values", "0,inf"], compare=["compare"], dered=["dered"])
-    commands = [["stats", "--dataset", str(bad)], ["rebalance-preview", "--dataset", str(bad)]]
+    readers = [["stats", "--dataset", str(bad)], ["rebalance-preview", "--dataset", str(bad)]]
+    commands = [] if environment else readers
     commands += [[command, "--config", str(cfg), "--out", str(tmp_path / name), *rest]
                  for name, (command, *rest) in runs.items()]
     capsys.readouterr()
@@ -243,7 +247,56 @@ def _every_command_exits_two(tmp_path, capsys, bad, message):
         for command in commands:
             assert main(command) == 2, command
             assert capsys.readouterr().err == f"error: {bad}: {message}\n", command
+        for command in readers if environment else []:
+            assert main(command) == 0, command
     assert not [name for name in runs if (tmp_path / name).exists()]
+
+
+def _write_row(path, record, field, row):
+    for col, value in enumerate(row):
+        write_record_value(path, record, field, value, col)
+
+
+@pytest.mark.parametrize("case", ["obs_one_ulp_off", "first_obs_not_a_state", "negative_zero",
+                                  "next_obs_off_dynamics", "obs_breaks_the_walk"])
+def test_rows_off_the_environment_walk_exit_two_naming_them(tmp_path, capsys, case):
+    preset = "sparse_analog" if case == "negative_zero" else "replay_analog"
+    good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
+    main(["gen", "--preset", preset, "--n-trajectories", "20", "--out", str(good)])
+    ds = load_dataset(good)
+    mdp = env_from_name(ds.meta.env_name)
+    k = int(ds.traj_bounds[1, 0]) + 2  # inside trajectory 1
+    state = int(np.flatnonzero((mdp.obs_table == ds.obs[k]).all(axis=1))[0])
+    shutil.copy(good, bad)
+    if case == "obs_one_ulp_off":
+        row = [float(np.nextafter(ds.obs[k, 0], 2.0)), float(ds.obs[k, 1])]
+        _write_row(bad, k, "obs", row)
+        message = f"transition {k}: obs {row} is not {ds.obs[k].tolist()}, where " \
+                  f"transition {k - 1} leads"
+    elif case == "first_obs_not_a_state":
+        row = [float(ds.obs[0, 0]), float(np.nextafter(ds.obs[0, 1], -1.0))]
+        _write_row(bad, 0, "obs", row)
+        message = f"transition 0: obs {row} is not a state of {mdp.name}"
+    elif case == "negative_zero":  # equal to the walk's state as floats, not as bytes
+        starts = set(ds.traj_bounds[:, 0].tolist())
+        k = next(i for i in range(len(ds)) if ds.obs[i, 0] == 0.0 and i not in starts)
+        write_record_value(bad, k, "obs", -0.0)
+        row = [-0.0, float(ds.obs[k, 1])]
+        message = f"transition {k}: obs {row} is not {ds.obs[k].tolist()}, where " \
+                  f"transition {k - 1} leads"
+    elif case == "next_obs_off_dynamics":  # a state, but not next_state[obs, action]
+        row = mdp.obs_table[(mdp.next_state[state, ds.actions[k]] + 1) % mdp.n_states].tolist()
+        _write_row(bad, k, "next_obs", row)
+        message = f"transition {k}: next_obs {row} is not {ds.next_obs[k].tolist()}, where " \
+                  f"transition {k} leads"
+    else:  # transition k follows the dynamics, but from a state k - 1 does not lead to
+        other = (state + 3) % mdp.n_states
+        _write_row(bad, k, "obs", mdp.obs_table[other])
+        write_record_value(bad, k, "action", 0.0)
+        _write_row(bad, k, "next_obs", mdp.obs_table[mdp.next_state[other, 0]])
+        message = f"transition {k}: obs {mdp.obs_table[other].tolist()} is not " \
+                  f"{ds.next_obs[k - 1].tolist()}, where transition {k - 1} leads"
+    _every_command_exits_two(tmp_path, capsys, bad, message, environment=True)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -538,6 +591,29 @@ def test_blas_threads_contract(tmp_path, case, env):
         assert got["threads"] == int(bare.stdout), "importing the API started threads of its own"
     if case == "worker":
         assert got["workers"] == [1, 1]
+
+
+_NUMPY_MA_SCRIPT = """
+import sys
+from red_offline import cli
+assert cli.main(["train", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("source", ["preset", "file"])
+def test_a_train_process_never_loads_numpy_ma(tmp_path, source):
+    # np.unique over a 1-D void array without return_inverse imports numpy.ma,
+    # 10-14 ms and about 0.7 MiB per process, and a benchmark round starts 8
+    cfg = write_config(tmp_path, algo={"total_steps": 20}, eval={"eval_every": 10})
+    if source == "file":
+        path = tmp_path / "replay.ords"
+        main(["gen", "--preset", "replay_analog", "--n-trajectories", "20", "--out", str(path)])
+        cfg = _config_on_file(tmp_path, path)
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_SCRIPT, str(cfg), str(tmp_path / "o")],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "False"
 
 
 def test_compare_emits_four_arm_csv(tmp_path):

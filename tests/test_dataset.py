@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
-                                 compute_trajectory_returns, dataset_equal,
-                                 load_dataset, normalized_return,
+                                 compute_trajectory_returns, load_dataset, normalized_return,
                                  return_histogram, save_dataset)
 from red_offline import dataset as dataset_module
 from red_offline.cli import main
 from red_offline.envsuite import PRESETS, generate_dataset, preset_config
 from red_offline.io_envelope import read_envelope
 from conftest import make_dataset, write_record_value
+from oracles import dataset_equal
 
 PRESET_NAMES = ("replay_analog", "expert_analog", "sparse_analog", "sparse_hard_analog")
 

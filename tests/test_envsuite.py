@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from red_offline.dataset import (DatasetMeta, OfflineDataset, compute_trajectory_returns,
-                                 dataset_equal, return_histogram, save_dataset)
+                                 return_histogram, save_dataset)
 from red_offline.envsuite import (PRESETS, GeneratorConfig, _simulate, env_from_name,
                                   generate_dataset, mdp_dense_chain, mdp_grid_maze,
                                   policy_value, preset_config)
 from red_offline.harness import dataset_checksum
+
+from oracles import dataset_equal
 
 # dataset_checksum of each preset; `gen` output must not change bit for bit
 PRESET_CHECKSUMS = {

@@ -198,10 +198,10 @@ import json, resource
 import numpy as np
 import red_offline
 from red_offline.algos import FAMILIES, AlgoConfig, init_learner, train_step
-from red_offline.envsuite import PRESETS, generate_dataset
+from red_offline.harness import DatasetSource, pin_blas_threads, prepare_dataset
 
-red_offline.harness.pin_blas_threads()
-ds = generate_dataset(PRESETS["replay_analog"])
+pin_blas_threads()
+ds = prepare_dataset(DatasetSource(preset="replay_analog"))[0]
 rng = np.random.default_rng(0)
 per_step = {}
 for family in FAMILIES:
