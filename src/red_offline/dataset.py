@@ -152,9 +152,11 @@ class OfflineDataset:
         for start in range(0, len(self), BLOCK_RECORDS):
             span = slice(start, start + BLOCK_RECORDS)
             want = ids[span], next_id[ids[span], self.actions[span]]
-            pairs = [(x[span].view(np.uint64), table.take(w, axis=0)) for x, w in zip(rows, want)]
-            if not all(np.array_equal(*pair) for pair in pairs):  # the first row off, obs first
-                k, f = np.argwhere(np.stack([(a != b).any(1) for a, b in pairs], axis=1))[0]
+            pairs = [(x[span].view(np.uint64), w) for x, w in zip(rows, want)]
+            if not all(np.array_equal(x, table.take(w, axis=0)) for x, w in pairs):
+                # the first row off, a row's obs before its next_obs
+                off = [(x != table.take(w, axis=0)).any(1) for x, w in pairs]
+                k, f = np.argwhere(np.stack(off, axis=1))[0]
                 i, env = start + k, self.meta.env_name
                 fresh = f == 0 and (i == 0 or self.terminals[i - 1] or self.timeouts[i - 1])
                 where = (f"a state of {env}" if fresh else
