@@ -18,19 +18,21 @@ advantage-weighted likelihood (expectile_awr, exp_adv_regression) or the
 lambda-scaled Q plus cross-entropy (q_plus_bc).
 
 A batch repeats observations (each one is a state of a small tabular MDP), so
-every net runs once per distinct row of the input it reads, ``obs`` or
-``next_obs``, and its outputs are gathered back to batch rows. The rows'
-state ids (``OfflineDataset.map_states``) give the distinct rows, in
-``np.unique``'s byte order, through one mask and one cumsum over the states.
-The per-row output gradients are summed onto those distinct rows before
-``backward``; that sum is the only arithmetic that differs from a per-row pass.
+every net runs once per distinct row of ``obs`` or ``next_obs``, which the
+rows' state ids (``OfflineDataset.map_states``) give in ``np.unique``'s byte
+order. Row-local softmax and log-sum-exp run on those tables too; results are
+gathered back to batch rows, and per-row output gradients summed onto table
+rows before backprop. The bit rule: no BLAS call changes shape, operands or
+transposition, and no elementwise expression its order. The step inlines the
+expectile loss; :func:`expectile_loss` stays public and gives the same value.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import (ACTIVATIONS, apply_update, backward, forward, forward_cache, init_mlp,
+from .nncore import (ACTIVATIONS, _backward, apply_update, forward, forward_cache, init_mlp,
                      init_optim)
 
 # Free 4 MiB, never touched, at import: freeing an mmapped block raises glibc's
@@ -139,15 +141,12 @@ def init_learner(cfg: AlgoConfig, obs_dim: int, n_actions: int, seed: int,
     return LearnerState(family=cfg.family, nets=nets, targets=targets, opts=opts)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _logsumexp_rows(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1)
-    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+def _softmax_lse(z: np.ndarray):
+    """Row softmax of ``z`` and its row log-sum-exp, from one shifted exp."""
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    s = e.sum(axis=1, keepdims=True)
+    return e / s, (m + np.log(s))[:, 0]
 
 
 def _state_table(rows: np.ndarray, ids: np.ndarray):
@@ -178,63 +177,63 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
     pending = []  # (net name, forward cache, per-row output gradient)
 
     q_tab, q_cache = forward_cache(nets["q"], obs)
-    q_all = q_tab[o_inv]
-    q_sa = q_all[rows, act]
+    q_sa = q_tab[o_inv, act]
 
     # next_value is the only family-specific part of the TD target; expectile_awr
     # also fits its V net to the target critic here
     if family == "expectile_awr":
         v_tab, v_cache = forward_cache(nets["v"], obs)
         u = forward(q_target, obs)[o_inv, act] - v_tab[o_inv, 0]
-        losses["v_loss"] = expectile_loss(u, cfg.tau_expectile)
         w_exp = np.where(u < 0, 1.0 - cfg.tau_expectile, cfg.tau_expectile)
+        losses["v_loss"] = float(np.add.reduce(w_exp * u * u) / b)  # expectile_loss(u, tau)
         pending.append(("v", v_cache, (-2.0 * w_exp * u / b)[:, None]))
         next_value = forward(nets["v"], nobs)[n_inv, 0]
     elif family == "exp_adv_regression":
-        pi_next = _softmax(forward(nets["policy"], nobs))
+        pi_next = _softmax_lse(forward(nets["policy"], nobs))[0]
         next_value = (pi_next * forward(q_target, nobs)).sum(axis=1)[n_inv]
     else:
         next_value = forward(q_target, nobs).max(axis=1)[n_inv]
 
     td = q_sa - (rew + cfg.gamma * (1.0 - term) * next_value)
-    losses["q_loss"] = float(np.mean(td * td))
-    dq = np.zeros_like(q_all)
+    losses["q_loss"] = float(np.add.reduce(td * td) / b)
+    dq = np.zeros((b, q_tab.shape[1]))
     dq[rows, act] = 2.0 * td / b
     if family == "conservative_q":
-        losses["cql_penalty"] = float(np.mean(_logsumexp_rows(q_all) - q_sa))
-        dq += cfg.cql_weight * _softmax(q_all) / b
+        probs_q, lse_q = _softmax_lse(q_tab)
+        losses["cql_penalty"] = float(np.add.reduce(lse_q[o_inv] - q_sa) / b)
+        dq += (cfg.cql_weight * probs_q / b)[o_inv]
         dq[rows, act] -= cfg.cql_weight / b
     pending.append(("q", q_cache, dq))
 
     if "policy" in nets:
         logits, p_cache = forward_cache(nets["policy"], obs)
-        logits = logits[o_inv]
-        probs = _softmax(logits)
-        logp = logits - _logsumexp_rows(logits)[:, None]
+        probs, lse = _softmax_lse(logits)
+        logp_sa = (logits - lse[:, None])[o_inv, act]
         if family == "q_plus_bc":  # the critic is a constant inside the policy loss
-            q_pi = (probs * q_all).sum(axis=1)
-            lam = cfg.bc_q_scale / (np.abs(q_pi).mean() + 1e-8)
-            ce = float(-np.mean(logp[rows, act]))
-            losses["policy_loss"] = float(-lam * q_pi.mean() + cfg.bc_weight * ce)
-            dlogits = -lam * probs * (q_all - q_pi[:, None]) / b
-            dlogits += cfg.bc_weight * probs / b
+            q_pi = (probs * q_tab).sum(axis=1)
+            q_pi_b = q_pi[o_inv]
+            lam = cfg.bc_q_scale / (np.add.reduce(np.abs(q_pi_b)) / b + 1e-8)
+            ce = float(-np.add.reduce(logp_sa) / b)
+            losses["policy_loss"] = float(-lam * (np.add.reduce(q_pi_b) / b) + cfg.bc_weight * ce)
+            dlogits = -lam * probs * (q_tab - q_pi[:, None]) / b
+            dlogits = (dlogits + cfg.bc_weight * probs / b)[o_inv]
             dlogits[rows, act] -= cfg.bc_weight / b
         else:  # advantage-weighted likelihood
-            adv = u if family == "expectile_awr" else q_sa - (probs * q_all).sum(axis=1)
+            adv = u if family == "expectile_awr" else q_sa - (probs * q_tab).sum(axis=1)[o_inv]
             w = awr_weight(adv, cfg.beta_awr, cfg.w_max)
-            losses["policy_loss"] = float(-np.mean(w * logp[rows, act]))
-            dlogits = w[:, None] * probs
+            losses["policy_loss"] = float(-np.add.reduce(w * logp_sa) / b)
+            dlogits = w[:, None] * probs[o_inv]
             dlogits[rows, act] -= w
             dlogits /= b
         pending.append(("policy", p_cache, dlogits))
 
-    if not all(np.isfinite(v) for v in losses.values()):
+    if not all(map(math.isfinite, losses.values())):
         raise NanLossError(family, state.step, losses)
 
     to_table = np.zeros((len(obs), b))  # one-hot (distinct, b): sums rows onto the table
     to_table[o_inv, rows] = 1.0
-    for name, cache, grad_out in pending:
-        grads, _ = backward(nets[name], cache, to_table @ grad_out)
+    for name, cache, grad_out in pending:  # no input gradient: nothing reads it
+        grads, _ = _backward(nets[name], cache, to_table @ grad_out, False)
         apply_update(nets[name], grads, state.opts[name], freeze_head=freeze_head)
     state.step += 1
     if state.step % cfg.target_update_period == 0:

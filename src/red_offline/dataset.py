@@ -52,7 +52,7 @@ class OfflineDataset:
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
     Every observation and reward is finite, and so is the rewards' span.
-    :meth:`map_states` adds ``states``, the state ids that :meth:`batch` reads.
+    ``states`` is None until :meth:`map_states` sets the ids :meth:`batch` reads.
     Transition inputs already C-contiguous and of that dtype are shared, not
     copied: they stay writable, and writing them changes the dataset.
     """
@@ -73,6 +73,7 @@ class OfflineDataset:
         if self.traj_bounds.ndim != 2 or self.traj_bounds.shape[1] != 2:
             raise DatasetError(f"trajectory bounds have shape {bounds.shape}, not (n, 2)")
         self.meta = meta
+        self.states = None
         self._validate()
         for a in (self.obs, self.actions, self.rewards, self.next_obs,
                   self.terminals, self.timeouts, self.traj_bounds):
@@ -176,6 +177,8 @@ class OfflineDataset:
     def batch(self, idx: np.ndarray) -> dict:
         """Gather a training batch by transition indices (``take``: faster, same
         values) and the state ids of its rows, once :meth:`map_states` has run."""
+        if self.states is None:
+            raise DatasetError("no state ids: call map_states (or harness.prepare_dataset) first")
         ids, next_id = self.states
         obs_id, action = ids.take(idx), self.actions.take(idx)
         return {

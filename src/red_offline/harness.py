@@ -29,7 +29,8 @@ a sweep or comparison. ``losses`` holds each block's loss rows,
 where there is one. ``timing`` (timing.json) holds the wall-clock numbers,
 kept out of the report so repeated runs give identical report bytes. Per
 seed it holds ``sampler_build_s`` (the arm's single cold build, the same for
-every seed of the arm), ``train_s``, ``eval_s``, their sum ``total_s`` and
+every seed of the arm), ``train_s`` (``draw_s``, sample plus gather, plus
+``step_s``, the ``train_step`` calls), ``eval_s``, their sum ``total_s`` and
 ``overhead_fraction = sampler_build_s / total_s``.
 """
 
@@ -44,7 +45,7 @@ import tempfile
 import time
 import typing
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -311,23 +312,22 @@ def train_single_seed(shared, seed: int) -> tuple:
     eval_points = set(_eval_points(steps, cfg.eval.eval_every))
     eval_steps, eval_returns, losses = [], [], []
     aborted, abort_step = False, None
-    train_s = 0.0
-    eval_s = 0.0
+    draw_s = step_s = eval_s = 0.0
 
     for step in range(steps + 1):  # step 0 trains nothing; it is an eval point iff steps == 0
         if step > 0:
             t1 = time.perf_counter()
-            idx = sampler.sample_batch(cfg.algo.batch_size)
-            batch = ds.batch(idx)
+            batch = ds.batch(sampler.sample_batch(cfg.algo.batch_size))
+            t2 = time.perf_counter()
             try:
-                step_losses = train_step(state, cfg.algo, batch, freeze_head=freeze_head)
+                losses.append((step, train_step(state, cfg.algo, batch, freeze_head=freeze_head)))
             except NanLossError as exc:
                 aborted, abort_step = True, step
                 flags.append(f"nan abort at step {step}: {exc.losses}")
-                train_s += time.perf_counter() - t1
+            draw_s += t2 - t1
+            step_s += time.perf_counter() - t2
+            if aborted:
                 break
-            train_s += time.perf_counter() - t1
-            losses.append((step, step_losses))
         if step in eval_points:
             t1 = time.perf_counter()
             ret = evaluate_policy(mdp, extract_policy(state))
@@ -346,10 +346,13 @@ def train_single_seed(shared, seed: int) -> tuple:
     else:
         final_raw = final_norm = None
 
+    train_s = draw_s + step_s
     total_s = build_s + train_s + eval_s
     timing = {
         "sampler_build_s": build_s,
         "train_s": train_s,
+        "draw_s": draw_s,
+        "step_s": step_s,
         "eval_s": eval_s,
         "total_s": total_s,
         "overhead_fraction": build_s / total_s if total_s > 0 else 0.0,
@@ -441,6 +444,7 @@ def _map_seeds(job, shared, seeds, jobs: int) -> list:
     workers = min(jobs, len(seeds))
     if workers <= 1:
         return [job(shared, s) for s in seeds]
+    from concurrent.futures import ProcessPoolExecutor  # here: it loads multiprocessing
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(job, shared)) as pool:
         return list(pool.map(_worker_seed_job, seeds))

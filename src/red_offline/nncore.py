@@ -122,7 +122,8 @@ def forward_cache(net: Mlp, x: np.ndarray):
     h = x
     last = net.n_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
+        z = h @ w
+        z += b
         pre.append(z)
         if i < last:
             h = np.tanh(z) if net.activation == "tanh" else np.maximum(z, 0.0)
@@ -140,6 +141,11 @@ def backward(net: Mlp, cache: dict, grad_out: np.ndarray):
     ``net.params``. The cache must come from a forward pass at the current
     parameter version.
     """
+    return _backward(net, cache, grad_out, True)
+
+
+def _backward(net: Mlp, cache: dict, grad_out: np.ndarray, grad_input: bool):
+    """:func:`backward`; with ``grad_input`` False it skips that matmul: (grads, None)."""
     if cache["version"] != net.version:
         raise ValueError("stale forward cache: parameters changed since the forward pass")
     g = np.asarray(grad_out, dtype=np.float64)
@@ -149,14 +155,11 @@ def backward(net: Mlp, cache: dict, grad_out: np.ndarray):
     grads = np.empty_like(net.params)
     dws, dbs = _split(grads, net.layer_sizes)
     for i in range(net.n_layers - 1, -1, -1):
-        if i < net.n_layers - 1:
-            if net.activation == "tanh":
-                g = g * (1.0 - np.tanh(pre[i]) ** 2)
-            else:
-                g = g * (pre[i] > 0.0)
+        if i < net.n_layers - 1:  # g is the previous matmul's own array: scale it in place
+            g *= 1.0 - np.tanh(pre[i]) ** 2 if net.activation == "tanh" else pre[i] > 0.0
         np.matmul(inputs[i].T, g, out=dws[i])
         g.sum(axis=0, out=dbs[i])
-        g = g @ net.weights[i].T
+        g = g @ net.weights[i].T if i or grad_input else None
     return grads, g
 
 

@@ -2,14 +2,16 @@
 
 Each one states what a fast path of the package must equal: central-difference
 gradients for ``nncore.backward``, field-by-field equality for datasets, the
-per-row CQL penalty, and the void-row ``np.unique`` that the state-id tables of
-``algos.train_step`` reproduce byte for byte.
+per-row CQL penalty, the void-row ``np.unique`` that the state-id tables of
+``algos.train_step`` reproduce byte for byte, and a reference learner step
+(:func:`reference_train_step`) that the package's step must equal bit for bit.
 """
 
 import numpy as np
 
+from red_offline.algos import NanLossError, awr_weight, expectile_loss
 from red_offline.dataset import OfflineDataset
-from red_offline.nncore import Mlp, forward_cache
+from red_offline.nncore import _BETA1, _BETA2, _EPS, Mlp, _split, forward_cache
 
 
 def numeric_gradients(net: Mlp, x: np.ndarray, grad_out: np.ndarray, eps: float = 1e-5):
@@ -86,3 +88,159 @@ def row_batch(ds: OfflineDataset, idx) -> dict:
     return with_row_ids({"obs": ds.obs[idx], "action": ds.actions[idx],
                          "reward": ds.rewards[idx], "next_obs": ds.next_obs[idx],
                          "terminal": ds.terminals[idx], "timeout": ds.timeouts[idx]})
+
+
+# ---------------------------------------------------------------------------
+# Reference learner step: train_step and the nncore calls it makes, written
+# plainly, with softmax and log-sum-exp over gathered batch rows, every loss an
+# np.mean and the input gradient always computed. train_step takes fewer numpy
+# passes under one rule: every BLAS call keeps its shape, operands and
+# transposition, and every elementwise expression its operation order. So its
+# params, target params, Adam moments and losses must equal these bit for bit.
+
+def ref_forward_cache(net: Mlp, x: np.ndarray):
+    x = np.asarray(x, dtype=np.float64)
+    inputs, pre = [x], []
+    h = x
+    last = net.n_layers - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        pre.append(z)
+        if i < last:
+            h = np.tanh(z) if net.activation == "tanh" else np.maximum(z, 0.0)
+            inputs.append(h)
+        else:
+            h = z
+    return h, {"inputs": inputs, "pre": pre}
+
+
+def ref_backward(net: Mlp, cache: dict, grad_out: np.ndarray):
+    g = np.asarray(grad_out, dtype=np.float64)
+    inputs, pre = cache["inputs"], cache["pre"]
+    grads = np.empty_like(net.params)
+    dws, dbs = _split(grads, net.layer_sizes)
+    for i in range(net.n_layers - 1, -1, -1):
+        if i < net.n_layers - 1:
+            if net.activation == "tanh":
+                g = g * (1.0 - np.tanh(pre[i]) ** 2)
+            else:
+                g = g * (pre[i] > 0.0)
+        np.matmul(inputs[i].T, g, out=dws[i])
+        g.sum(axis=0, out=dbs[i])
+        g = g @ net.weights[i].T
+    return grads, g
+
+
+def ref_apply_update(net: Mlp, grads: np.ndarray, opt, freeze_head: bool = False) -> None:
+    opt.step += 1
+    t = opt.step
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
+    hs = net.head_start
+    end = hs if freeze_head else net.params.size
+    p, g, m, v = net.params[:end], grads[:end], opt.m[:end], opt.v[:end]
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    v += (1.0 - _BETA2) * g * g
+    num = m / bc1
+    num[:hs] *= opt.lr * opt.backbone_mult
+    num[hs:] *= opt.lr
+    p -= num / (np.sqrt(v / bc2) + _EPS)
+    net.version += 1
+
+
+def _ref_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_logsumexp_rows(z):
+    m = z.max(axis=1)
+    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+
+
+def _ref_state_table(rows, ids):
+    seen = np.bincount(ids) > 0
+    first = np.empty(len(seen), np.intp)
+    first[ids] = np.arange(len(ids))
+    return rows.take(first[seen], axis=0), (np.cumsum(seen) - 1).take(ids)
+
+
+def reference_train_step(state, cfg, batch: dict, freeze_head: bool = False) -> dict:
+    """What ``algos.train_step`` computes, bit for bit, on the same learner state."""
+    def forward(net, x):
+        return ref_forward_cache(net, x)[0]
+
+    obs, o_inv = _ref_state_table(batch["obs"], batch["obs_id"])
+    nobs, n_inv = _ref_state_table(batch["next_obs"], batch["next_obs_id"])
+    act = np.asarray(batch["action"], dtype=np.int64)
+    rew = np.asarray(batch["reward"], dtype=np.float64)
+    term = np.asarray(batch["terminal"], dtype=np.float64)
+    b = o_inv.size
+    rows = np.arange(b)
+    family, nets, q_target = state.family, state.nets, state.targets["q"]
+    losses: dict = {}
+    pending = []
+
+    q_tab, q_cache = ref_forward_cache(nets["q"], obs)
+    q_all = q_tab[o_inv]
+    q_sa = q_all[rows, act]
+    if family == "expectile_awr":
+        v_tab, v_cache = ref_forward_cache(nets["v"], obs)
+        u = forward(q_target, obs)[o_inv, act] - v_tab[o_inv, 0]
+        losses["v_loss"] = expectile_loss(u, cfg.tau_expectile)
+        w_exp = np.where(u < 0, 1.0 - cfg.tau_expectile, cfg.tau_expectile)
+        pending.append(("v", v_cache, (-2.0 * w_exp * u / b)[:, None]))
+        next_value = forward(nets["v"], nobs)[n_inv, 0]
+    elif family == "exp_adv_regression":
+        pi_next = _ref_softmax(forward(nets["policy"], nobs))
+        next_value = (pi_next * forward(q_target, nobs)).sum(axis=1)[n_inv]
+    else:
+        next_value = forward(q_target, nobs).max(axis=1)[n_inv]
+
+    td = q_sa - (rew + cfg.gamma * (1.0 - term) * next_value)
+    losses["q_loss"] = float(np.mean(td * td))
+    dq = np.zeros_like(q_all)
+    dq[rows, act] = 2.0 * td / b
+    if family == "conservative_q":
+        losses["cql_penalty"] = float(np.mean(_ref_logsumexp_rows(q_all) - q_sa))
+        dq += cfg.cql_weight * _ref_softmax(q_all) / b
+        dq[rows, act] -= cfg.cql_weight / b
+    pending.append(("q", q_cache, dq))
+
+    if "policy" in nets:
+        logits, p_cache = ref_forward_cache(nets["policy"], obs)
+        logits = logits[o_inv]
+        probs = _ref_softmax(logits)
+        logp = logits - _ref_logsumexp_rows(logits)[:, None]
+        if family == "q_plus_bc":
+            q_pi = (probs * q_all).sum(axis=1)
+            lam = cfg.bc_q_scale / (np.abs(q_pi).mean() + 1e-8)
+            ce = float(-np.mean(logp[rows, act]))
+            losses["policy_loss"] = float(-lam * q_pi.mean() + cfg.bc_weight * ce)
+            dlogits = -lam * probs * (q_all - q_pi[:, None]) / b
+            dlogits += cfg.bc_weight * probs / b
+            dlogits[rows, act] -= cfg.bc_weight / b
+        else:
+            adv = u if family == "expectile_awr" else q_sa - (probs * q_all).sum(axis=1)
+            w = awr_weight(adv, cfg.beta_awr, cfg.w_max)
+            losses["policy_loss"] = float(-np.mean(w * logp[rows, act]))
+            dlogits = w[:, None] * probs
+            dlogits[rows, act] -= w
+            dlogits /= b
+        pending.append(("policy", p_cache, dlogits))
+
+    if not all(np.isfinite(v) for v in losses.values()):
+        raise NanLossError(family, state.step, losses)
+
+    to_table = np.zeros((len(obs), b))
+    to_table[o_inv, rows] = 1.0
+    for name, cache, grad_out in pending:
+        grads, _ = ref_backward(nets[name], cache, to_table @ grad_out)
+        ref_apply_update(nets[name], grads, state.opts[name], freeze_head=freeze_head)
+    state.step += 1
+    if state.step % cfg.target_update_period == 0:
+        q_target.copy_from(nets["q"])
+    return losses

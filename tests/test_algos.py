@@ -11,7 +11,8 @@ from red_offline.envsuite import PRESETS, GeneratorConfig, env_from_name, genera
 from red_offline.nncore import Mlp, backward, forward, forward_cache
 
 from conftest import make_dataset
-from oracles import cql_penalty, distinct_rows, row_batch, with_row_ids
+from oracles import (cql_penalty, distinct_rows, reference_train_step, row_batch,
+                     with_row_ids)
 
 
 def test_expectile_loss_examples():
@@ -403,6 +404,46 @@ def test_every_net_runs_once_per_distinct_input_row(family, preset_dataset, monk
                      "conservative_q": {"forward": 1, "forward_cache": 1},
                      "exp_adv_regression": {"forward": 2, "forward_cache": 2},
                      "q_plus_bc": {"forward": 1, "forward_cache": 2}}[family]
+
+
+def _learner_bytes(state):
+    """Every byte a step writes: params, target params and Adam moments."""
+    return {**{f"{name}.params": net.params.tobytes() for name, net in state.nets.items()},
+            **{f"target.{name}": net.params.tobytes() for name, net in state.targets.items()},
+            **{f"{name}.{k}": getattr(opt, k).tobytes()
+               for name, opt in state.opts.items() for k in ("m", "v")}}
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_train_step_equals_the_reference_step_bit_for_bit(family, activation, preset_dataset):
+    # no digest, so it holds on any CPU: both steps make the same BLAS calls. A
+    # batch of 100 and weights off 1: dividing by a power of two would be exact
+    # and hide a change in operation order
+    ds = preset_dataset("replay_analog")
+    cfg = AlgoConfig(family=family, batch_size=100, lr=3e-3, target_update_period=10,
+                     cql_weight=0.3, bc_weight=0.7, activation=activation)
+    rng = np.random.default_rng(5)
+    nets = None
+    # stage one from a fresh init, then stage two as dered runs it: resumed
+    # nets, backbone lr x 0.1, frozen heads, fresh moments
+    for mult, freeze_head in ((1.0, False), (0.1, True)):
+        fast, ref = (init_learner(cfg, ds.meta.obs_dim, ds.meta.action["discrete"], seed=9,
+                                  backbone_mult=mult) for _ in range(2))
+        for state in (fast, ref) if nets is not None else ():  # stage two resumes
+            for name, net in state.nets.items():
+                net.copy_from(nets[name])
+            state.targets["q"].copy_from(state.nets["q"])
+        fast_losses, ref_losses = [], []
+        for _ in range(50):
+            batch = ds.batch(rng.integers(0, len(ds), cfg.batch_size))
+            fast_losses.append(train_step(fast, cfg, batch, freeze_head=freeze_head))
+            ref_losses.append(reference_train_step(ref, cfg, batch, freeze_head=freeze_head))
+        assert [row.keys() for row in fast_losses] == [row.keys() for row in ref_losses]
+        assert all(np.array(list(f.values())).tobytes() == np.array(list(r.values())).tobytes()
+                   for f, r in zip(fast_losses, ref_losses))
+        assert _learner_bytes(fast) == _learner_bytes(ref)
+        nets = fast.nets
 
 
 # the 400-state maze: its ids are uint16, the presets' (at most 100 states) uint8

@@ -238,6 +238,14 @@ def test_invariant_violations_rejected():
             DatasetMeta(obs_dim=1, action=action, env_name="x", seed=0)
 
 
+def test_batch_before_map_states_names_the_missing_step():
+    ds = generate_dataset(preset_config("replay_analog", n_trajectories=3))
+    assert ds.states is None
+    with pytest.raises(DatasetError, match=re.escape("call map_states (or "
+                                                     "harness.prepare_dataset) first")):
+        ds.batch(np.arange(2))
+
+
 def test_traj_bounds_are_a_read_only_n_by_2_table(tiny_dataset):
     meta = DatasetMeta(obs_dim=1, action={"discrete": 2}, env_name="x", seed=0)
     base = dict(obs=np.zeros((3, 1)), actions=np.zeros(3, dtype=int), rewards=np.zeros(3),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -500,8 +501,10 @@ def test_timing_records_one_cold_build_per_arm(tmp_path):
         seeds = list(arm["per_seed"].values())
         assert len({t["sampler_build_s"] for t in seeds}) == 1  # the arm's single build
         for t in seeds:
-            assert set(t) == {"sampler_build_s", "train_s", "eval_s", "total_s",
-                              "overhead_fraction"}
+            assert set(t) == {"sampler_build_s", "train_s", "draw_s", "step_s", "eval_s",
+                              "total_s", "overhead_fraction"}
+            assert t["draw_s"] > 0 and t["step_s"] > 0
+            assert t["draw_s"] + t["step_s"] <= t["train_s"]
             assert t["total_s"] == t["sampler_build_s"] + t["train_s"] + t["eval_s"]
             assert t["overhead_fraction"] == t["sampler_build_s"] / t["total_s"]
 
@@ -511,7 +514,6 @@ def _pid_job(shared, seed):
 
 
 def test_map_seeds_pool_size_and_handoff(monkeypatch):
-    from red_offline import harness as hmod
     pools = []
 
     class SpyPool(ProcessPoolExecutor):
@@ -526,7 +528,7 @@ def test_map_seeds_pool_size_and_handoff(monkeypatch):
             self.tasks = list(iterables[0])
             return super().map(fn, self.tasks, **kwargs)
 
-    monkeypatch.setattr(hmod, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)  # _map_seeds imports it
     shared = np.arange(10)
     results = _map_seeds(_pid_job, shared, (3, 4), jobs=4)
     assert [p.size for p in pools] == [2] and pools[0].tasks == [3, 4]

@@ -35,6 +35,17 @@ def test_importing_the_package_loads_no_numpy():
     assert proc.stdout.split() == ["False", "0.1.0"]
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # a one-job process never starts a pool: concurrent.futures.process would
+    # bring multiprocessing and socket, about 7 ms per CLI process
+    script = ("import sys, red_offline.cli; "
+              "print(*(m in sys.modules for m in ('multiprocessing', 'socket')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_public_names_resolve_to_their_home_objects():
     assert len(red_offline.__all__) == 52
     assert sorted(red_offline.__all__) == sorted(n for names in HOMES.values() for n in names)
