@@ -52,17 +52,18 @@ class OfflineDataset:
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
     Every observation and reward is finite, and so is the rewards' span.
-    ``states`` is None until :meth:`map_states` sets the ids :meth:`batch` reads.
-    Transition inputs already C-contiguous and of that dtype are shared, not
-    copied: they stay writable, and writing them changes the dataset.
+    ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)``; :meth:`batch`
+    gathers rows from them, as do ``obs`` and ``next_obs`` after :meth:`release_rows`.
+    Transition inputs already C-contiguous and of that dtype are shared, not copied: they stay
+    writable, and writing them changes the dataset, but not the rows gathered from its table.
     """
 
     def __init__(self, obs, actions, rewards, next_obs, terminals, timeouts,
                  traj_bounds, meta: DatasetMeta):
-        self.obs = np.ascontiguousarray(obs, dtype=np.float64).view()
+        self._obs = np.ascontiguousarray(obs, dtype=np.float64).view()
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).view()
         self.rewards = np.ascontiguousarray(rewards, dtype=np.float64).view()
-        self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64).view()
+        self._next_obs = np.ascontiguousarray(next_obs, dtype=np.float64).view()
         self.terminals = np.ascontiguousarray(terminals, dtype=bool).view()
         self.timeouts = np.ascontiguousarray(timeouts, dtype=bool).view()
         try:  # ragged rows fail here; [] is the empty (0, 2) table
@@ -165,7 +166,22 @@ class OfflineDataset:
                 raise DatasetError(f"transition {i}: {('obs', 'next_obs')[f]} "
                                    f"{rows[f][i].tolist()} is not {where}")
         ids.setflags(write=False)
-        self.states = ids, next_id
+        states.setflags(write=False)
+        self.states = ids, next_id, states
+
+    def release_rows(self) -> None:
+        """Drop the loaded obs and next_obs; reads then gather the same bytes from the table."""
+        self._obs = self._next_obs = None
+
+    def _rows(self, rows, next_step: bool) -> np.ndarray:
+        if rows is None:
+            ids, next_id, table = self.states
+            rows = table.take(next_id[ids, self.actions] if next_step else ids, axis=0)
+            rows.setflags(write=False)
+        return rows
+
+    obs = property(lambda self: self._rows(self._obs, False))
+    next_obs = property(lambda self: self._rows(self._next_obs, True))
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -175,18 +191,19 @@ class OfflineDataset:
         return len(self.traj_bounds)
 
     def batch(self, idx: np.ndarray) -> dict:
-        """Gather a training batch by transition indices (``take``: faster, same
-        values) and the state ids of its rows, once :meth:`map_states` has run."""
+        """Gather a training batch by transition indices (``take``: faster, same values)
+        once :meth:`map_states` has run; obs and next_obs come from the state table."""
         if self.states is None:
             raise DatasetError("no state ids: call map_states (or harness.prepare_dataset) first")
-        ids, next_id = self.states
+        ids, next_id, table = self.states
         obs_id, action = ids.take(idx), self.actions.take(idx)
+        next_obs_id = next_id[obs_id, action]
         return {
-            "obs": self.obs.take(idx, axis=0),
-            "obs_id": obs_id, "next_obs_id": next_id[obs_id, action],
+            "obs": table.take(obs_id, axis=0),
+            "obs_id": obs_id, "next_obs_id": next_obs_id,
             "action": action,
             "reward": self.rewards.take(idx),
-            "next_obs": self.next_obs.take(idx, axis=0),
+            "next_obs": table.take(next_obs_id, axis=0),
             "terminal": self.terminals.take(idx),
             "timeout": self.timeouts.take(idx),
         }

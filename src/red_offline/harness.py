@@ -27,11 +27,12 @@ byte-deterministic (report.json); its per-seed results sit in
 a sweep or comparison. ``losses`` holds each block's loss rows,
 ``{seed: [(step, {loss name: value}), ...]}``, under the stage or arm label
 where there is one. ``timing`` (timing.json) holds the wall-clock numbers,
-kept out of the report so repeated runs give identical report bytes. Per
-seed it holds ``sampler_build_s`` (the arm's single cold build, the same for
-every seed of the arm), ``train_s`` (``draw_s``, sample plus gather, plus
-``step_s``, the ``train_step`` calls), ``eval_s``, their sum ``total_s`` and
-``overhead_fraction = sampler_build_s / total_s``.
+kept out of the report so repeated runs give identical report bytes: its
+``prepare`` entry holds ``returns_s`` (the returns phase) and ``checksum_wait_s``
+(the join of the hashing thread), and per seed ``sampler_build_s`` (the arm's
+single cold build), ``train_s`` (``draw_s``, sample plus gather, plus ``step_s``,
+the ``train_step`` calls), ``eval_s``, ``total_s`` (their sum with ``returns_s``)
+and ``overhead_fraction = (returns_s + sampler_build_s) / total_s``.
 """
 
 import contextlib
@@ -223,8 +224,10 @@ def apply_overrides(data: dict, overrides) -> dict:
 # ---------------------------------------------------------------------------
 # dataset / environment plumbing
 
-def prepare_dataset(source: DatasetSource):
+def prepare_dataset(source: DatasetSource, loaded=lambda ds: None, timing=None):
     """Resolve a dataset source to (dataset, trajectory returns, environment).
+    ``loaded(ds)`` runs as soon as the dataset is read or generated, and a
+    ``timing`` dict receives ``returns_s``, the returns phase's seconds.
 
     Raises DatasetError when the dataset names an unknown environment, its
     obs_dim or action space differ from the environment's, or its rows do not
@@ -235,8 +238,12 @@ def prepare_dataset(source: DatasetSource):
     else:
         ds = generate_dataset(preset_config(source.preset, seed=source.seed,
                                             n_trajectories=source.n_trajectories))
+    loaded(ds)
     try:
+        t0 = time.perf_counter()
         tr = compute_trajectory_returns(ds)
+        if timing is not None:
+            timing["returns_s"] = time.perf_counter() - t0
         mdp = env_from_name(ds.meta.env_name)
         fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
         if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
@@ -283,15 +290,15 @@ def _eval_points(total_steps: int, eval_every: int) -> list:
 def train_single_seed(shared, seed: int) -> tuple:
     """The seed job: train ``seed`` on its arm's sampler, built once in
     ``build_s`` seconds, with the seed's own ``"sampler/{seed}"`` stream, and
-    evaluate on schedule. ``shared`` is ``(ds, mdp, cfg, sampler, build_s,
-    (steps, ckpt_dir, resume))``; ``steps`` None means ``cfg.algo``'s. With a
-    ``ckpt_dir``, stage one saves ``stage1_seed{seed}.orck`` there; stage two
-    (``resume``) finetunes from that file as ``cfg.dered`` says. Returns
-    ``(entry, timing, losses, heads_equal)``: the seed's report entry,
-    timing.json entry and loss rows, and whether every head is still bitwise
-    the file's (None unless resuming), but no learner state, so it pickles
-    cheaply back from workers."""
-    ds, mdp, cfg, arm_sampler, build_s, (steps, ckpt_dir, resume) = shared
+    evaluate on schedule. ``shared`` is ``(ds, mdp, cfg, sampler, (returns_s,
+    build_s), (steps, ckpt_dir, resume))``, ``returns_s`` the experiment's
+    returns phase; ``steps`` None means ``cfg.algo``'s. With a ``ckpt_dir``,
+    stage one saves ``stage1_seed{seed}.orck`` there; stage two (``resume``)
+    finetunes from that file as ``cfg.dered`` says. Returns ``(entry, timing,
+    losses, heads_equal)``: the seed's report entry, timing.json entry and loss
+    rows, and whether every head is still bitwise the file's (None unless
+    resuming), but no learner state, so it pickles cheaply back from workers."""
+    ds, mdp, cfg, arm_sampler, (returns_s, build_s), (steps, ckpt_dir, resume) = shared
     steps = cfg.algo.total_steps if steps is None else steps
     path = ckpt_dir and os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
     nets = load_checkpoint(path) if resume else None
@@ -347,7 +354,7 @@ def train_single_seed(shared, seed: int) -> tuple:
         final_raw = final_norm = None
 
     train_s = draw_s + step_s
-    total_s = build_s + train_s + eval_s
+    total_s = returns_s + build_s + train_s + eval_s
     timing = {
         "sampler_build_s": build_s,
         "train_s": train_s,
@@ -355,7 +362,7 @@ def train_single_seed(shared, seed: int) -> tuple:
         "step_s": step_s,
         "eval_s": eval_s,
         "total_s": total_s,
-        "overhead_fraction": build_s / total_s if total_s > 0 else 0.0,
+        "overhead_fraction": (returns_s + build_s) / total_s if total_s > 0 else 0.0,
     }
     entry = {
         "seed": seed,
@@ -450,18 +457,20 @@ def _map_seeds(job, shared, seeds, jobs: int) -> list:
         return list(pool.map(_worker_seed_job, seeds))
 
 
-@contextlib.contextmanager
-def _prepare(source: DatasetSource, jobs: int):
-    """The static work of an experiment: yields (dataset, returns, environment,
-    checksum); ``checksum()`` returns the digest or raises what hashing raised.
-    A worker thread hashes (blake2b releases the GIL) beside one-job training;
-    with more jobs it is joined first, so no thread is alive at a fork."""
-    ds, tr, mdp = prepare_dataset(source)
+def _prepare(source: DatasetSource):
+    """The static work of an experiment: (dataset, returns, environment, checksum,
+    timing.json's ``prepare``). A thread hashes the loaded rows beside the returns and
+    the state map (blake2b releases the GIL); its join re-raises, before the release."""
+    timing, digest = {}, []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        digest = pool.submit(dataset_checksum, ds)  # the global, so a tracer's wrapper runs
-        if jobs > 1:
-            pool.shutdown()
-        yield ds, tr, mdp, digest.result
+        # dataset_checksum is the global, so a tracer's wrapper runs
+        ds, tr, mdp = prepare_dataset(
+            source, lambda ds: digest.append(pool.submit(dataset_checksum, ds)), timing)
+        t0 = time.perf_counter()
+        checksum = digest[0].result()
+    timing["checksum_wait_s"] = time.perf_counter() - t0
+    ds.release_rows()
+    return ds, tr, mdp, checksum, timing
 
 
 def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> dict:
@@ -475,15 +484,15 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, 
     ``cfg.algo``'s steps). Returns (report, timing, losses, heads_equal per
     seed): the run header with the ``{per_seed, aggregate, flags}`` block, and
     per-seed timings and loss rows keyed by string seed."""
-    ds, tr, mdp, checksum = prepared
+    ds, tr, mdp, checksum, static = prepared
     t0 = time.perf_counter()
     sampler = build_sampler(cfg.sampler, ds, tr)
-    build_s = time.perf_counter() - t0
+    static_s = static["returns_s"], time.perf_counter() - t0
     # the global, looked up per call, so a tracer's wrapper runs
-    results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, build_s, stage),
+    results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, static_s, stage),
                          cfg.eval.seeds, jobs)
     per_seed = [entry for entry, *_ in results]
-    report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum()),
+    report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum),
               "per_seed": per_seed, "aggregate": _aggregate(per_seed),
               "flags": sorted({f for entry in per_seed for f in entry["flags"]})}
     timing = {str(entry["seed"]): t for entry, t, *_ in results}
@@ -493,8 +502,9 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, 
 
 def run_training(cfg: ExperimentConfig, jobs: int = 1):
     """Single-stage run over all seeds; returns (report, timing, losses)."""
-    with _prepare(cfg.dataset, jobs) as prepared:
-        return _run_arm(cfg, prepared, jobs)[:3]
+    prepared = _prepare(cfg.dataset)
+    report, timing, losses, _ = _run_arm(cfg, prepared, jobs)
+    return report, {**timing, "prepare": prepared[4]}, losses
 
 
 def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
@@ -516,9 +526,9 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     if cfg.dered is None:
         raise ConfigError("two_stage_train requires the 'dered' config block")
     mode2 = "return_resample" if cfg.sampler.mode == "uniform" else cfg.sampler.mode
-    ckpt_ctx = (tempfile.TemporaryDirectory() if out_dir is None
-                else contextlib.nullcontext(out_dir))
-    with _prepare(cfg.dataset, jobs) as prepared, ckpt_ctx as ckpt_dir:
+    prepared = _prepare(cfg.dataset)
+    with (tempfile.TemporaryDirectory() if out_dir is None
+          else contextlib.nullcontext(out_dir)) as ckpt_dir:
         os.makedirs(ckpt_dir, exist_ok=True)  # after the load, so a bad file leaves no dir
         r1, t1, l1, _ = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode="uniform")),
                                  prepared, jobs, (cfg.dered.stage1_steps, ckpt_dir, False))
@@ -535,22 +545,23 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     m1, m2 = s1["aggregate"]["mean_normalized"], s2["aggregate"]["mean_normalized"]
     report = {**_run_header("two_stage", cfg, r1["refs"], r1["dataset_checksum"]), "stage1": s1,
               "stage2": s2, "stage2_minus_stage1": None if m1 is None or m2 is None else m2 - m1}
-    return (report, {"stage1": t1["per_seed"], "stage2": t2["per_seed"]},
+    return (report, {"stage1": t1["per_seed"], "stage2": t2["per_seed"], "prepare": prepared[4]},
             {"stage1": l1, "stage2": l2})
 
 
-def _arms_table(kind: str, cfg: ExperimentConfig, key: str, labels: list, runs: dict):
+def _arms_table(kind: str, cfg: ExperimentConfig, key: str, runs: dict, prepared):
     """(table, timing, losses) of a multi-arm experiment, keyed by arm label."""
-    reports = {a: runs[a][0] for a in labels}
+    reports = {a: run[0] for a, run in runs.items()}
     table = {
         "kind": kind,
         "task": cfg.dataset.label,
-        key: labels,
-        "scores": {a: reports[a]["aggregate"]["mean_normalized"] for a in labels},
-        "stds": {a: reports[a]["aggregate"]["std_normalized"] for a in labels},
+        key: list(runs),
+        "scores": {a: r["aggregate"]["mean_normalized"] for a, r in reports.items()},
+        "stds": {a: r["aggregate"]["std_normalized"] for a, r in reports.items()},
         "reports": reports,
     }
-    return table, {a: runs[a][1] for a in labels}, {a: runs[a][2] for a in labels}
+    timing = {**{a: run[1] for a, run in runs.items()}, "prepare": prepared[4]}
+    return table, timing, {a: run[2] for a, run in runs.items()}
 
 
 def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
@@ -568,9 +579,9 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
         if label in arms:
             raise ConfigError(f"p_base value {v!r} repeats the column {label!r}")
         arms[label] = replace(cfg, sampler=spec)
-    with _prepare(cfg.dataset, jobs) as prepared:
-        runs = {label: _run_arm(arm, prepared, jobs) for label, arm in arms.items()}
-    return _arms_table("pbase_sweep", cfg, "columns", list(arms), runs)
+    prepared = _prepare(cfg.dataset)
+    runs = {label: _run_arm(arm, prepared, jobs) for label, arm in arms.items()}
+    return _arms_table("pbase_sweep", cfg, "columns", runs, prepared)
 
 
 COMPARE_ARMS = ("uniform", "return_resample", "reward_resample", "top_fraction")
@@ -583,11 +594,11 @@ def compare_rebalance_methods(cfg: ExperimentConfig, jobs: int = 1):
     keeps ``cfg.sampler.fraction``. The dataset is prepared and checksummed
     once, so every arm sees the same bits by construction.
     """
-    with _prepare(cfg.dataset, jobs) as prepared:
-        runs = {arm: _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode=arm)), prepared, jobs)
-                for arm in COMPARE_ARMS}
-    table, timing, losses = _arms_table("rebalance_compare", cfg, "arms", list(COMPARE_ARMS), runs)
-    return {**table, "dataset_checksum": prepared[3]()}, timing, losses
+    prepared = _prepare(cfg.dataset)
+    runs = {arm: _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode=arm)), prepared, jobs)
+            for arm in COMPARE_ARMS}
+    table, timing, losses = _arms_table("rebalance_compare", cfg, "arms", runs, prepared)
+    return {**table, "dataset_checksum": prepared[3]}, timing, losses
 
 
 # ---------------------------------------------------------------------------

@@ -484,6 +484,80 @@ def test_an_error_while_hashing_reaches_the_caller(monkeypatch, runner, jobs):
         run()
 
 
+def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path):
+    # after _prepare, a dataset holds actions, rewards, flags, state ids and
+    # per-transition returns (about 28 B per transition), not its two float
+    # obs_dim 2 rows (32 B more); nothing between the load and the release,
+    # the hashing thread included, allocates past the load's own peak, and
+    # nothing after the release materializes a derived obs or next_obs
+    import tracemalloc
+    from red_offline import harness as hmod
+    from red_offline.dataset import OfflineDataset, save_dataset
+    from red_offline.envsuite import generate_dataset, preset_config
+    ds = generate_dataset(preset_config("replay_analog", n_trajectories=2_050))
+    n = len(ds)
+    assert 75_000 < n < 85_000 and ds.meta.obs_dim == 2
+    path = str(tmp_path / "data.ords")
+    save_dataset(ds, path)
+    del ds
+    hmod._prepare(DatasetSource(path=path))  # the environment's cached tables, lazy imports
+    marks, load, release = {}, hmod.load_dataset, OfflineDataset.release_rows
+
+    def load_and_measure(p):
+        loaded = load(p)
+        marks["load"] = tracemalloc.get_traced_memory()
+        return loaded
+
+    def release_and_measure(ds):
+        marks["release"] = tracemalloc.get_traced_memory()
+        release(ds)
+        tracemalloc.reset_peak()
+    monkeypatch.setattr(hmod, "load_dataset", load_and_measure)
+    monkeypatch.setattr(OfflineDataset, "release_rows", release_and_measure)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        prepared = hmod._prepare(DatasetSource(path=path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prepared[0]) == n
+    assert (held - start) / n <= 30, f"{(held - start) / n:.1f} B per transition"
+    assert marks["release"][1] <= marks["load"][1], (marks, "peak above the load's")
+    assert peak - held < n, f"{peak - held} B allocated after the release"  # a view is 16 n
+
+
+@pytest.mark.parametrize("name", [*sorted(PRESETS), "file"])
+def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
+    from red_offline.dataset import save_dataset
+    from red_offline.envsuite import generate_dataset, preset_config
+    from red_offline.harness import _prepare
+    source = DatasetSource(preset=name) if name != "file" else DatasetSource(
+        path=str(tmp_path / "data.ords"))
+    if name == "file":
+        save_dataset(generate_dataset(preset_config("sparse_hard_analog", seed=9,
+                                                    n_trajectories=90)), source.path)
+    loaded = prepare_dataset(source)[0]  # mapped, rows kept
+    released, _, _, checksum, _ = _prepare(source)
+    for field in ("obs", "next_obs"):
+        want, got = getattr(loaded, field), getattr(released, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable, field
+    idx = np.random.default_rng(3).integers(0, len(loaded), 1_000)
+    want = {**loaded.batch(idx), "obs": loaded.obs[idx], "next_obs": loaded.next_obs[idx]}
+    got = released.batch(idx)
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].tobytes() == want[key].tobytes(), key
+    assert checksum == dataset_checksum(released) == dataset_checksum(loaded)
+    save_dataset(loaded, tmp_path / "loaded.ords")
+    save_dataset(released, tmp_path / "released.ords")
+    written = (tmp_path / "released.ords").read_bytes()
+    assert written == (tmp_path / "loaded.ords").read_bytes()
+    if name == "file":
+        assert written == open(source.path, "rb").read()
+
+
 def test_timing_records_one_cold_build_per_arm(tmp_path):
     from red_offline.cli import main
     cfg = config_to_dict(small_config(
@@ -495,8 +569,12 @@ def test_timing_records_one_cold_build_per_arm(tmp_path):
     assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == 0
     timing = json.loads((out / "timing.json").read_text())
     assert set(timing) == {"uniform", "return_resample", "reward_resample", "top_fraction",
-                           "runtime"}
+                           "prepare", "runtime"}
     assert timing.pop("runtime") == {"jobs": 1, "blas_threads": blas_threads()}
+    prepare = timing.pop("prepare")  # the experiment's static phase, once
+    assert set(prepare) == {"returns_s", "checksum_wait_s"}
+    assert prepare["returns_s"] > 0 and prepare["checksum_wait_s"] >= 0
+    returns_s = prepare["returns_s"]
     for arm in timing.values():
         seeds = list(arm["per_seed"].values())
         assert len({t["sampler_build_s"] for t in seeds}) == 1  # the arm's single build
@@ -505,8 +583,8 @@ def test_timing_records_one_cold_build_per_arm(tmp_path):
                               "total_s", "overhead_fraction"}
             assert t["draw_s"] > 0 and t["step_s"] > 0
             assert t["draw_s"] + t["step_s"] <= t["train_s"]
-            assert t["total_s"] == t["sampler_build_s"] + t["train_s"] + t["eval_s"]
-            assert t["overhead_fraction"] == t["sampler_build_s"] / t["total_s"]
+            assert t["total_s"] == returns_s + t["sampler_build_s"] + t["train_s"] + t["eval_s"]
+            assert t["overhead_fraction"] == (returns_s + t["sampler_build_s"]) / t["total_s"]
 
 
 def _pid_job(shared, seed):
