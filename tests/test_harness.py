@@ -555,7 +555,7 @@ def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
     written = (tmp_path / "released.ords").read_bytes()
     assert written == (tmp_path / "loaded.ords").read_bytes()
     if name == "file":
-        assert written == open(source.path, "rb").read()
+        assert written == (tmp_path / "data.ords").read_bytes()
 
 
 def test_timing_records_one_cold_build_per_arm(tmp_path):
