@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import (ACTIVATIONS, _backward, apply_update, forward, forward_cache, init_mlp,
+from .nncore import (ACTIVATIONS, apply_update, backward, forward, forward_cache, init_mlp,
                      init_optim)
 
 # Free 4 MiB, never touched, at import: freeing an mmapped block raises glibc's
@@ -233,7 +233,7 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
     to_table = np.zeros((len(obs), b))  # one-hot (distinct, b): sums rows onto the table
     to_table[o_inv, rows] = 1.0
     for name, cache, grad_out in pending:  # no input gradient: nothing reads it
-        grads, _ = _backward(nets[name], cache, to_table @ grad_out, False)
+        grads, _ = backward(nets[name], cache, to_table @ grad_out, grad_input=False)
         apply_update(nets[name], grads, state.opts[name], freeze_head=freeze_head)
     state.step += 1
     if state.step % cfg.target_update_period == 0:

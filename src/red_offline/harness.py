@@ -11,12 +11,13 @@ Scores follow the usual normalization 100 * (raw - random) / (expert -
 random) against the environment's reference policies, and aggregates are the
 mean over the final K evaluations, then over seeds.
 
-Each experiment prepares its dataset once and hashes it once, on a worker
-thread; each sampler arm builds its table once and its seeds share it, each
-seed one :func:`train_single_seed` job. A two-stage run is two arm passes:
-stage one for every seed, then stage two for every seed. With ``jobs > 1``
-each arm or stage has its own worker pool, and each worker gets that arm's
-table once.
+Each experiment runs one static phase, :func:`prepare_dataset`: it loads,
+maps and hashes its dataset once (the hash on a worker thread, joined before
+the float rows are released). Each sampler arm builds its table once and its
+seeds share it, each seed one :func:`train_single_seed` job. A two-stage run
+is two arm passes: stage one for every seed, then stage two for every seed.
+With ``jobs > 1`` each arm or stage has its own worker pool, and each worker
+gets that arm's table once.
 
 Every runner (:func:`run_training`, :func:`two_stage_train`,
 :func:`sweep_pbase`, :func:`compare_rebalance_methods`) returns
@@ -224,10 +225,11 @@ def apply_overrides(data: dict, overrides) -> dict:
 # ---------------------------------------------------------------------------
 # dataset / environment plumbing
 
-def prepare_dataset(source: DatasetSource, loaded=lambda ds: None, timing=None):
-    """Resolve a dataset source to (dataset, trajectory returns, environment).
-    ``loaded(ds)`` runs as soon as the dataset is read or generated, and a
-    ``timing`` dict receives ``returns_s``, the returns phase's seconds.
+def prepare_dataset(source: DatasetSource):
+    """The static phase of an experiment: (dataset, trajectory returns, environment,
+    checksum, timing.json's ``prepare``). A thread hashes the loaded rows beside the
+    returns phase and the state map (blake2b releases the GIL); its join re-raises.
+    Then the dataset releases its float rows: ``obs`` and ``next_obs`` read the same bytes.
 
     Raises DatasetError when the dataset names an unknown environment, its
     obs_dim or action space differ from the environment's, or its rows do not
@@ -238,28 +240,37 @@ def prepare_dataset(source: DatasetSource, loaded=lambda ds: None, timing=None):
     else:
         ds = generate_dataset(preset_config(source.preset, seed=source.seed,
                                             n_trajectories=source.n_trajectories))
-    loaded(ds)
-    try:
-        t0 = time.perf_counter()
-        tr = compute_trajectory_returns(ds)
-        if timing is not None:
+    timing = {}
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        digest = pool.submit(dataset_checksum, ds)  # the global, so a tracer's wrapper runs
+        try:
+            t0 = time.perf_counter()
+            tr = compute_trajectory_returns(ds)
             timing["returns_s"] = time.perf_counter() - t0
-        mdp = env_from_name(ds.meta.env_name)
-        fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
-        if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
-            raise DatasetError(f"dataset has obs_dim {ds.meta.obs_dim} and action "
-                               f"{ds.meta.action}, but {mdp.name} needs {fits}")
-        ds.map_states(mdp.obs_table, mdp.next_state)
-    except ValueError as exc:  # DatasetError included
-        raise DatasetError(f"{source.label}: {exc}") from exc
-    return ds, tr, mdp
+            mdp = env_from_name(ds.meta.env_name)
+            fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
+            if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
+                raise DatasetError(f"dataset has obs_dim {ds.meta.obs_dim} and action "
+                                   f"{ds.meta.action}, but {mdp.name} needs {fits}")
+            ds.map_states(mdp.obs_table, mdp.next_state)
+        except ValueError as exc:  # DatasetError included
+            raise DatasetError(f"{source.label}: {exc}") from exc
+        t0 = time.perf_counter()
+        checksum = digest.result()
+    timing["checksum_wait_s"] = time.perf_counter() - t0
+    ds.release_rows()
+    return ds, tr, mdp, checksum, timing
 
 
 def dataset_checksum(ds: OfflineDataset) -> str:
     h = hashlib.blake2b(digest_size=16)
     for arr in (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts):
         h.update(np.ascontiguousarray(arr))
-    h.update(json.dumps(ds.traj_bounds.tolist()).encode())
+    bounds = ds.traj_bounds  # json.dumps(bounds.tolist()) in 4,096-row pieces: no N-row list
+    h.update(b"[")
+    for i in range(0, len(bounds), 4096):
+        h.update(((", " if i else "") + json.dumps(bounds[i:i + 4096].tolist())[1:-1]).encode())
+    h.update(b"]")
     h.update(json.dumps(dataclasses.asdict(ds.meta), sort_keys=True).encode())
     return h.hexdigest()
 
@@ -457,22 +468,6 @@ def _map_seeds(job, shared, seeds, jobs: int) -> list:
         return list(pool.map(_worker_seed_job, seeds))
 
 
-def _prepare(source: DatasetSource):
-    """The static work of an experiment: (dataset, returns, environment, checksum,
-    timing.json's ``prepare``). A thread hashes the loaded rows beside the returns and
-    the state map (blake2b releases the GIL); its join re-raises, before the release."""
-    timing, digest = {}, []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # dataset_checksum is the global, so a tracer's wrapper runs
-        ds, tr, mdp = prepare_dataset(
-            source, lambda ds: digest.append(pool.submit(dataset_checksum, ds)), timing)
-        t0 = time.perf_counter()
-        checksum = digest[0].result()
-    timing["checksum_wait_s"] = time.perf_counter() - t0
-    ds.release_rows()
-    return ds, tr, mdp, checksum, timing
-
-
 def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> dict:
     return {"kind": kind, "config": config_to_dict(cfg), "task": cfg.dataset.label,
             "refs": refs, "dataset_checksum": checksum}
@@ -502,7 +497,7 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, 
 
 def run_training(cfg: ExperimentConfig, jobs: int = 1):
     """Single-stage run over all seeds; returns (report, timing, losses)."""
-    prepared = _prepare(cfg.dataset)
+    prepared = prepare_dataset(cfg.dataset)
     report, timing, losses, _ = _run_arm(cfg, prepared, jobs)
     return report, {**timing, "prepare": prepared[4]}, losses
 
@@ -526,7 +521,7 @@ def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
     if cfg.dered is None:
         raise ConfigError("two_stage_train requires the 'dered' config block")
     mode2 = "return_resample" if cfg.sampler.mode == "uniform" else cfg.sampler.mode
-    prepared = _prepare(cfg.dataset)
+    prepared = prepare_dataset(cfg.dataset)
     with (tempfile.TemporaryDirectory() if out_dir is None
           else contextlib.nullcontext(out_dir)) as ckpt_dir:
         os.makedirs(ckpt_dir, exist_ok=True)  # after the load, so a bad file leaves no dir
@@ -579,7 +574,7 @@ def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
         if label in arms:
             raise ConfigError(f"p_base value {v!r} repeats the column {label!r}")
         arms[label] = replace(cfg, sampler=spec)
-    prepared = _prepare(cfg.dataset)
+    prepared = prepare_dataset(cfg.dataset)
     runs = {label: _run_arm(arm, prepared, jobs) for label, arm in arms.items()}
     return _arms_table("pbase_sweep", cfg, "columns", runs, prepared)
 
@@ -594,7 +589,7 @@ def compare_rebalance_methods(cfg: ExperimentConfig, jobs: int = 1):
     keeps ``cfg.sampler.fraction``. The dataset is prepared and checksummed
     once, so every arm sees the same bits by construction.
     """
-    prepared = _prepare(cfg.dataset)
+    prepared = prepare_dataset(cfg.dataset)
     runs = {arm: _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode=arm)), prepared, jobs)
             for arm in COMPARE_ARMS}
     table, timing, losses = _arms_table("rebalance_compare", cfg, "arms", runs, prepared)

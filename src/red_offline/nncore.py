@@ -134,18 +134,14 @@ def forward_cache(net: Mlp, x: np.ndarray):
     return h, cache
 
 
-def backward(net: Mlp, cache: dict, grad_out: np.ndarray):
+def backward(net: Mlp, cache: dict, grad_out: np.ndarray, grad_input: bool = True):
     """Exact reverse-mode gradients of the forward map.
 
     Returns (grads, grad_input) with grads one flat array laid out like
-    ``net.params``. The cache must come from a forward pass at the current
+    ``net.params``; with ``grad_input`` False it skips that matmul and returns
+    (grads, None). The cache must come from a forward pass at the current
     parameter version.
     """
-    return _backward(net, cache, grad_out, True)
-
-
-def _backward(net: Mlp, cache: dict, grad_out: np.ndarray, grad_input: bool):
-    """:func:`backward`; with ``grad_input`` False it skips that matmul: (grads, None)."""
     if cache["version"] != net.version:
         raise ValueError("stale forward cache: parameters changed since the forward pass")
     g = np.asarray(grad_out, dtype=np.float64)

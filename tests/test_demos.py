@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,11 +18,26 @@ DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_datasets_and_returns.py", "02_rebalanced_sampling.py",
-                                  "04_two_stage_finetune.py"])
+                                  "03_offline_learners.py", "04_two_stage_finetune.py"])
 def test_fast_demos_run(name, tmp_path):
     proc = subprocess.run([sys.executable, str(DEMOS / name)], cwd=tmp_path, env=src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_walkthrough_demo_runs(tmp_path):
+    # gen, stats, rebalance-preview, train and report in one shell session; a
+    # red-offline shim on PATH stands in for the console script
+    shim = tmp_path / "bin" / "red-offline"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m red_offline.cli "$@"\n')
+    shim.chmod(0o755)
+    env = {**src_env(), "TMPDIR": str(tmp_path)}
+    env["PATH"] = os.pathsep.join(filter(None, (str(shim.parent), env.get("PATH"))))
+    proc = subprocess.run(["bash", str(DEMOS / "05_cli_walkthrough.sh")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "merged table:" in proc.stdout
 
 
 def test_every_demo_import_resolves_on_the_package():

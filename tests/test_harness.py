@@ -260,7 +260,7 @@ def test_arms_share_dataset_and_initialization():
     red, _, _ = run_training(small_config(sampler=SamplerSpec(mode="return_resample")))
     assert uni["dataset_checksum"] == red["dataset_checksum"]
     # identical init stream: same nets before any training
-    ds, tr, mdp = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
+    ds, tr, mdp, _, _ = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
     cfg = AlgoConfig(family="q_plus_bc", hidden_units=16)
     a = init_learner(cfg, ds.meta.obs_dim, mdp.n_actions, stream_seed(5, "init/0"))
     b = init_learner(cfg, ds.meta.obs_dim, mdp.n_actions, stream_seed(5, "init/0"))
@@ -272,7 +272,7 @@ def test_arms_share_dataset_and_initialization():
 def test_swapping_sampler_changes_only_the_index_stream():
     # replaying the recorded index stream of a run through the batch
     # interface reproduces the trained parameters exactly
-    ds, tr, mdp = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
+    ds, tr, mdp, _, _ = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
     algo = AlgoConfig(family="conservative_q", total_steps=1, batch_size=16,
                       hidden_units=16, lr=1e-3)
     spec = SamplerSpec(mode="return_resample", alpha=1.0, p_base=0.1,
@@ -329,7 +329,7 @@ def test_two_stage_requires_block():
 def test_sweep_pbase_degenerate_equals_uniform():
     # all-equal returns: the p_base=0 arm degenerates to the uniform sampler
     cfg = small_config(dataset=DatasetSource(preset="expert_analog", n_trajectories=30))
-    ds, tr, mdp = prepare_dataset(cfg.dataset)
+    ds, tr, mdp, _, _ = prepare_dataset(cfg.dataset)
     # make a truly degenerate dataset via the pure-expert generator
     from red_offline.envsuite import GeneratorConfig, generate_dataset
     from red_offline.dataset import compute_trajectory_returns
@@ -433,7 +433,7 @@ def test_static_work_runs_once_per_experiment(monkeypatch, tmp_path, seeds):
     # whatever the number of seeds
     from red_offline import harness as hmod, sampler as smod
     from red_offline.dataset import save_dataset
-    ds, _, _ = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
+    ds = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))[0]
     path = str(tmp_path / "data.ords")
     save_dataset(ds, path)
     counts = {}
@@ -485,7 +485,7 @@ def test_an_error_while_hashing_reaches_the_caller(monkeypatch, runner, jobs):
 
 
 def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path):
-    # after _prepare, a dataset holds actions, rewards, flags, state ids and
+    # after prepare_dataset, a dataset holds actions, rewards, flags, state ids and
     # per-transition returns (about 28 B per transition), not its two float
     # obs_dim 2 rows (32 B more); nothing between the load and the release,
     # the hashing thread included, allocates past the load's own peak, and
@@ -500,7 +500,7 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
     path = str(tmp_path / "data.ords")
     save_dataset(ds, path)
     del ds
-    hmod._prepare(DatasetSource(path=path))  # the environment's cached tables, lazy imports
+    hmod.prepare_dataset(DatasetSource(path=path))  # the environment's cached tables, lazy imports
     marks, load, release = {}, hmod.load_dataset, OfflineDataset.release_rows
 
     def load_and_measure(p):
@@ -517,7 +517,7 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        prepared = hmod._prepare(DatasetSource(path=path))
+        prepared = hmod.prepare_dataset(DatasetSource(path=path))
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -529,16 +529,19 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
 
 @pytest.mark.parametrize("name", [*sorted(PRESETS), "file"])
 def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
-    from red_offline.dataset import save_dataset
+    from red_offline.dataset import load_dataset, save_dataset
     from red_offline.envsuite import generate_dataset, preset_config
-    from red_offline.harness import _prepare
     source = DatasetSource(preset=name) if name != "file" else DatasetSource(
         path=str(tmp_path / "data.ords"))
     if name == "file":
         save_dataset(generate_dataset(preset_config("sparse_hard_analog", seed=9,
                                                     n_trajectories=90)), source.path)
-    loaded = prepare_dataset(source)[0]  # mapped, rows kept
-    released, _, _, checksum, _ = _prepare(source)
+        loaded = load_dataset(source.path)
+    else:
+        loaded = generate_dataset(preset_config(name))
+    mdp = env_from_name(loaded.meta.env_name)
+    loaded.map_states(mdp.obs_table, mdp.next_state)  # mapped, rows kept
+    released, _, _, checksum, _ = prepare_dataset(source)
     for field in ("obs", "next_obs"):
         want, got = getattr(loaded, field), getattr(released, field)
         assert got.dtype == want.dtype and got.shape == want.shape, field
@@ -630,7 +633,10 @@ def test_map_seeds_pool_size_and_handoff(monkeypatch):
 
 
 def test_dataset_checksum_is_blake2b_of_the_array_bytes(preset_dataset, tiny_dataset):
-    for ds in (preset_dataset("sparse_analog"), tiny_dataset):
+    from red_offline.envsuite import generate_dataset, preset_config
+    # 9,000 trajectories: the bounds are hashed in blocks of 4,096, the last one partial
+    many = generate_dataset(preset_config("replay_analog", n_trajectories=9_000))
+    for ds in (preset_dataset("sparse_analog"), tiny_dataset, many):
         h = hashlib.blake2b(digest_size=16)
         for arr in (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts):
             h.update(np.ascontiguousarray(arr).tobytes())
