@@ -15,7 +15,7 @@ from red_offline import (PRESETS, SamplerSpec, build_sampler,
 def main():
     ds = generate_dataset(PRESETS["replay_analog"])
     tr = compute_trajectory_returns(ds)
-    n = len(ds)
+    n, lengths = len(ds), np.diff(ds.traj_bounds).ravel()
     print(f"replay_analog: {n} transitions across {ds.n_trajectories} episodes")
     print(f"episode returns span [{tr.r_min:.2f}, {tr.r_max:.2f}]\n")
 
@@ -24,7 +24,7 @@ def main():
     print("weight^alpha.\n")
 
     for alpha, p_base in ((0.0, 0.0), (1.0, 0.0), (1.0, 0.2), (4.0, 0.0)):
-        w = normalized_return(tr, p_base)
+        w = np.repeat(normalized_return(tr, p_base), lengths)  # one weight per transition
         probs = sampling_distribution(w, alpha)
         ratio = probs.max() / probs[probs > 0].min()
         dev = np.abs(probs - 1 / n).max()
@@ -38,7 +38,7 @@ def main():
     spec = SamplerSpec(mode="return_resample", alpha=1.0, p_base=0.0, seed=7)
     sampler = build_sampler(spec, ds, tr)
     draws = sampler.sample_batch(500_000)
-    top_decile = tr.per_transition_return >= np.quantile(tr.returns, 0.9)
+    top_decile = np.repeat(tr.returns >= np.quantile(tr.returns, 0.9), lengths)
     print(f"under return weighting, the top-decile episodes supply "
           f"{top_decile[draws].mean():.1%} of draws "
           f"(they are {top_decile.mean():.1%} of the data)")

@@ -123,7 +123,7 @@ def cmd_rebalance_preview(args) -> int:
     ds, tr = _load_with_returns(args.dataset)
     sampler = build_sampler(SamplerSpec("return_resample", args.alpha, args.p_base), ds, tr)
     probs, order = sampler.probs, sampler.order
-    weights = normalized_return(tr, args.p_base)
+    weights = np.repeat(normalized_return(tr, args.p_base), np.diff(ds.traj_bounds).ravel())
     n = len(probs)
     k = min(args.top_k, n)
     print(f"rebalance preview: alpha={args.alpha} p_base={args.p_base} N={n}")

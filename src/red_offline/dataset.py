@@ -10,7 +10,7 @@ contribute their partial sum (a known, documented bias).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,16 +211,15 @@ class OfflineDataset:
 
 @dataclass(frozen=True)
 class TrajectoryReturns:
-    """Per-trajectory episodic returns and their per-transition broadcast."""
+    """Per-trajectory episodic returns and their range; nothing N-sized."""
 
     returns: np.ndarray            # (n_trajectories,)
     r_min: float
     r_max: float
-    per_transition_return: np.ndarray = field(repr=False)  # (N,)
 
 
 def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
-    """Undiscounted reward sum per trajectory, broadcast back to transitions.
+    """Undiscounted reward sum of each trajectory, in storage order; nothing per transition.
 
     Each return is ``math.fsum`` of its rewards, so correctly rounded: equal
     sums give bitwise-equal returns. Rewards that overflow float64 as they
@@ -240,10 +239,8 @@ def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     if r_max - r_min == math.inf:  # Python floats: no numpy overflow warning
         raise DatasetError(f"trajectories {returns.argmin()} and {returns.argmax()}: returns "
                            f"{r_min!r} and {r_max!r} span more than float64")
-    per_transition = np.repeat(returns, stops - starts)
     returns.setflags(write=False)
-    per_transition.setflags(write=False)
-    return TrajectoryReturns(returns, r_min, r_max, per_transition)
+    return TrajectoryReturns(returns, r_min, r_max)
 
 
 def minmax_weights(values: np.ndarray, lo: float, hi: float, p_base: float) -> np.ndarray:
@@ -257,8 +254,8 @@ def minmax_weights(values: np.ndarray, lo: float, hi: float, p_base: float) -> n
 
 
 def normalized_return(tr: TrajectoryReturns, p_base: float) -> np.ndarray:
-    """Min-max normalized trajectory return per transition, plus the additive floor."""
-    return minmax_weights(tr.per_transition_return, tr.r_min, tr.r_max, p_base)
+    """Min-max normalized return per trajectory, plus the additive floor."""
+    return minmax_weights(tr.returns, tr.r_min, tr.r_max, p_base)
 
 
 def return_histogram(tr: TrajectoryReturns, bins: int) -> dict:

@@ -2,10 +2,10 @@
 
 Per-transition weights (return-based, reward-based, or a top-fraction filter)
 are turned into a categorical distribution ``P(i) = w_i^alpha / sum_k w_k^alpha``
-once, before training; batches are then drawn i.i.d. with replacement. The
-weights are constant per trajectory or per reward value, so the vector is runs
-of equal adjacent values: sorting the runs, not the transitions, groups the
-equal ones, and a draw picks a group by its mass and then a uniform member.
+once, before training; batches are then drawn i.i.d. with replacement. Return
+weights are one per trajectory until ``build_sampler`` repeats them, so the vector
+is runs of equal adjacent values, as for reward weights: sorting the runs, not the
+transitions, groups the equal ones; a draw picks a group by its mass, then a uniform member.
 """
 
 import copy
@@ -86,7 +86,7 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     k = int(np.ceil(fraction * len(ds)))
-    neg = -tr.per_transition_return
+    neg = -np.repeat(tr.returns, np.diff(ds.traj_bounds).ravel())
     cut = np.partition(neg, k - 1)[k - 1]  # the k-th best
     keep, tied = neg < cut, neg == cut
     keep[np.flatnonzero(tied)[:k - np.count_nonzero(keep)]] = True  # first ties in storage order
@@ -162,12 +162,13 @@ def build_sampler(spec: SamplerSpec, ds: OfflineDataset, tr: TrajectoryReturns) 
     when ``alpha`` overflows them.
     """
     n = len(ds)
-    if len(tr.per_transition_return) != n:
+    if len(tr.returns) != ds.n_trajectories:
         raise ValueError("trajectory returns are inconsistent with the dataset")
     if spec.mode == "uniform":
         probs = np.full(n, 1.0 / n)
     elif spec.mode == "return_resample":
-        probs = sampling_distribution(normalized_return(tr, spec.p_base), spec.alpha)
+        weights = np.repeat(normalized_return(tr, spec.p_base), np.diff(ds.traj_bounds).ravel())
+        probs = sampling_distribution(weights, spec.alpha)
     elif spec.mode == "reward_resample":
         probs = sampling_distribution(reward_weights(ds, spec.p_base), spec.alpha)
     else:  # top_fraction; SamplerSpec rejects any other mode

@@ -110,7 +110,8 @@ def test_rebalance_preview_uniform_and_zero_mass(tmp_path, capsys):
     zero_frac = float([l for l in out.splitlines() if "zero-mass" in l][0].split(":")[1])
     ds = load_dataset(path)
     tr = compute_trajectory_returns(ds)
-    failed_frac = float((tr.per_transition_return == tr.r_min).mean())
+    failed = np.repeat(tr.returns == tr.r_min, np.diff(ds.traj_bounds).ravel())
+    failed_frac = float(failed.mean())
     assert zero_frac == pytest.approx(failed_frac, abs=1e-4)
 
 
@@ -146,7 +147,8 @@ def test_rebalance_preview_out_columns_match_sampler(tmp_path, capsys):
     tr = compute_trajectory_returns(ds)
     sampler = build_sampler(SamplerSpec(mode="return_resample", alpha=2.0, p_base=0.2), ds, tr)
     assert [int(r[0]) for r in rows] == list(range(len(ds)))
-    assert column(1).tobytes() == normalized_return(tr, 0.2).tobytes()
+    weights = np.repeat(normalized_return(tr, 0.2), np.diff(ds.traj_bounds).ravel())
+    assert column(1).tobytes() == weights.tobytes()
     assert column(2).tobytes() == sampler.probs.tobytes()
 
 
@@ -218,8 +220,9 @@ def test_alpha_inf_without_a_floor_keeps_only_the_best_returns(tmp_path, capsys)
     capsys.readouterr()
     assert main(["rebalance-preview", "--dataset", str(path), "--alpha", "inf",
                  "--p-base", "0", "--top-k", "1"]) == 0
-    tr = compute_trajectory_returns(load_dataset(path))
-    best = tr.per_transition_return == tr.r_max
+    ds = load_dataset(path)
+    tr = compute_trajectory_returns(ds)
+    best = np.repeat(tr.returns == tr.r_max, np.diff(ds.traj_bounds).ravel())
     out = capsys.readouterr().out
     assert f"zero-mass fraction: {1 - best.mean():.4f}" in out
     assert f"P={1 / best.sum():.3e} (weight 1.0000)" in out

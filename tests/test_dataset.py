@@ -36,7 +36,7 @@ def test_single_trajectory_sum():
     ds = make_dataset([[1.0, 2.0, 3.0]])
     tr = compute_trajectory_returns(ds)
     assert tr.returns.tolist() == [6.0]
-    assert tr.per_transition_return.tolist() == [6.0, 6.0, 6.0]
+    assert np.repeat(tr.returns, np.diff(ds.traj_bounds).ravel()).tolist() == [6.0, 6.0, 6.0]
     assert tr.r_min == tr.r_max == 6.0
 
 
@@ -53,8 +53,9 @@ def test_returns_match_bruteforce_oracle(preset_dataset):
         expected = brute_force_returns(ds)
         assert np.allclose(tr.returns, expected, rtol=0, atol=1e-9)
         # broadcast consistency
+        per_transition = np.repeat(tr.returns, np.diff(ds.traj_bounds).ravel())
         for j, (s, e) in enumerate(ds.traj_bounds[:50]):
-            assert np.all(tr.per_transition_return[s:e] == tr.returns[j])
+            assert np.all(per_transition[s:e] == tr.returns[j])
 
 
 def test_empty_dataset_rejected():
@@ -84,7 +85,7 @@ def test_normalized_return_degenerate_uniform():
     ds = make_dataset([[7.0], [3.5, 3.5], [7.0]])
     tr = compute_trajectory_returns(ds)
     for p_base in (0.0, 0.3, 2.0):
-        assert normalized_return(tr, p_base).tolist() == [1.0 + p_base] * 4
+        assert normalized_return(tr, p_base).tolist() == [1.0 + p_base] * 3  # per trajectory
 
 
 def test_normalized_return_rejects_negative_floor(tiny_dataset):
@@ -110,11 +111,12 @@ def test_weight_monotonicity_and_range():
     rng = np.random.default_rng(4)
     ds = make_dataset([list(rng.normal(size=3)) for _ in range(20)])
     tr = compute_trajectory_returns(ds)
-    w = normalized_return(tr, 0.25)
+    lengths = np.diff(ds.traj_bounds).ravel()
+    w = np.repeat(normalized_return(tr, 0.25), lengths)
     assert np.all(w >= 0.25) and np.all(w <= 1.25)
-    order = np.argsort(tr.per_transition_return)
+    ri = np.repeat(tr.returns, lengths)
+    order = np.argsort(ri)
     assert np.all(np.diff(w[order]) >= -1e-15)
-    ri = tr.per_transition_return
     for i in range(0, len(ds), 7):
         for j in range(0, len(ds), 11):
             if ri[i] > ri[j]:

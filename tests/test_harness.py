@@ -485,9 +485,9 @@ def test_an_error_while_hashing_reaches_the_caller(monkeypatch, runner, jobs):
 
 
 def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path):
-    # after prepare_dataset, a dataset holds actions, rewards, flags, state ids and
-    # per-transition returns (about 28 B per transition), not its two float
-    # obs_dim 2 rows (32 B more); nothing between the load and the release,
+    # after prepare_dataset, a dataset holds actions, rewards, flags and state ids
+    # (about 20 B per transition; returns are one per trajectory), not its two
+    # float obs_dim 2 rows (32 B more); nothing between the load and the release,
     # the hashing thread included, allocates past the load's own peak, and
     # nothing after the release materializes a derived obs or next_obs
     import tracemalloc
@@ -522,7 +522,7 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
     finally:
         tracemalloc.stop()
     assert len(prepared[0]) == n
-    assert (held - start) / n <= 30, f"{(held - start) / n:.1f} B per transition"
+    assert (held - start) / n <= 22, f"{(held - start) / n:.1f} B per transition"
     assert marks["release"][1] <= marks["load"][1], (marks, "peak above the load's")
     assert peak - held < n, f"{peak - held} B allocated after the release"  # a view is 16 n
 

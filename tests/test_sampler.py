@@ -6,7 +6,7 @@ import pytest
 
 from red_offline.dataset import compute_trajectory_returns
 from red_offline.envsuite import PRESETS, generate_dataset, preset_config
-from red_offline.sampler import (SamplerSpec, WeightedSampler, build_sampler,
+from red_offline.sampler import (MODES, SamplerSpec, WeightedSampler, build_sampler,
                                  reward_weights, sampling_distribution,
                                  top_fraction_filter)
 
@@ -130,9 +130,10 @@ def test_top_fraction_tie_break_matches_stable_sort_oracle():
     ds = make_dataset([[5.0], [1.5, 1.5], [3.0], [1.0, 2.0], [1.0]])
     tr = compute_trajectory_returns(ds)
     n = len(ds)
+    per_transition = np.repeat(tr.returns, np.diff(ds.traj_bounds).ravel())
     for fraction in (0.2, 0.4, 0.5, 0.7, 0.9):
         k = math.ceil(fraction * n)
-        keyed = sorted(range(n), key=lambda i: (-tr.per_transition_return[i], i))
+        keyed = sorted(range(n), key=lambda i: (-per_transition[i], i))
         expected = sorted(keyed[:k])
         got = top_fraction_filter(ds, tr, fraction).tolist()
         assert got == expected, fraction
@@ -152,7 +153,7 @@ def test_top_fraction_matches_stable_sort_oracle_with_many_ties():
         lengths = rng.integers(1, 5, n_traj)
         ds = make_dataset([[float(rng.choice(palette))] + [0.0] * (m - 1) for m in lengths])
         tr = compute_trajectory_returns(ds)
-        r = tr.per_transition_return
+        r = np.repeat(tr.returns, np.diff(ds.traj_bounds).ravel())
         for fraction in (1 / len(ds), 0.1, 0.37, 0.5, 1.0 - rng.random(), 1.0):
             k = math.ceil(fraction * len(ds))
             expected = np.sort(np.argsort(-r, kind="stable")[:k])
@@ -164,6 +165,15 @@ def test_build_sampler_uniform():
     tr = compute_trajectory_returns(ds)
     s = build_sampler(SamplerSpec(mode="uniform", seed=1), ds, tr)
     assert np.array_equal(s.probs, np.full(4, 0.25))
+
+
+def test_build_sampler_rejects_returns_of_another_dataset():
+    # four transitions each, but three trajectories against two
+    ds = make_dataset([[1.0], [2.0, 0.5], [3.0]])
+    other = compute_trajectory_returns(make_dataset([[1.0, 2.0], [0.5, 3.0]]))
+    for mode in MODES:
+        with pytest.raises(ValueError, match="trajectory returns are inconsistent with the dataset"):
+            build_sampler(SamplerSpec(mode=mode), ds, other)
 
 
 def test_build_sampler_binary_return_ratio():
@@ -274,7 +284,7 @@ def test_zero_floor_blanks_exactly_min_return_trajectories(preset_dataset):
     tr = compute_trajectory_returns(ds)
     s = build_sampler(SamplerSpec(mode="return_resample", alpha=1.0, p_base=0.0, seed=0),
                       ds, tr)
-    failed = tr.per_transition_return == tr.r_min
+    failed = np.repeat(tr.returns == tr.r_min, np.diff(ds.traj_bounds).ravel())
     assert np.array_equal(s.probs == 0.0, failed)
 
 
