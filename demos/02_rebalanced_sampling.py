@@ -15,7 +15,7 @@ from red_offline import (PRESETS, SamplerSpec, build_sampler,
 def main():
     ds = generate_dataset(PRESETS["replay_analog"])
     tr = compute_trajectory_returns(ds)
-    n, lengths = len(ds), np.diff(ds.traj_bounds).ravel()
+    n, lengths = len(ds), tr.lengths
     print(f"replay_analog: {n} transitions across {ds.n_trajectories} episodes")
     print(f"episode returns span [{tr.r_min:.2f}, {tr.r_max:.2f}]\n")
 

@@ -74,9 +74,10 @@ def _load_config(path, overrides):
 
 
 def _write(path, text):
+    """Write ``text``, a string or an iterable of strings, to ``path``."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as f:
-        f.write(text)
+        f.writelines([text] if isinstance(text, str) else text)
 
 
 def cmd_gen(args) -> int:
@@ -123,7 +124,7 @@ def cmd_rebalance_preview(args) -> int:
     ds, tr = _load_with_returns(args.dataset)
     sampler = build_sampler(SamplerSpec("return_resample", args.alpha, args.p_base), ds, tr)
     probs, order = sampler.probs, sampler.order
-    weights = np.repeat(normalized_return(tr, args.p_base), np.diff(ds.traj_bounds).ravel())
+    weights = np.repeat(normalized_return(tr, args.p_base), tr.lengths)
     n = len(probs)
     k = min(args.top_k, n)
     print(f"rebalance preview: alpha={args.alpha} p_base={args.p_base} N={n}")

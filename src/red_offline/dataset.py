@@ -211,9 +211,10 @@ class OfflineDataset:
 
 @dataclass(frozen=True)
 class TrajectoryReturns:
-    """Per-trajectory episodic returns and their range; nothing N-sized."""
+    """Per-trajectory episodic returns, lengths and the returns' range; nothing N-sized."""
 
     returns: np.ndarray            # (n_trajectories,)
+    lengths: np.ndarray            # (n_trajectories,) int64: transitions per trajectory
     r_min: float
     r_max: float
 
@@ -239,8 +240,10 @@ def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     if r_max - r_min == math.inf:  # Python floats: no numpy overflow warning
         raise DatasetError(f"trajectories {returns.argmin()} and {returns.argmax()}: returns "
                            f"{r_min!r} and {r_max!r} span more than float64")
+    lengths = np.diff(ds.traj_bounds).ravel()
     returns.setflags(write=False)
-    return TrajectoryReturns(returns, r_min, r_max)
+    lengths.setflags(write=False)
+    return TrajectoryReturns(returns, lengths, r_min, r_max)
 
 
 def minmax_weights(values: np.ndarray, lo: float, hi: float, p_base: float) -> np.ndarray:

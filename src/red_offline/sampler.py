@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import OfflineDataset, TrajectoryReturns, minmax_weights, normalized_return
+from .dataset import (BLOCK_RECORDS, OfflineDataset, TrajectoryReturns, minmax_weights,
+                      normalized_return)
 
 MODES = ("uniform", "return_resample", "reward_resample", "top_fraction")
 
@@ -69,7 +70,7 @@ def sampling_distribution(p: np.ndarray, alpha: float) -> np.ndarray:
     if not 0.0 < total < np.inf:
         raise ValueError(f"weights ** alpha sum to {total} at alpha={alpha}, not to a "
                          "positive finite total")
-    return powered / total
+    return np.divide(powered, total, out=powered)
 
 
 def reward_weights(ds: OfflineDataset, p_base: float) -> np.ndarray:
@@ -86,7 +87,7 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     k = int(np.ceil(fraction * len(ds)))
-    neg = -np.repeat(tr.returns, np.diff(ds.traj_bounds).ravel())
+    neg = -np.repeat(tr.returns, _lengths(ds, tr))
     cut = np.partition(neg, k - 1)[k - 1]  # the k-th best
     keep, tied = neg < cut, neg == cut
     keep[np.flatnonzero(tied)[:k - np.count_nonzero(keep)]] = True  # first ties in storage order
@@ -101,7 +102,8 @@ class WeightedSampler:
     group of bit-equal probability in it and ``_cdf`` is the normalized
     cumulative group mass. A draw picks a group by its mass, then a uniform
     member; zero mass sorts first and is never drawn. The table is immutable
-    and built with no cache. The RNG stream is per instance: ``with_seed``
+    and built in place, with no cache. A read-only ``probs`` that owns its data
+    is kept, any other copied. The RNG stream is per instance: ``with_seed``
     shares the table under a new generator, so an arm's seeds share one
     build and draw what fresh builds would draw.
     """
@@ -114,21 +116,27 @@ class WeightedSampler:
             raise ValueError("probs must be finite and non-negative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs sum to {probs.sum()!r}, expected 1 within 1e-12")
-        start = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1])))
-        size = np.diff(start, append=probs.size)
-        values, group = np.unique(probs[start], return_inverse=True)
+        n, idx = probs.size, np.int32 if probs.size < 2**31 else np.int64
+        start = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1]))).astype(idx)
+        size = np.diff(start, append=idx(n))
+        values = np.sort(probs[start])
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]  # distinct
+        group = np.searchsorted(values, probs[start]).astype(np.min_scalar_type(values.size))
         self._sizes = np.bincount(group, weights=size).astype(np.int64)
         self._starts = np.cumsum(self._sizes) - self._sizes
         # stable, so a group's runs keep storage order; a radix sort up to 2**16 groups
-        runs = np.argsort(group.astype(np.min_scalar_type(values.size)), kind="stable")
+        runs = np.argsort(group, kind="stable")
         start, size = start[runs], size[runs]
-        del group, runs  # before the two N-sized arrays: keeps the peak RSS down
-        start += size - np.cumsum(size)  # each run's shift from storage to its slot in order
-        self.order = np.repeat(start, size)
-        self.order += np.arange(probs.size)
+        del group, runs  # before order: then only two int32 per run stay beside it
+        slot = np.cumsum(size, dtype=idx) - size  # each run's first slot in order
+        start[1:] -= start[:-1] + size[:-1] - 1  # there, the step from the last run's last index
+        del size
+        self.order = np.ones(n, np.int64)  # a cumsum of steps, 1 inside each run
+        self.order[slot] = start
+        np.cumsum(self.order, out=self.order)
         self._cdf = np.cumsum(values * self._sizes)
         self._cdf /= self._cdf[-1]
-        self.probs = probs.copy()  # after the build, which then peaks lower
+        self.probs = probs if probs.flags.owndata and not probs.flags.writeable else probs.copy()
         for a in (self.probs, self.order, self._starts, self._sizes, self._cdf):
             a.setflags(write=False)
         self.seed = int(seed)
@@ -161,26 +169,34 @@ def build_sampler(spec: SamplerSpec, ds: OfflineDataset, tr: TrajectoryReturns) 
     so their powers never all vanish: ``sampling_distribution`` raises only
     when ``alpha`` overflows them.
     """
-    n = len(ds)
-    if len(tr.returns) != ds.n_trajectories:
-        raise ValueError("trajectory returns are inconsistent with the dataset")
+    n, lengths = len(ds), _lengths(ds, tr)
     if spec.mode == "uniform":
         probs = np.full(n, 1.0 / n)
     elif spec.mode == "return_resample":
-        weights = np.repeat(normalized_return(tr, spec.p_base), np.diff(ds.traj_bounds).ravel())
-        probs = sampling_distribution(weights, spec.alpha)
+        probs = sampling_distribution(np.repeat(normalized_return(tr, spec.p_base), lengths),
+                                      spec.alpha)
     elif spec.mode == "reward_resample":
         probs = sampling_distribution(reward_weights(ds, spec.p_base), spec.alpha)
     else:  # top_fraction; SamplerSpec rejects any other mode
         keep = top_fraction_filter(ds, tr, spec.fraction)
         probs = np.zeros(n)
         probs[keep] = 1.0 / keep.size
+    probs.setflags(write=False)  # frozen and owned, so the sampler takes it without a copy
     return WeightedSampler(probs, seed=spec.seed)
 
 
-def distribution_csv(probs: np.ndarray, weights: np.ndarray) -> str:
-    """CSV export of a probability vector: index, weight, probability."""
-    lines = ["index,weight,probability"]
-    for i in range(len(probs)):
-        lines.append(f"{i},{float(weights[i])!r},{float(probs[i])!r}")
-    return "\n".join(lines) + "\n"
+def _lengths(ds: OfflineDataset, tr: TrajectoryReturns) -> np.ndarray:
+    """The trajectory lengths of ``tr``, once they are checked against ``ds``'s bounds."""
+    if not np.array_equal(tr.lengths, np.diff(ds.traj_bounds).ravel()):
+        raise ValueError("trajectory returns are inconsistent with the dataset")
+    return tr.lengths
+
+
+def distribution_csv(probs: np.ndarray, weights: np.ndarray):
+    """CSV export of a probability vector: index, weight, probability. Yields
+    the header, then the rows ``BLOCK_RECORDS`` at a time."""
+    yield "index,weight,probability\n"
+    for start in range(0, len(probs), BLOCK_RECORDS):
+        block = slice(start, start + BLOCK_RECORDS)
+        rows = zip(range(start, len(probs)), weights[block].tolist(), probs[block].tolist())
+        yield "".join(f"{i},{w!r},{p!r}\n" for i, w, p in rows)

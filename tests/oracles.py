@@ -3,15 +3,18 @@
 Each one states what a fast path of the package must equal: central-difference
 gradients for ``nncore.backward``, field-by-field equality for datasets, the
 per-row CQL penalty, the void-row ``np.unique`` that the state-id tables of
-``algos.train_step`` reproduce byte for byte, and a reference learner step
-(:func:`reference_train_step`) that the package's step must equal bit for bit.
+``algos.train_step`` reproduce byte for byte, a reference learner step
+(:func:`reference_train_step`) that the package's step must equal bit for bit,
+and a reference sampler build (:class:`ReferenceSampler` over
+:func:`reference_probs`) that ``build_sampler`` must equal byte for byte.
 """
 
 import numpy as np
 
 from red_offline.algos import NanLossError, awr_weight, expectile_loss
-from red_offline.dataset import OfflineDataset
+from red_offline.dataset import OfflineDataset, TrajectoryReturns
 from red_offline.nncore import _BETA1, _BETA2, _EPS, Mlp, _split, forward_cache
+from red_offline.sampler import top_fraction_filter
 
 
 def numeric_gradients(net: Mlp, x: np.ndarray, grad_out: np.ndarray, eps: float = 1e-5):
@@ -244,3 +247,72 @@ def reference_train_step(state, cfg, batch: dict, freeze_head: bool = False) -> 
     if state.step % cfg.target_update_period == 0:
         q_target.copy_from(nets["q"])
     return losses
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler build: the probabilities and group table written plainly,
+# with new arrays at every step, int64 run bookkeeping and np.unique's inverse.
+# build_sampler writes its arrays in place and keeps narrower run bookkeeping,
+# with the same operations in the same order, so its probs, order, _starts,
+# _sizes, _cdf and draws must equal these byte for byte.
+
+def reference_distribution(p, alpha: float) -> np.ndarray:
+    """P(i) = p_i^alpha / sum_k p_k^alpha, into new arrays."""
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        powered = p ** alpha
+        total = powered.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"weights ** alpha sum to {total}")
+    return powered / total
+
+
+def _reference_minmax(values, lo: float, hi: float, p_base: float) -> np.ndarray:
+    if hi == lo:
+        return np.full(len(values), 1.0 + p_base)
+    return (values - lo) / (hi - lo) + p_base
+
+
+def reference_probs(spec, ds: OfflineDataset, tr: TrajectoryReturns) -> np.ndarray:
+    """``build_sampler(spec, ds, tr).probs``, from the dataset's own bounds."""
+    n, lengths = len(ds), np.diff(ds.traj_bounds).ravel()
+    if spec.mode == "uniform":
+        return np.full(n, 1.0 / n)
+    if spec.mode == "return_resample":
+        w = _reference_minmax(tr.returns, tr.r_min, tr.r_max, spec.p_base)
+        return reference_distribution(np.repeat(w, lengths), spec.alpha)
+    if spec.mode == "reward_resample":
+        w = _reference_minmax(ds.rewards, float(ds.rewards.min()), float(ds.rewards.max()),
+                              spec.p_base)
+        return reference_distribution(w, spec.alpha)
+    keep = top_fraction_filter(ds, tr, spec.fraction)
+    probs = np.zeros(n)
+    probs[keep] = 1.0 / keep.size
+    return probs
+
+
+class ReferenceSampler:
+    """``WeightedSampler``'s table and draws: runs of equal adjacent
+    probability sorted through ``np.unique(..., return_inverse=True)``, and
+    ``order`` as a repeat of each run's shift plus ``np.arange(N)``."""
+
+    def __init__(self, probs, seed: int):
+        probs = np.asarray(probs, dtype=np.float64)
+        start = np.flatnonzero(np.concatenate(([True], probs[1:] != probs[:-1])))
+        size = np.diff(start, append=probs.size)
+        values, group = np.unique(probs[start], return_inverse=True)
+        self._sizes = np.bincount(group, weights=size).astype(np.int64)
+        self._starts = np.cumsum(self._sizes) - self._sizes
+        runs = np.argsort(group.astype(np.min_scalar_type(values.size)), kind="stable")
+        start, size = start[runs], size[runs]
+        start += size - np.cumsum(size)  # each run's shift from storage to its slot in order
+        self.order = np.repeat(start, size) + np.arange(probs.size)
+        self._cdf = np.cumsum(values * self._sizes)
+        self._cdf /= self._cdf[-1]
+        self.probs = probs.copy()
+        self._rng = np.random.default_rng(seed)
+
+    def sample_batch(self, batch_size: int) -> np.ndarray:
+        u = self._rng.random((2, batch_size))
+        g = np.searchsorted(self._cdf, u[0], side="right")
+        return self.order[self._starts[g] + (u[1] * self._sizes[g]).astype(np.int64)]

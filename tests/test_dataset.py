@@ -38,6 +38,8 @@ def test_single_trajectory_sum():
     assert tr.returns.tolist() == [6.0]
     assert np.repeat(tr.returns, np.diff(ds.traj_bounds).ravel()).tolist() == [6.0, 6.0, 6.0]
     assert tr.r_min == tr.r_max == 6.0
+    assert tr.lengths.tolist() == [3] and tr.lengths.dtype == np.int64
+    assert not tr.lengths.flags.writeable and not tr.returns.flags.writeable
 
 
 def test_single_transition_trajectory():

@@ -527,6 +527,35 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
     assert peak - held < n, f"{peak - held} B allocated after the release"  # a view is 16 n
 
 
+def test_no_sampler_build_lifts_memory_above_what_the_sampler_holds(tmp_path):
+    # the sampler holds probs and order (16 B per transition) and per-group
+    # arrays; building it, whatever the mode, allocates at most 6 B per
+    # transition beyond that: the sampler keeps the probabilities it is handed,
+    # order is one cumsum in place and the run bookkeeping is int32
+    import tracemalloc
+    from red_offline.dataset import save_dataset
+    from red_offline.envsuite import generate_dataset, preset_config
+    from red_offline.sampler import MODES, SamplerSpec, build_sampler
+    path = str(tmp_path / "data.ords")
+    save_dataset(generate_dataset(preset_config("replay_analog", n_trajectories=2_050)), path)
+    ds, tr = prepare_dataset(DatasetSource(path=path))[:2]
+    n = len(ds)
+    assert 75_000 < n < 85_000
+    build_sampler(SamplerSpec("reward_resample", 1.5, 0.2), ds, tr)  # lazy imports, first calls
+    for mode in MODES:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sampler = build_sampler(SamplerSpec(mode, 1.5, 0.2), ds, tr)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held -= start
+        assert held / n <= 16.5, f"{mode}: holds {held / n:.2f} B per transition"
+        assert (peak - start - held) / n <= 6, f"{mode}: {(peak - start - held) / n:.2f} B"
+        del sampler
+
+
 @pytest.mark.parametrize("name", [*sorted(PRESETS), "file"])
 def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
     from red_offline.dataset import load_dataset, save_dataset

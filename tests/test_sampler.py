@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from red_offline.dataset import compute_trajectory_returns
+from red_offline.dataset import compute_trajectory_returns, load_dataset, save_dataset
 from red_offline.envsuite import PRESETS, generate_dataset, preset_config
 from red_offline.sampler import (MODES, SamplerSpec, WeightedSampler, build_sampler,
                                  reward_weights, sampling_distribution,
                                  top_fraction_filter)
 
 from conftest import make_dataset
+from oracles import ReferenceSampler, reference_distribution, reference_probs
 
 
 def normalize_oracle(p, alpha):
@@ -168,12 +169,15 @@ def test_build_sampler_uniform():
 
 
 def test_build_sampler_rejects_returns_of_another_dataset():
-    # four transitions each, but three trajectories against two
-    ds = make_dataset([[1.0], [2.0, 0.5], [3.0]])
-    other = compute_trajectory_returns(make_dataset([[1.0, 2.0], [0.5, 3.0]]))
-    for mode in MODES:
-        with pytest.raises(ValueError, match="trajectory returns are inconsistent with the dataset"):
-            build_sampler(SamplerSpec(mode=mode), ds, other)
+    # four transitions each, but three trajectories against two; then two
+    # trajectories each, of lengths (1, 3) against (3, 1)
+    for rewards, others in [([[1.0], [2.0, 0.5], [3.0]], [[1.0, 2.0], [0.5, 3.0]]),
+                            ([[0.0], [0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0], [0.0]])]:
+        ds, other = make_dataset(rewards), compute_trajectory_returns(make_dataset(others))
+        for mode in MODES:
+            with pytest.raises(ValueError,
+                               match="trajectory returns are inconsistent with the dataset"):
+                build_sampler(SamplerSpec(mode=mode), ds, other)
 
 
 def test_build_sampler_binary_return_ratio():
@@ -399,6 +403,46 @@ def test_group_table_from_runs_matches_a_stable_sort_on_blocky_probabilities():
         assert [r.tolist() for r in np.split(s.order, s._starts[1:])] == reference_groups(s.probs)
         assert s.order.dtype == s._starts.dtype == s._sizes.dtype == np.int64
         assert not (s.probs == 0.0)[s.sample_batch(1000)].any()
+
+
+def assert_same_table(s, ref, case):
+    for name in ("probs", "order", "_starts", "_sizes", "_cdf"):
+        got, want = getattr(s, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (case, name)
+    assert s.sample_batch(4096).tobytes() == ref.sample_batch(4096).tobytes(), (case, "draws")
+
+
+def test_the_build_equals_the_reference_build_byte_for_byte(preset_dataset, tmp_path):
+    # the in-place build with narrow run bookkeeping against the plain one it replaced
+    path = str(tmp_path / "data.ords")
+    save_dataset(generate_dataset(preset_config("replay_analog", n_trajectories=5_200)), path)
+    datasets = {name: preset_dataset(name) for name in sorted(PRESETS)}
+    datasets["file"] = load_dataset(path)
+    assert len(datasets["file"]) >= 200_000
+    for name, ds in datasets.items():
+        tr = compute_trajectory_returns(ds)
+        for mode in MODES:
+            for alpha, p_base in [(1.0, 0.0), (1.5, 0.2), (0.5, 0.0), (3.0, 1.0), (0.0, 0.0)]:
+                spec = SamplerSpec(mode, alpha, p_base, seed=11)
+                assert_same_table(build_sampler(spec, ds, tr),
+                                  ReferenceSampler(reference_probs(spec, ds, tr), 11), spec)
+    rng = np.random.default_rng(27)
+    for trial in range(300):
+        probs = np.array([1.0]) if trial == 0 else blocky_probs(rng)
+        if abs(probs.sum() - 1.0) > 1e-12:
+            continue
+        assert_same_table(WeightedSampler(probs, trial), ReferenceSampler(probs, trial), trial)
+        for alpha in (0.0, 0.5, 1.0, 1.5, 3.0):
+            assert (sampling_distribution(probs, alpha).tobytes()
+                    == reference_distribution(probs, alpha).tobytes()), (trial, alpha)
+    # a caller's array is never written or frozen; a frozen one that owns its data is kept
+    p, before = probs.copy(), probs.copy()
+    sampling_distribution(p, 1.5)
+    WeightedSampler(p, seed=0)
+    assert p.flags.writeable and p.tobytes() == before.tobytes()
+    p.setflags(write=False)
+    assert WeightedSampler(p, seed=0).probs is p
+    assert WeightedSampler(p[:], seed=0).probs is not p  # a view: its base may still change
 
 
 class _TopUniform:
