@@ -11,7 +11,8 @@ finite-horizon-optimal policy (q=1) by taking the optimal action with
 probability q and a uniform action otherwise.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -128,88 +129,45 @@ def mdp_dense_chain(length: int, horizon: int) -> Mdp:
                start_state=0, horizon=horizon)
 
 
-def _maze_walls(size: int) -> np.ndarray:
-    # fixed, documented pattern: cell (r, c) is a wall iff (3r + 5c) % 7 == 2,
-    # excluding the start and goal corners; deterministic per size
-    r, c = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    walls = (3 * r + 5 * c) % 7 == 2
-    walls[0, 0] = False
-    walls[size - 1, size - 1] = False
-    return walls
-
-
 def mdp_grid_maze(size: int, horizon: int) -> Mdp:
     """size x size grid, start one corner, goal the other; reward 1 on the goal.
 
-    Moves into walls or off the grid keep the agent in place. Every episode
-    return is exactly 0 or 1. The wall layout is a fixed pattern per size and
-    is checked for solvability at construction.
+    Cell (r, c) is a wall iff (3r + 5c) % 7 == 2, except the start and goal
+    corners. Moves into walls or off the grid keep the agent in place, and
+    the goal is absorbing. Every episode return is exactly 0 or 1. No two
+    walls touch, not even diagonally: cells side by side or diagonal differ
+    in 3r + 5c by 2, 3, 5 or 8, never a multiple of 7. So the cells around a
+    wall are all open, every wall can be walked around, and the goal is
+    reachable at every size.
     """
     if size < 3:
         raise ValueError("size must be >= 3")
-    walls = _maze_walls(size)
-    n = size * size
-    goal = n - 1
-    rr, cc = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
-    obs = np.stack([rr.ravel() / (size - 1), cc.ravel() / (size - 1)], axis=1)
-    moves = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
-    next_state = np.empty((n, 4), dtype=np.int64)
-    reward = np.zeros((n, 4))
-    terminal = np.zeros((n, 4), dtype=bool)
-    for s in range(n):
-        r, c = divmod(s, size)
-        for a, (dr, dc) in enumerate(moves):
-            nr, nc = r + dr, c + dc
-            if not (0 <= nr < size and 0 <= nc < size) or walls[nr, nc] or walls[r, c]:
-                nr, nc = r, c
-            ns = nr * size + nc
-            next_state[s, a] = ns
-            if ns == goal and s != goal:
-                reward[s, a] = 1.0
-                terminal[s, a] = True
-    next_state[goal] = goal
-    reward[goal] = 0.0
-    terminal[goal] = False
-    if not _reachable(next_state, 0, goal):
-        raise ValueError(f"maze size {size}: goal not reachable under the wall pattern")
-    return Mdp(f"grid_maze-{size}-{horizon}", obs, next_state, reward, terminal,
+    s = np.arange(size * size)
+    r, c = np.divmod(s, size)
+    goal = s[-1]
+    wall = ((3 * r + 5 * c) % 7 == 2) & (s != 0) & (s != goal)
+    nr = r[:, None] + [-1, 1, 0, 0]  # up, down, left, right
+    nc = c[:, None] + [0, 0, -1, 1]
+    on_grid = (nr >= 0) & (nr < size) & (nc >= 0) & (nc < size)
+    next_state = np.where(on_grid, nr * size + nc, s[:, None])
+    stay = wall | (s == goal)  # a wall cell or the goal keeps the agent in place
+    next_state = np.where(stay[:, None] | wall[next_state], s[:, None], next_state)
+    terminal = (next_state == goal) & (s != goal)[:, None]
+    obs = np.stack([r, c], axis=1) / (size - 1)
+    return Mdp(f"grid_maze-{size}-{horizon}", obs, next_state, terminal.astype(float), terminal,
                start_state=0, horizon=horizon)
 
 
-def _reachable(next_state: np.ndarray, start: int, goal: int) -> bool:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        s = frontier.pop()
-        if s == goal:
-            return True
-        for ns in next_state[s]:
-            if int(ns) not in seen:
-                seen.add(int(ns))
-                frontier.append(int(ns))
-    return False
-
-
+@functools.cache
 def env_from_name(name: str) -> Mdp:
     """Build (and cache) an environment from its canonical name."""
-    if name in _ENV_CACHE:
-        return _ENV_CACHE[name]
+    builders = {"dense_chain": mdp_dense_chain, "grid_maze": mdp_grid_maze}
     parts = name.split("-")
     try:
-        kind, a, b = parts[0], int(parts[1]), int(parts[2])
-    except (IndexError, ValueError):
+        build, a, b = builders[parts[0]], int(parts[1]), int(parts[2])
+    except (KeyError, IndexError, ValueError):
         raise ValueError(f"unknown environment name {name!r}") from None
-    if kind == "dense_chain":
-        mdp = mdp_dense_chain(a, b)
-    elif kind == "grid_maze":
-        mdp = mdp_grid_maze(a, b)
-    else:
-        raise ValueError(f"unknown environment name {name!r}")
-    _ENV_CACHE[name] = mdp
-    return mdp
-
-
-_ENV_CACHE: dict = {}
+    return build(a, b)
 
 
 @dataclass(frozen=True)
@@ -236,18 +194,16 @@ class GeneratorConfig:
 def _simulate(mdp: Mdp, eps: np.ndarray, rng: np.random.Generator):
     """Roll out one episode per entry of eps, all in lockstep.
 
-    Returns (states, actions, rewards, next_states, terminals, lengths) where
-    the step arrays have shape (horizon, n_episodes) and lengths gives each
-    episode's transition count.
+    Returns (states, actions, lengths): the step arrays have shape
+    (horizon, n_episodes), and lengths gives each episode's transition count.
+    Steps past an episode's end hold values that nothing reads; rewards, next
+    states and terminals are the tables' entries at (states, actions).
     """
     n = eps.size
     expert = mdp.expert_policy()
     h = mdp.horizon
     states = np.zeros((h, n), dtype=np.int64)
     actions = np.zeros((h, n), dtype=np.int64)
-    rewards = np.zeros((h, n))
-    next_states = np.zeros((h, n), dtype=np.int64)
-    terminals = np.zeros((h, n), dtype=bool)
     lengths = np.full(n, h, dtype=np.int64)
     cur = np.full(n, mdp.start_state, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
@@ -256,17 +212,14 @@ def _simulate(mdp: Mdp, eps: np.ndarray, rng: np.random.Generator):
         explore = rng.random(n) < eps
         random_a = rng.integers(0, mdp.n_actions, size=n)
         a = np.where(explore, random_a, expert[t, cur])
-        ns = mdp.next_state[cur, a]
-        r = mdp.reward[cur, a]
+        states[t], actions[t] = cur, a
         term = mdp.terminal[cur, a]
-        states[t], actions[t], rewards[t], next_states[t], terminals[t] = cur, a, r, ns, term
-        ended = alive & term
-        lengths[ended] = t + 1
+        lengths[alive & term] = t + 1
         alive &= ~term
-        cur = ns
+        cur = mdp.next_state[cur, a]
         if not alive.any():
             break
-    return states, actions, rewards, next_states, terminals, lengths
+    return states, actions, lengths
 
 
 def generate_dataset(cfg: GeneratorConfig) -> OfflineDataset:
@@ -275,28 +228,30 @@ def generate_dataset(cfg: GeneratorConfig) -> OfflineDataset:
     Pure function of its config: the same seed always produces a
     bit-identical dataset. Each episode draws its quality level from the
     mixture, then acts with the corresponding blend of random and optimal
-    actions. Horizon cutoffs are flagged as timeouts, not terminals.
+    actions. Rewards, next observations and terminals are looked up from the
+    environment's tables at each kept (state, action). Horizon cutoffs are
+    flagged as timeouts, not terminals.
     """
     mdp = env_from_name(cfg.mdp_name)
     rng = np.random.default_rng(cfg.seed)
-    qualities = np.array([q for q, _ in cfg.mixture])
-    weights = np.array([w for _, w in cfg.mixture])
+    qualities, weights = np.array(cfg.mixture).T
     picks = rng.choice(len(qualities), size=cfg.n_trajectories, p=weights / weights.sum())
     eps = 1.0 - qualities[picks]
-    states, actions, rewards, next_states, terminals, lengths = _simulate(mdp, eps, rng)
-    # steps are (horizon, n); gather each field trajectory-major, kept steps only
+    states, actions, lengths = _simulate(mdp, eps, rng)
+    # steps are (horizon, n); gather them trajectory-major, kept steps only
     keep = (np.arange(mdp.horizon)[:, None] < lengths).T
-    terminals = terminals.T[keep]
+    states, actions = states.T[keep], actions.T[keep]
+    terminals = mdp.terminal[states, actions]
     ends = np.cumsum(lengths)
     timeouts = np.zeros_like(terminals)
     timeouts[ends - 1] = ~terminals[ends - 1]  # horizon cutoff
     meta = DatasetMeta(obs_dim=mdp.obs_dim, action={"discrete": mdp.n_actions},
                        env_name=mdp.name, seed=cfg.seed)
     return OfflineDataset(
-        obs=mdp.obs_table[states.T[keep]],
-        actions=actions.T[keep],
-        rewards=rewards.T[keep],
-        next_obs=mdp.obs_table[next_states.T[keep]],
+        obs=mdp.obs_table[states],
+        actions=actions,
+        rewards=mdp.reward[states, actions],
+        next_obs=mdp.obs_table[mdp.next_state[states, actions]],
         terminals=terminals,
         timeouts=timeouts,
         traj_bounds=np.stack([ends - lengths, ends], axis=1),
@@ -331,9 +286,5 @@ def preset_config(name: str, seed: int | None = None,
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     base = PRESETS[name]
-    return GeneratorConfig(
-        mdp_name=base.mdp_name,
-        n_trajectories=base.n_trajectories if n_trajectories is None else n_trajectories,
-        mixture=base.mixture,
-        seed=base.seed if seed is None else seed,
-    )
+    return replace(base, seed=base.seed if seed is None else seed,
+                   n_trajectories=base.n_trajectories if n_trajectories is None else n_trajectories)

@@ -42,6 +42,7 @@ import dataclasses
 import glob
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -199,6 +200,8 @@ def apply_overrides(data: dict, overrides) -> dict:
     Values parse as JSON when possible (so ``eval.seeds=[0,1]`` works) and
     fall back to strings. Unknown paths are rejected during validation.
     """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config: expected an object, got {type(data).__name__}")
     out = json.loads(json.dumps(data))  # deep copy
     for item in overrides:
         if "=" not in item:
@@ -292,10 +295,7 @@ def evaluate_policy(mdp, policy_fn) -> float:
 # single-seed training
 
 def _eval_points(total_steps: int, eval_every: int) -> list:
-    points = list(range(eval_every, total_steps + 1, eval_every))
-    if not points or points[-1] != total_steps:
-        points.append(total_steps)
-    return points
+    return sorted({*range(eval_every, total_steps + 1, eval_every), total_steps})
 
 
 def train_single_seed(shared, seed: int) -> tuple:
@@ -560,16 +560,16 @@ def _arms_table(kind: str, cfg: ExperimentConfig, key: str, runs: dict, prepared
 
 
 def sweep_pbase(cfg: ExperimentConfig, values, jobs: int = 1):
-    """One arm per p_base value on one prepared dataset; the infinity column
-    is the uniform sampler."""
+    """One arm per p_base value (a number or a string ``float`` reads) on one
+    prepared dataset; an infinite value is the uniform sampler's column."""
     if not values:
         raise ConfigError("need at least one p_base value")
     arms = {}
     for v in values:
-        if isinstance(v, str) and v.lower() in ("inf", "infinity"):
+        p_base = float(v) + 0.0  # -0.0 becomes 0.0, so "-0" repeats the column "0.0"
+        if p_base == math.inf:
             label, spec = "inf", replace(cfg.sampler, mode="uniform")
         else:
-            p_base = float(v) + 0.0  # -0.0 becomes 0.0, so "-0" repeats the column "0.0"
             label, spec = repr(p_base), replace(cfg.sampler, mode="return_resample", p_base=p_base)
         if label in arms:
             raise ConfigError(f"p_base value {v!r} repeats the column {label!r}")

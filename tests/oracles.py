@@ -5,8 +5,10 @@ gradients for ``nncore.backward``, field-by-field equality for datasets, the
 per-row CQL penalty, the void-row ``np.unique`` that the state-id tables of
 ``algos.train_step`` reproduce byte for byte, a reference learner step
 (:func:`reference_train_step`) that the package's step must equal bit for bit,
-and a reference sampler build (:class:`ReferenceSampler` over
-:func:`reference_probs`) that ``build_sampler`` must equal byte for byte.
+a reference sampler build (:class:`ReferenceSampler` over
+:func:`reference_probs`) that ``build_sampler`` must equal byte for byte, and
+a cell-by-cell grid maze (:func:`reference_grid_maze`) whose tables
+``mdp_grid_maze`` must equal byte for byte.
 """
 
 import numpy as np
@@ -316,3 +318,31 @@ class ReferenceSampler:
         u = self._rng.random((2, batch_size))
         g = np.searchsorted(self._cdf, u[0], side="right")
         return self.order[self._starts[g] + (u[1] * self._sizes[g]).astype(np.int64)]
+
+
+def reference_grid_maze(size: int):
+    """The grid maze's (obs_table, next_state, reward, terminal), one state and
+    one move at a time: cell (r, c) is a wall iff (3r + 5c) % 7 == 2, except
+    the start and goal corners; a move off the grid, into a wall or out of one
+    stays put; entering the goal pays 1 and ends the episode; the goal absorbs."""
+    r, c = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+    walls = (3 * r + 5 * c) % 7 == 2
+    walls[0, 0] = walls[size - 1, size - 1] = False
+    n, goal = size * size, size * size - 1
+    obs = np.stack([r.ravel() / (size - 1), c.ravel() / (size - 1)], axis=1)
+    next_state = np.empty((n, 4), dtype=np.int64)
+    reward = np.zeros((n, 4))
+    terminal = np.zeros((n, 4), dtype=bool)
+    for s in range(n):
+        row, col = divmod(s, size)
+        for a, (dr, dc) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):  # up, down, left, right
+            nr, nc = row + dr, col + dc
+            if not (0 <= nr < size and 0 <= nc < size) or walls[nr, nc] or walls[row, col]:
+                nr, nc = row, col
+            next_state[s, a] = nr * size + nc
+            if next_state[s, a] == goal and s != goal:
+                reward[s, a], terminal[s, a] = 1.0, True
+    next_state[goal] = goal
+    reward[goal] = 0.0
+    terminal[goal] = False
+    return obs, next_state, reward, terminal

@@ -777,6 +777,18 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert not (tmp_path / "o4").exists() and not (tmp_path / "o5").exists()
 
 
+@pytest.mark.parametrize("payload, kind", [([1, 2], "list"), ("x", "str")])
+def test_config_that_is_not_an_object_exits_two_with_or_without_overrides(
+        tmp_path, capsys, payload, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    for k, overrides in enumerate(([], ["algo.lr=0.1"], ["root_seed=3", "eval.seeds=[1]"])):
+        out = tmp_path / f"o{k}"
+        assert main(["train", "--config", str(cfg), "--out", str(out), *overrides]) == 2
+        assert f"config: expected an object, got {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 BAD_CONFIG_VALUES = [
     ("algo=null", "config.algo: expected an object"),
     ("eval=null", "config.eval: expected an object"),

@@ -8,7 +8,7 @@ from red_offline.envsuite import (PRESETS, GeneratorConfig, _simulate, env_from_
                                   policy_value, preset_config)
 from red_offline.harness import dataset_checksum
 
-from oracles import dataset_equal
+from oracles import dataset_equal, reference_grid_maze
 
 # dataset_checksum of each preset; `gen` output must not change bit for bit
 PRESET_CHECKSUMS = {
@@ -57,9 +57,9 @@ def chain_policy_value(mdp, p_right):
 
 def monte_carlo_returns(mdp, quality, n_episodes, rng):
     """Episode returns of n_episodes lockstep rollouts at one policy quality."""
-    _, _, rewards, _, _, lengths = _simulate(mdp, np.full(n_episodes, 1.0 - quality), rng)
+    states, actions, lengths = _simulate(mdp, np.full(n_episodes, 1.0 - quality), rng)
     mask = np.arange(mdp.horizon)[:, None] < lengths[None, :]
-    return (rewards * mask).sum(axis=0)
+    return (mdp.reward[states, actions] * mask).sum(axis=0)
 
 
 def test_half_greedy_right_matches_monte_carlo_oracle():
@@ -110,6 +110,40 @@ def test_maze_random_success_rate_in_range():
     mdp = mdp_grid_maze(8, 64)
     rate = monte_carlo_returns(mdp, 0.0, 100_000, np.random.default_rng(17)).mean()
     assert 0.0 < rate < 0.5
+
+
+def test_maze_tables_match_cell_by_cell_reference():
+    names = ("obs_table", "next_state", "reward", "terminal")
+    for size in range(3, 65):
+        mdp = mdp_grid_maze(size, 10)
+        for name, want in zip(names, reference_grid_maze(size)):
+            got = getattr(mdp, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), (size, name)
+
+
+def reachable_states(next_state, start):
+    """Breadth-first search over the move table: which states ``start`` reaches."""
+    seen = np.zeros(len(next_state), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        step = np.unique(next_state[frontier])
+        frontier = step[~seen[step]]
+        seen[frontier] = True
+    return seen
+
+
+def test_maze_goal_is_reachable_at_every_size():
+    # no two walls touch, so the start reaches every open cell, the goal included
+    for size in range(3, 201):
+        mdp = mdp_grid_maze(size, 10)
+        seen = reachable_states(mdp.next_state, mdp.start_state)
+        assert seen[mdp.n_states - 1], size
+        r, c = np.divmod(np.arange(mdp.n_states), size)
+        walls = (3 * r + 5 * c) % 7 == 2
+        walls[[0, -1]] = False
+        assert np.array_equal(seen, ~walls), size
 
 
 def test_maze_expert_always_succeeds():
@@ -208,24 +242,26 @@ def test_timeout_and_terminal_flags(preset_dataset):
 
 
 def reference_generate(cfg):
-    """Assemble the dataset one trajectory at a time from _simulate's step arrays."""
+    """Assemble the dataset one trajectory at a time from _simulate's step arrays,
+    looking each step's reward, next state and terminal up in the tables."""
     mdp = env_from_name(cfg.mdp_name)
     rng = np.random.default_rng(cfg.seed)
     qualities = np.array([q for q, _ in cfg.mixture])
     weights = np.array([w for _, w in cfg.mixture])
     picks = rng.choice(len(qualities), size=cfg.n_trajectories, p=weights / weights.sum())
-    states, actions, rewards, next_states, terminals, lengths = _simulate(
-        mdp, 1.0 - qualities[picks], rng)
+    states, actions, lengths = _simulate(mdp, 1.0 - qualities[picks], rng)
     parts = {k: [] for k in ("obs", "actions", "rewards", "next_obs", "terminals", "timeouts")}
     bounds, cursor = [], 0
     for j, m in enumerate(lengths.tolist()):
-        parts["obs"].append(mdp.obs_table[states[:m, j]])
-        parts["actions"].append(actions[:m, j])
-        parts["rewards"].append(rewards[:m, j])
-        parts["next_obs"].append(mdp.obs_table[next_states[:m, j]])
-        parts["terminals"].append(terminals[:m, j])
+        s, a = states[:m, j], actions[:m, j]
+        terminals = mdp.terminal[s, a]
+        parts["obs"].append(mdp.obs_table[s])
+        parts["actions"].append(a)
+        parts["rewards"].append(mdp.reward[s, a])
+        parts["next_obs"].append(mdp.obs_table[mdp.next_state[s, a]])
+        parts["terminals"].append(terminals)
         timeout = np.zeros(m, dtype=bool)
-        timeout[m - 1] = not terminals[m - 1, j]
+        timeout[m - 1] = not terminals[m - 1]
         parts["timeouts"].append(timeout)
         bounds.append((cursor, cursor + m))
         cursor += m

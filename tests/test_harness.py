@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -349,9 +350,12 @@ def test_sweep_pbase_table_shape_and_inf_column():
     inf_cfg = table["reports"]["inf"]["config"]
     assert inf_cfg["sampler"]["mode"] == "uniform"
     assert set(table["scores"]) == {"0.0", "inf"}
+    # a float infinity is the same uniform column, not return_resample at p_base=inf
+    float_table, _, _ = sweep_pbase(cfg, [0.0, math.inf])
+    assert float_table == table
     # a repeated column is rejected before the (here missing) dataset is read
     missing = replace(cfg, dataset=DatasetSource(path="missing.ords"))
-    for values in ([0.2, 0.20], ["inf", 1.0, "Infinity"], [0.0, -0.0]):
+    for values in ([0.2, 0.20], ["inf", 1.0, "Infinity"], [0.0, -0.0], [math.inf, "inf"]):
         with pytest.raises(ConfigError, match="repeats the column"):
             sweep_pbase(missing, values)
 
