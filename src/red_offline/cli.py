@@ -203,10 +203,7 @@ def cmd_dered(args) -> int:
 
 def _parse_pbase_values(text):
     values = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, (p.strip() for p in text.split(","))):
         try:
             value = float(part)
         except ValueError:
@@ -214,7 +211,7 @@ def _parse_pbase_values(text):
         if not value >= 0:  # NaN fails too
             raise SystemExit_(EXIT_USAGE, f"argument --values: p_base value {part!r} "
                                           "is not a number >= 0 or inf")
-        values.append("inf" if value == float("inf") else value)
+        values.append(value)
     if not values:
         raise SystemExit_(EXIT_USAGE, "no p_base values given")
     return values

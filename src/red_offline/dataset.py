@@ -52,8 +52,9 @@ class OfflineDataset:
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
     Every observation and reward is finite, and so is the rewards' span.
-    ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)``; :meth:`batch`
-    gathers rows from them, as do ``obs`` and ``next_obs`` after :meth:`release_rows`.
+    ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)`` and drops the
+    loaded obs and next_obs: :meth:`batch` gathers rows from them, and so do ``obs`` and
+    ``next_obs`` from then on.
     Transition inputs already C-contiguous and of that dtype are shared, not copied: they stay
     writable, and writing them changes the dataset, but not the rows gathered from its table.
     """
@@ -136,7 +137,8 @@ class OfflineDataset:
         its row in ``obs_table`` sorted by bytes, as ``np.unique`` sorts void rows.
         Ids come from walking ``next_state`` from each trajectory's first row, and
         each obs and next_obs must have the bytes of its walked state: otherwise a
-        DatasetError names the first transition that does not."""
+        DatasetError names the first transition that does not. Then the loaded rows
+        are dropped; ``obs`` and ``next_obs`` read the same bytes from the table."""
         void = np.dtype((np.void, 8 * self.meta.obs_dim))
         order = np.argsort(obs_table.view(void).ravel())
         states = obs_table[order]
@@ -168,9 +170,6 @@ class OfflineDataset:
         ids.setflags(write=False)
         states.setflags(write=False)
         self.states = ids, next_id, states
-
-    def release_rows(self) -> None:
-        """Drop the loaded obs and next_obs; reads then gather the same bytes from the table."""
         self._obs = self._next_obs = None
 
     def _rows(self, rows, next_step: bool) -> np.ndarray:

@@ -167,7 +167,10 @@ def env_from_name(name: str) -> Mdp:
         build, a, b = builders[parts[0]], int(parts[1]), int(parts[2])
     except (KeyError, IndexError, ValueError):
         raise ValueError(f"unknown environment name {name!r}") from None
-    return build(a, b)
+    mdp = build(a, b)
+    if mdp.name != name:  # int() reads "+40", "4_0", "08" and " 8" too; "-junk" may follow
+        raise ValueError(f"unknown environment name {name!r}")
+    return mdp
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,11 @@ random) against the environment's reference policies, and aggregates are the
 mean over the final K evaluations, then over seeds.
 
 Each experiment runs one static phase, :func:`prepare_dataset`: it loads,
-maps and hashes its dataset once (the hash on a worker thread, joined before
-the float rows are released). Each sampler arm builds its table once and its
-seeds share it, each seed one :func:`train_single_seed` job. A two-stage run
-is two arm passes: stage one for every seed, then stage two for every seed.
-With ``jobs > 1`` each arm or stage has its own worker pool, and each worker
-gets that arm's table once.
+hashes and maps its dataset once, and the map drops the float rows. Each
+sampler arm builds its table once and its seeds share it, each seed one
+:func:`train_single_seed` job. A two-stage run is two arm passes: stage one
+for every seed, then stage two for every seed. With ``jobs > 1`` each arm or
+stage has its own worker pool, and each worker gets that arm's table once.
 
 Every runner (:func:`run_training`, :func:`two_stage_train`,
 :func:`sweep_pbase`, :func:`compare_rebalance_methods`) returns
@@ -29,11 +28,11 @@ a sweep or comparison. ``losses`` holds each block's loss rows,
 ``{seed: [(step, {loss name: value}), ...]}``, under the stage or arm label
 where there is one. ``timing`` (timing.json) holds the wall-clock numbers,
 kept out of the report so repeated runs give identical report bytes: its
-``prepare`` entry holds ``returns_s`` (the returns phase) and ``checksum_wait_s``
-(the join of the hashing thread), and per seed ``sampler_build_s`` (the arm's
-single cold build), ``train_s`` (``draw_s``, sample plus gather, plus ``step_s``,
-the ``train_step`` calls), ``eval_s``, ``total_s`` (their sum with ``returns_s``)
-and ``overhead_fraction = (returns_s + sampler_build_s) / total_s``.
+``prepare`` entry holds ``checksum_s`` (the hash) and ``returns_s`` (the returns
+phase), and per seed ``sampler_build_s`` (the arm's single cold build),
+``train_s`` (``draw_s``, sample plus gather, plus ``step_s``, the ``train_step``
+calls), ``eval_s``, ``total_s`` (their sum with ``returns_s``) and
+``overhead_fraction = (returns_s + sampler_build_s) / total_s``.
 """
 
 import contextlib
@@ -48,7 +47,6 @@ import tempfile
 import time
 import typing
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -230,9 +228,9 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 def prepare_dataset(source: DatasetSource):
     """The static phase of an experiment: (dataset, trajectory returns, environment,
-    checksum, timing.json's ``prepare``). A thread hashes the loaded rows beside the
-    returns phase and the state map (blake2b releases the GIL); its join re-raises.
-    Then the dataset releases its float rows: ``obs`` and ``next_obs`` read the same bytes.
+    checksum, timing.json's ``prepare``). It hashes the loaded rows, runs the returns
+    phase and maps the rows to state ids, which drops them: ``obs`` and ``next_obs``
+    then read the same bytes from the state table.
 
     Raises DatasetError when the dataset names an unknown environment, its
     obs_dim or action space differ from the environment's, or its rows do not
@@ -243,25 +241,20 @@ def prepare_dataset(source: DatasetSource):
     else:
         ds = generate_dataset(preset_config(source.preset, seed=source.seed,
                                             n_trajectories=source.n_trajectories))
-    timing = {}
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        digest = pool.submit(dataset_checksum, ds)  # the global, so a tracer's wrapper runs
-        try:
-            t0 = time.perf_counter()
-            tr = compute_trajectory_returns(ds)
-            timing["returns_s"] = time.perf_counter() - t0
-            mdp = env_from_name(ds.meta.env_name)
-            fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
-            if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
-                raise DatasetError(f"dataset has obs_dim {ds.meta.obs_dim} and action "
-                                   f"{ds.meta.action}, but {mdp.name} needs {fits}")
-            ds.map_states(mdp.obs_table, mdp.next_state)
-        except ValueError as exc:  # DatasetError included
-            raise DatasetError(f"{source.label}: {exc}") from exc
-        t0 = time.perf_counter()
-        checksum = digest.result()
-    timing["checksum_wait_s"] = time.perf_counter() - t0
-    ds.release_rows()
+    t0 = time.perf_counter()
+    checksum = dataset_checksum(ds)
+    t1 = time.perf_counter()
+    try:
+        tr = compute_trajectory_returns(ds)
+        timing = {"checksum_s": t1 - t0, "returns_s": time.perf_counter() - t1}
+        mdp = env_from_name(ds.meta.env_name)
+        fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
+        if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
+            raise DatasetError(f"dataset has obs_dim {ds.meta.obs_dim} and action "
+                               f"{ds.meta.action}, but {mdp.name} needs {fits}")
+        ds.map_states(mdp.obs_table, mdp.next_state)
+    except ValueError as exc:  # DatasetError included
+        raise DatasetError(f"{source.label}: {exc}") from exc
     return ds, tr, mdp, checksum, timing
 
 

@@ -33,7 +33,7 @@ def one_blas_thread():
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_a_runner():
-    """Every thread a test starts, such as a runner's dataset hashing
+    """Every thread a test starts, such as a worker pool's management
     thread, is joined by the time the test ends."""
     before = set(threading.enumerate())
     yield

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -170,6 +171,8 @@ def _refit_ords(src, dst, header=None, action0=None):
     ({"header": {"action": {"discrete": 3}}}, "action {'discrete': 3}, but dense_chain-40-39 "
                                               "needs {'obs_dim': 2, 'action': {'discrete': 2}}"),
     ({"header": {"env_name": "warp_maze-3-9"}}, "unknown environment name 'warp_maze-3-9'"),
+    ({"header": {"env_name": "dense_chain-40-39-junk"}},
+     "unknown environment name 'dense_chain-40-39-junk'"),
 ])
 def test_dataset_that_does_not_fit_its_environment_exits_two(tmp_path, capsys, change,
                                                              message):
@@ -486,6 +489,25 @@ def test_malformed_header_integer_exits_two_naming_the_file(tmp_path, capsys, he
     assert err.startswith(f"error: {bad}: header missing or malformed field: ") and message in err
 
 
+def _envelope(head: bytes, version=1, header_len=None) -> bytes:
+    return b"ORDS" + struct.pack("<IQ", version, len(head) if header_len is None
+                                 else header_len) + head
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"ORDS" + bytes(6), "file too short (10 bytes) for envelope"),
+    (_envelope(b"{}", version=2), "unsupported version 2"),
+    (_envelope(b"{}", header_len=3), "header length 3 overruns file"),
+    (_envelope(b"[1, 2]"), "header must be a JSON object"),
+    (_envelope(b"{not json"), "header is not valid JSON: "),
+])
+def test_broken_envelope_exits_two_naming_the_file(tmp_path, capsys, raw, message):
+    bad = tmp_path / "bad.ords"
+    bad.write_bytes(raw)
+    assert main(["stats", "--dataset", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     cfg = write_config(tmp_path)
@@ -510,7 +532,7 @@ def test_pbase_value_below_zero_or_nan_is_usage_error(tmp_path, capsys, values, 
 
 def test_pbase_values_spelled_as_infinity_are_the_uniform_column(tmp_path):
     from red_offline.cli import _parse_pbase_values
-    assert _parse_pbase_values("0.2, inf,+inf,Infinity,1e999") == [0.2] + ["inf"] * 4
+    assert _parse_pbase_values("0.2, inf,+inf,Infinity,1e999") == [0.2] + [math.inf] * 4
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -725,6 +747,15 @@ def test_report_of_the_wrong_shape_exits_two_naming_it(tmp_path, capsys, payload
     assert capsys.readouterr().err == f"{bad / 'report.json'}: {message}\n"
 
 
+def test_report_of_one_run_twice_primes_the_second_column(tmp_path, capsys):
+    run, merged = tmp_path / "run", tmp_path / "merged.csv"
+    run.mkdir()
+    (run / "report.json").write_text(json.dumps(_RUN_REPORT))
+    assert main(["report", str(run), str(run), "--out", str(merged)]) == 0
+    assert merged.read_text() == "task,q_plus_bc+uniform,q_plus_bc+uniform'\n" \
+                                 "replay_analog,50.0,50.0\n"
+
+
 def test_report_mismatched_runs_error(tmp_path, capsys):
     cfg_a = write_config(tmp_path, "a.json")
     cfg_b = write_config(tmp_path, "b.json",
@@ -777,6 +808,28 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert not (tmp_path / "o4").exists() and not (tmp_path / "o5").exists()
 
 
+@pytest.mark.parametrize("argv,root_seed,code,message", [
+    (["train", "--config", "nope.json"], None, 2, "cannot read config nope.json: "),
+    (["train", "--config", "cfg.json"], "abc", 2, "RED_OFFLINE_ROOT_SEED='abc' is not an integer"),
+    (["sweep", "--config", "cfg.json", "--values", ","], None, 1, "no p_base values given"),
+    (["report", "empty"], None, 2, "cannot read empty/report.json: "),
+    (["report", "brace"], None, 2, "brace/report.json is not valid JSON: "),
+])
+def test_unreadable_inputs_exit_naming_them(tmp_path, capsys, monkeypatch, argv, root_seed,
+                                            code, message):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "brace").mkdir()
+    (tmp_path / "brace" / "report.json").write_text("{")
+    if root_seed is not None:
+        monkeypatch.setenv("RED_OFFLINE_ROOT_SEED", root_seed)
+    out = [] if argv[0] == "report" else ["--out", "o"]
+    assert main(argv + out) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("payload, kind", [([1, 2], "list"), ("x", "str")])
 def test_config_that_is_not_an_object_exits_two_with_or_without_overrides(
         tmp_path, capsys, payload, kind):
@@ -812,6 +865,7 @@ BAD_CONFIG_VALUES = [
     ("eval.seeds=[0.5,1]", "config.eval.seeds[0]: expected an integer"),
     ('eval.seeds=["3"]', "config.eval.seeds[0]: expected an integer"),
     ("eval.seeds=[true]", "config.eval.seeds[0]: expected an integer"),
+    ("algo.family.x=1", "override 'algo.family.x': 'family' is not an object"),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,11 @@ def test_preset_shapes(preset_dataset):
 def test_unknown_names_rejected():
     with pytest.raises(ValueError, match="unknown"):
         env_from_name("quantum_chess-3-4")
+    # names that int() and split() would read as a canonical one
+    for name in ("dense_chain-40-39-junk", "dense_chain-+40-39", "dense_chain-4_0-39",
+                 "grid_maze-08-64", "grid_maze- 8-64"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown environment name {name!r}")):
+            env_from_name(name)
     with pytest.raises(ValueError, match="unknown preset"):
         preset_config("nope")
     with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from red_offline.harness import (ConfigError, DatasetSource, DeredConfig, EvalCo
 from red_offline.sampler import SamplerSpec, build_sampler
 
 from conftest import src_env
+from oracles import row_batch
 
 
 def small_config(preset="replay_analog", **kw):
@@ -154,6 +155,10 @@ def test_overrides_dotted_paths():
     bad = apply_overrides(data, ["sampler.omega=1"])
     with pytest.raises(ConfigError, match="unknown"):
         config_from_dict(bad)
+    # a block the config lacks is made, with its defaults for every other field
+    assert small_config().dered is None
+    out = apply_overrides(data, ["dered.stage1_steps=5"])
+    assert config_from_dict(out).dered == DeredConfig(stage1_steps=5)
 
 
 def test_normalized_score_examples():
@@ -469,7 +474,7 @@ class _HashError(RuntimeError):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("runner", ["train", "dered", "sweep", "compare"])
 def test_an_error_while_hashing_reaches_the_caller(monkeypatch, runner, jobs):
-    # the checksum is hashed on a worker thread; what it raises must not be lost
+    # what the hash raises reaches the caller as it was raised, not as a DatasetError
     from red_offline import harness as hmod
 
     def broken(ds):
@@ -488,12 +493,28 @@ def test_an_error_while_hashing_reaches_the_caller(monkeypatch, runner, jobs):
         run()
 
 
+def test_the_static_phase_hashes_on_the_calling_thread_and_starts_none(monkeypatch):
+    import threading
+    from red_offline import harness as hmod
+    seen, checksum = [], hmod.dataset_checksum
+
+    def spy(ds):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return checksum(ds)
+    monkeypatch.setattr(hmod, "dataset_checksum", spy)
+    before = threading.active_count()
+    prepared = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))
+    assert seen == [(threading.get_ident(), before)]
+    assert threading.active_count() == before
+    assert prepared[3] == checksum(prepared[0])
+
+
 def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path):
     # after prepare_dataset, a dataset holds actions, rewards, flags and state ids
     # (about 20 B per transition; returns are one per trajectory), not its two
-    # float obs_dim 2 rows (32 B more); nothing between the load and the release,
-    # the hashing thread included, allocates past the load's own peak, and
-    # nothing after the release materializes a derived obs or next_obs
+    # float obs_dim 2 rows (32 B more); nothing between the load and the return
+    # of map_states, which drops the rows, allocates past the load's own peak,
+    # and nothing after it materializes a derived obs or next_obs
     import tracemalloc
     from red_offline import harness as hmod
     from red_offline.dataset import OfflineDataset, save_dataset
@@ -505,19 +526,19 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
     save_dataset(ds, path)
     del ds
     hmod.prepare_dataset(DatasetSource(path=path))  # the environment's cached tables, lazy imports
-    marks, load, release = {}, hmod.load_dataset, OfflineDataset.release_rows
+    marks, load, map_states = {}, hmod.load_dataset, OfflineDataset.map_states
 
     def load_and_measure(p):
         loaded = load(p)
         marks["load"] = tracemalloc.get_traced_memory()
         return loaded
 
-    def release_and_measure(ds):
+    def map_and_measure(ds, *tables):
+        map_states(ds, *tables)
         marks["release"] = tracemalloc.get_traced_memory()
-        release(ds)
         tracemalloc.reset_peak()
     monkeypatch.setattr(hmod, "load_dataset", load_and_measure)
-    monkeypatch.setattr(OfflineDataset, "release_rows", release_and_measure)
+    monkeypatch.setattr(OfflineDataset, "map_states", map_and_measure)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -572,19 +593,19 @@ def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
         loaded = load_dataset(source.path)
     else:
         loaded = generate_dataset(preset_config(name))
-    mdp = env_from_name(loaded.meta.env_name)
-    loaded.map_states(mdp.obs_table, mdp.next_state)  # mapped, rows kept
+    assert loaded.states is None  # never mapped: it holds the rows it read
     released, _, _, checksum, _ = prepare_dataset(source)
     for field in ("obs", "next_obs"):
         want, got = getattr(loaded, field), getattr(released, field)
         assert got.dtype == want.dtype and got.shape == want.shape, field
         assert got.tobytes() == want.tobytes() and not got.flags.writeable, field
     idx = np.random.default_rng(3).integers(0, len(loaded), 1_000)
-    want = {**loaded.batch(idx), "obs": loaded.obs[idx], "next_obs": loaded.next_obs[idx]}
-    got = released.batch(idx)
+    want, got = row_batch(loaded, idx), released.batch(idx)
     assert set(got) == set(want)
-    for key in want:
+    for key in ("obs", "action", "reward", "next_obs", "terminal", "timeout"):
         assert got[key].dtype == want[key].dtype and got[key].tobytes() == want[key].tobytes(), key
+    for key in ("obs_id", "next_obs_id"):  # state ids rank the rows by bytes, as the oracle's do
+        assert np.array_equal(np.unique(got[key], return_inverse=True)[1], want[key]), key
     assert checksum == dataset_checksum(released) == dataset_checksum(loaded)
     save_dataset(loaded, tmp_path / "loaded.ords")
     save_dataset(released, tmp_path / "released.ords")
@@ -608,8 +629,8 @@ def test_timing_records_one_cold_build_per_arm(tmp_path):
                            "prepare", "runtime"}
     assert timing.pop("runtime") == {"jobs": 1, "blas_threads": blas_threads()}
     prepare = timing.pop("prepare")  # the experiment's static phase, once
-    assert set(prepare) == {"returns_s", "checksum_wait_s"}
-    assert prepare["returns_s"] > 0 and prepare["checksum_wait_s"] >= 0
+    assert set(prepare) == {"checksum_s", "returns_s"}
+    assert prepare["checksum_s"] > 0 and prepare["returns_s"] > 0
     returns_s = prepare["returns_s"]
     for arm in timing.values():
         seeds = list(arm["per_seed"].values())
