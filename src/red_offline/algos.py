@@ -17,14 +17,15 @@ a policy net share one softmax block and take one of two policy losses: the
 advantage-weighted likelihood (expectile_awr, exp_adv_regression) or the
 lambda-scaled Q plus cross-entropy (q_plus_bc).
 
-A batch repeats observations (each one is a state of a small tabular MDP), so
-every net runs once per distinct row of ``obs`` or ``next_obs``, which the
-rows' state ids (``OfflineDataset.map_states``) give in ``np.unique``'s byte
-order. Row-local softmax and log-sum-exp run on those tables too; results are
-gathered back to batch rows, and per-row output gradients summed onto table
-rows before backprop. The bit rule: no BLAS call changes shape, operands or
-transposition, and no elementwise expression its order. The step inlines the
-expectile loss; :func:`expectile_loss` stays public and gives the same value.
+A batch is state ids (``OfflineDataset.batch``) into the byte-sorted state
+table it carries. The ids repeat (each is a state of a small tabular MDP), so
+every net runs once per distinct state that ``obs_id`` or ``next_obs_id``
+names, in ``np.unique``'s byte order. Row-local softmax and log-sum-exp run on
+those tables too; results are gathered back to batch rows, and per-row output
+gradients summed onto table rows before backprop. The bit rule: no BLAS call
+changes shape, operands or transposition, and no elementwise expression its
+order. The step inlines the expectile loss; :func:`expectile_loss` stays
+public and gives the same value.
 """
 
 import math
@@ -149,13 +150,11 @@ def _softmax_lse(z: np.ndarray):
     return e / s, (m + np.log(s))[:, 0]
 
 
-def _state_table(rows: np.ndarray, ids: np.ndarray):
-    """Distinct ``rows`` in id order, and each row's index into them: (table,
-    inverse), the pair ``np.unique`` gives over void rows, as ids rank bytes."""
-    seen = np.bincount(ids) > 0
-    first = np.empty(len(seen), np.intp)
-    first[ids] = np.arange(len(ids))  # any row of an id: its rows have equal bytes
-    return rows.take(first[seen], axis=0), (np.cumsum(seen) - 1).take(ids)
+def _state_table(states: np.ndarray, ids: np.ndarray):
+    """Rows of ``states`` that ``ids`` name, in id order, and each id's index into
+    them: the (table, inverse) ``np.unique`` gives over void rows ``states[ids]``."""
+    seen = np.bincount(ids, minlength=len(states)) > 0
+    return states[seen], (np.cumsum(seen) - 1).take(ids)
 
 
 def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
@@ -165,8 +164,8 @@ def train_step(state: LearnerState, cfg: AlgoConfig, batch: dict,
     Raises :class:`NanLossError` instead of silently continuing when any loss
     goes non-finite.
     """
-    obs, o_inv = _state_table(batch["obs"], batch["obs_id"])
-    nobs, n_inv = _state_table(batch["next_obs"], batch["next_obs_id"])
+    obs, o_inv = _state_table(batch["states"], batch["obs_id"])
+    nobs, n_inv = _state_table(batch["states"], batch["next_obs_id"])
     act = np.asarray(batch["action"], dtype=np.int64)
     rew = np.asarray(batch["reward"], dtype=np.float64)
     term = np.asarray(batch["terminal"], dtype=np.float64)

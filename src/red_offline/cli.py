@@ -124,24 +124,24 @@ def cmd_rebalance_preview(args) -> int:
     ds, tr = _load_with_returns(args.dataset)
     sampler = build_sampler(SamplerSpec("return_resample", args.alpha, args.p_base), ds, tr)
     probs, order = sampler.probs, sampler.order
-    weights = np.repeat(normalized_return(tr, args.p_base), tr.lengths)
+    weights = normalized_return(tr, args.p_base)  # per trajectory; only --out repeats them
+    stops = ds.traj_bounds[:, 1]
     n = len(probs)
     k = min(args.top_k, n)
     print(f"rebalance preview: alpha={args.alpha} p_base={args.p_base} N={n}")
-    print(f"top-{k} probabilities:")
-    for i in order[::-1][:k]:
-        print(f"  index {i}: P={probs[i]:.3e} (weight {weights[i]:.4f})")
-    print(f"bottom-{k} probabilities:")
-    for i in order[:k]:
-        print(f"  index {i}: P={probs[i]:.3e} (weight {weights[i]:.4f})")
-    zero_frac = float((probs == 0.0).mean())
-    max_dev = float(np.abs(probs - 1.0 / n).max())
+    for label, listed in (("top", order[::-1][:k]), ("bottom", order[:k])):
+        print(f"{label}-{k} probabilities:")
+        for i, j in zip(listed, np.searchsorted(stops, listed, side="right")):
+            print(f"  index {i}: P={probs[i]:.3e} (weight {weights[j]:.4f})")
+    zero_frac = np.count_nonzero(probs == 0.0) / n
+    # |p - 1/n| peaks at the smallest or the largest p: float subtraction is monotone
+    max_dev = float(max(abs(probs[order[0]] - 1.0 / n), abs(probs[order[-1]] - 1.0 / n)))
     if max_dev == 0.0:
         print("uniform, deviation 0")
     print(f"zero-mass fraction: {zero_frac:.4f}")
     print(f"max deviation from uniform: {max_dev:.3e}")
     if args.out:
-        _write(args.out, distribution_csv(probs, weights))
+        _write(args.out, distribution_csv(probs, np.repeat(weights, tr.lengths)))
         print(f"distribution -> {args.out}")
     return EXIT_OK
 
@@ -373,7 +373,7 @@ _FLAG_RANGES = (
     ("top_k", ">= 1", lambda v: v >= 1),
     ("n_trajectories", ">= 1", lambda v: v >= 1),
     ("alpha", ">= 0", lambda v: v >= 0),
-    ("p_base", ">= 0", lambda v: v >= 0),
+    ("p_base", ">= 0 and finite", lambda v: 0 <= v < np.inf),
     ("seed", ">= 0", lambda v: v >= 0),
     ("fraction", "in (0, 1]", lambda v: 0 < v <= 1),
 )

@@ -53,8 +53,8 @@ class OfflineDataset:
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
     Every observation and reward is finite, and so is the rewards' span.
     ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)`` and drops the
-    loaded obs and next_obs: :meth:`batch` gathers rows from them, and so do ``obs`` and
-    ``next_obs`` from then on.
+    loaded obs and next_obs: a :meth:`batch` is ids into that table, and ``obs`` and
+    ``next_obs`` gather their rows from it from then on.
     Transition inputs already C-contiguous and of that dtype are shared, not copied: they stay
     writable, and writing them changes the dataset, but not the rows gathered from its table.
     """
@@ -190,22 +190,16 @@ class OfflineDataset:
         return len(self.traj_bounds)
 
     def batch(self, idx: np.ndarray) -> dict:
-        """Gather a training batch by transition indices (``take``: faster, same values)
-        once :meth:`map_states` has run; obs and next_obs come from the state table."""
+        """A training batch by transition indices: ``states``, the state table itself
+        (shared, not copied), each row's ``obs_id`` and ``next_obs_id`` into it, and
+        its action, reward and terminal flag. Needs :meth:`map_states`."""
         if self.states is None:
             raise DatasetError("no state ids: call map_states (or harness.prepare_dataset) first")
         ids, next_id, table = self.states
         obs_id, action = ids.take(idx), self.actions.take(idx)
-        next_obs_id = next_id[obs_id, action]
-        return {
-            "obs": table.take(obs_id, axis=0),
-            "obs_id": obs_id, "next_obs_id": next_obs_id,
-            "action": action,
-            "reward": self.rewards.take(idx),
-            "next_obs": table.take(next_obs_id, axis=0),
-            "terminal": self.terminals.take(idx),
-            "timeout": self.timeouts.take(idx),
-        }
+        return {"states": table, "obs_id": obs_id, "next_obs_id": next_id[obs_id, action],
+                "action": action, "reward": self.rewards.take(idx),
+                "terminal": self.terminals.take(idx)}
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ class SamplerSpec:
             raise ValueError(f"unknown sampler mode {self.mode!r}, expected one of {MODES}")
         if not self.alpha >= 0:  # NaN fails too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.p_base >= 0:
-            raise ValueError(f"p_base must be >= 0, got {self.p_base}")
+        if not 0 <= self.p_base < np.inf:  # NaN fails too
+            raise ValueError(f"p_base must be >= 0 and finite, got {self.p_base}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.seed < 0:

@@ -8,7 +8,8 @@ per-row CQL penalty, the void-row ``np.unique`` that the state-id tables of
 a reference sampler build (:class:`ReferenceSampler` over
 :func:`reference_probs`) that ``build_sampler`` must equal byte for byte, and
 a cell-by-cell grid maze (:func:`reference_grid_maze`) whose tables
-``mdp_grid_maze`` must equal byte for byte.
+``mdp_grid_maze`` must equal byte for byte. :func:`id_batch` builds, from
+hand-written rows, the batch of state ids that ``train_step`` reads.
 """
 
 import numpy as np
@@ -79,25 +80,21 @@ def distinct_rows(x: np.ndarray):
     return keys.view(np.float64).reshape(-1, x.shape[1]), inverse.reshape(-1)
 
 
-def with_row_ids(batch: dict) -> dict:
-    """``batch`` with the ``obs_id`` and ``next_obs_id`` that rank its rows by
-    bytes, as they do in the batch of a dataset mapped to its environment's
-    states; for rows that belong to no environment."""
-    return dict(batch, obs_id=distinct_rows(batch["obs"])[1],
-                next_obs_id=distinct_rows(batch["next_obs"])[1])
-
-
-def row_batch(ds: OfflineDataset, idx) -> dict:
-    """``ds.batch(idx)`` for a dataset of arbitrary rows, with ids by
-    :func:`with_row_ids`."""
-    return with_row_ids({"obs": ds.obs[idx], "action": ds.actions[idx],
-                         "reward": ds.rewards[idx], "next_obs": ds.next_obs[idx],
-                         "terminal": ds.terminals[idx], "timeout": ds.timeouts[idx]})
+def id_batch(obs, action, reward, next_obs, terminal) -> dict:
+    """The batch a dataset mapped to its environment's states gives for these
+    rows, for rows that belong to no environment: ``states`` the distinct rows
+    of ``obs`` and ``next_obs`` together in byte order, and each row's ids into it."""
+    states, ids = distinct_rows(np.vstack([obs, next_obs]))
+    return {"states": states, "obs_id": ids[:len(obs)], "next_obs_id": ids[len(obs):],
+            "action": np.asarray(action, dtype=np.int64),
+            "reward": np.asarray(reward, dtype=np.float64),
+            "terminal": np.asarray(terminal, dtype=bool)}
 
 
 # ---------------------------------------------------------------------------
 # Reference learner step: train_step and the nncore calls it makes, written
-# plainly, with softmax and log-sum-exp over gathered batch rows, every loss an
+# plainly, with each distinct-row table taken by np.unique from the batch's
+# gathered rows, softmax and log-sum-exp over gathered batch rows, every loss an
 # np.mean and the input gradient always computed. train_step takes fewer numpy
 # passes under one rule: every BLAS call keeps its shape, operands and
 # transposition, and every elementwise expression its operation order. So its
@@ -166,20 +163,13 @@ def _ref_logsumexp_rows(z):
     return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
 
 
-def _ref_state_table(rows, ids):
-    seen = np.bincount(ids) > 0
-    first = np.empty(len(seen), np.intp)
-    first[ids] = np.arange(len(ids))
-    return rows.take(first[seen], axis=0), (np.cumsum(seen) - 1).take(ids)
-
-
 def reference_train_step(state, cfg, batch: dict, freeze_head: bool = False) -> dict:
     """What ``algos.train_step`` computes, bit for bit, on the same learner state."""
     def forward(net, x):
         return ref_forward_cache(net, x)[0]
 
-    obs, o_inv = _ref_state_table(batch["obs"], batch["obs_id"])
-    nobs, n_inv = _ref_state_table(batch["next_obs"], batch["next_obs_id"])
+    obs, o_inv = distinct_rows(batch["states"][batch["obs_id"]])
+    nobs, n_inv = distinct_rows(batch["states"][batch["next_obs_id"]])
     act = np.asarray(batch["action"], dtype=np.int64)
     rew = np.asarray(batch["reward"], dtype=np.float64)
     term = np.asarray(batch["terminal"], dtype=np.float64)

@@ -11,8 +11,19 @@ from red_offline.envsuite import PRESETS, GeneratorConfig, env_from_name, genera
 from red_offline.nncore import Mlp, backward, forward, forward_cache
 
 from conftest import make_dataset
-from oracles import (cql_penalty, distinct_rows, reference_train_step, row_batch,
-                     with_row_ids)
+from oracles import cql_penalty, distinct_rows, id_batch, reference_train_step
+
+
+def _dataset_batch(ds, idx):
+    """``ds.batch(idx)`` for a dataset of arbitrary rows, which maps to no
+    environment's states: :func:`oracles.id_batch` of its rows ``idx``."""
+    return id_batch(ds.obs[idx], ds.actions[idx], ds.rewards[idx], ds.next_obs[idx],
+                    ds.terminals[idx])
+
+
+def _rows(batch):
+    """A batch's obs and next_obs rows, gathered from its state table by id."""
+    return batch["states"][batch["obs_id"]], batch["states"][batch["next_obs_id"]]
 
 
 def test_expectile_loss_examples():
@@ -85,11 +96,8 @@ def _zeroed_learner(family, obs_dim=2, n_actions=3):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_zero_nets_zero_rewards_step_is_finite(family):
     cfg, state = _zeroed_learner(family)
-    batch = with_row_ids({
-        "obs": np.zeros((4, 2)), "action": np.array([0, 1, 2, 0]),
-        "reward": np.zeros(4), "next_obs": np.zeros((4, 2)),
-        "terminal": np.zeros(4, bool), "timeout": np.zeros(4, bool),
-    })
+    batch = id_batch(obs=np.zeros((4, 2)), action=np.array([0, 1, 2, 0]), reward=np.zeros(4),
+                     next_obs=np.zeros((4, 2)), terminal=np.zeros(4, bool))
     losses = train_step(state, cfg, batch)
     assert all(np.isfinite(v) for v in losses.values())
     assert losses["q_loss"] == 0.0
@@ -101,7 +109,7 @@ def test_gamma_zero_fits_immediate_rewards():
                      lr=3e-3, hidden_units=16, target_update_period=10,
                      batch_size=len(ds), total_steps=1)
     state = init_learner(cfg, ds.meta.obs_dim, 2, seed=4)
-    batch = row_batch(ds, np.arange(len(ds)))
+    batch = _dataset_batch(ds, np.arange(len(ds)))
     for _ in range(1200):
         train_step(state, cfg, batch)
     q = forward(state.nets["q"], ds.obs)
@@ -146,11 +154,9 @@ def test_greedy_policy_for_pure_q_family():
 def test_nan_loss_aborts_with_diagnostics():
     cfg = AlgoConfig(family="conservative_q", hidden_units=8)
     state = init_learner(cfg, 2, 2, seed=0)
-    batch = with_row_ids({
-        "obs": np.zeros((2, 2)), "action": np.array([0, 1]),
-        "reward": np.array([np.inf, 0.0]), "next_obs": np.zeros((2, 2)),
-        "terminal": np.zeros(2, bool), "timeout": np.zeros(2, bool),
-    })
+    batch = id_batch(obs=np.zeros((2, 2)), action=np.array([0, 1]),
+                     reward=np.array([np.inf, 0.0]), next_obs=np.zeros((2, 2)),
+                     terminal=np.zeros(2, bool))
     with pytest.raises(NanLossError) as err:
         train_step(state, cfg, batch)
     assert err.value.family == "conservative_q"
@@ -167,7 +173,7 @@ def test_training_is_bitwise_deterministic(family):
         rng = np.random.default_rng(0)
         for _ in range(30):
             idx = rng.integers(0, len(ds), 4)
-            train_step(state, cfg, row_batch(ds, idx))
+            train_step(state, cfg, _dataset_batch(ds, idx))
         return state
 
     a, b = run(), run()
@@ -178,13 +184,12 @@ def test_training_is_bitwise_deterministic(family):
 
 def test_timeout_transitions_bootstrap():
     # one terminal and one timeout transition with identical rewards: the
-    # fitted Q must differ because only the timeout row bootstraps
+    # fitted Q must differ because only the timeout row bootstraps. A batch
+    # carries no timeout flag: a timeout row is one whose terminal is False
     obs = np.array([[0.0, 0.0], [1.0, 1.0]])
-    batch = with_row_ids({
-        "obs": obs, "action": np.array([0, 0]), "reward": np.array([1.0, 1.0]),
-        "next_obs": np.array([[0.5, 0.5], [0.5, 0.5]]),
-        "terminal": np.array([True, False]), "timeout": np.array([False, True]),
-    })
+    batch = id_batch(obs=obs, action=np.array([0, 0]), reward=np.array([1.0, 1.0]),
+                     next_obs=np.array([[0.5, 0.5], [0.5, 0.5]]),
+                     terminal=np.array([True, False]))
     cfg = AlgoConfig(family="conservative_q", gamma=0.9, cql_weight=0.0, lr=3e-3,
                      hidden_units=16, target_update_period=25)
     state = init_learner(cfg, 2, 2, seed=8)
@@ -217,8 +222,8 @@ def _trained_learner(family, steps=3):
     state = init_learner(cfg, 2, 3, seed=2)
     rng = np.random.default_rng(1)
     for _ in range(steps):
-        train_step(state, cfg, row_batch(ds, rng.integers(0, len(ds), 6)))
-    return cfg, state, row_batch(ds, rng.integers(0, len(ds), 6))
+        train_step(state, cfg, _dataset_batch(ds, rng.integers(0, len(ds), 6)))
+    return cfg, state, _dataset_batch(ds, rng.integers(0, len(ds), 6))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -244,7 +249,7 @@ def _softmax_rows(z):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_q_loss_uses_the_family_bootstrap_value(family):
     cfg, state, batch = _trained_learner(family)
-    nobs, act = batch["next_obs"], batch["action"]
+    (obs, nobs), act = _rows(batch), batch["action"]
     q_next = forward(state.targets["q"], nobs)
     next_value = {
         "expectile_awr": lambda: forward(state.nets["v"], nobs)[:, 0],
@@ -252,7 +257,7 @@ def test_q_loss_uses_the_family_bootstrap_value(family):
                                        * q_next).sum(axis=1),
     }.get(family, lambda: q_next.max(axis=1))()
     target = batch["reward"] + cfg.gamma * (1.0 - batch["terminal"]) * next_value
-    q_sa = forward(state.nets["q"], batch["obs"])[np.arange(len(act)), act]
+    q_sa = forward(state.nets["q"], obs)[np.arange(len(act)), act]
     assert 0 < batch["terminal"].sum() < len(act)
     losses = train_step(state, cfg, batch)
     assert losses["q_loss"] == pytest.approx(np.mean((q_sa - target) ** 2), rel=1e-12)
@@ -260,7 +265,7 @@ def test_q_loss_uses_the_family_bootstrap_value(family):
 
 def test_reported_cql_penalty_is_batch_mean_of_row_penalties():
     cfg, state, batch = _trained_learner("conservative_q")
-    q_all = forward(state.nets["q"], batch["obs"])
+    q_all = forward(state.nets["q"], _rows(batch)[0])
     rows = [cql_penalty(q_all[i], int(a)) for i, a in enumerate(batch["action"])]
     losses = train_step(state, cfg, batch)
     assert abs(losses["cql_penalty"] - np.mean(rows)) <= 1e-12
@@ -273,7 +278,7 @@ def _logsumexp(z):
 
 def _per_row_reference(state, cfg, batch):
     """The step's losses and gradients with every net run over all batch rows."""
-    obs, nobs, act = batch["obs"], batch["next_obs"], batch["action"]
+    (obs, nobs), act = _rows(batch), batch["action"]
     b = len(act)
     rows = np.arange(b)
     family, nets, q_target = state.family, state.nets, state.targets["q"]
@@ -341,9 +346,8 @@ def _n_distinct(x):
 def _all_states_batch(mdp, rng):
     """One row for each state of ``mdp``, walls included, each with a random action."""
     s, a = np.arange(mdp.n_states), rng.integers(0, mdp.n_actions, mdp.n_states)
-    return with_row_ids({"obs": mdp.obs_table, "action": a, "reward": mdp.reward[s, a],
-                         "next_obs": mdp.obs_table[mdp.next_state[s, a]],
-                         "terminal": mdp.terminal[s, a], "timeout": np.zeros(len(s), bool)})
+    return id_batch(obs=mdp.obs_table, action=a, reward=mdp.reward[s, a],
+                    next_obs=mdp.obs_table[mdp.next_state[s, a]], terminal=mdp.terminal[s, a])
 
 
 @pytest.mark.parametrize("freeze_head", [False, True])
@@ -357,9 +361,9 @@ def test_distinct_row_step_hands_adam_the_per_row_gradients(
     cfg, state, batch, rng = _preset_learner(family, preset_dataset, preset=preset)
     if rows == "all_distinct":
         batch = _all_states_batch(env_from_name(PRESETS[preset].mdp_name), rng)
-        assert _n_distinct(batch["obs"]) == len(batch["obs"]) == 100
+        assert _n_distinct(_rows(batch)[0]) == len(batch["obs_id"]) == 100
     else:
-        assert _n_distinct(batch["obs"]) < 64 and _n_distinct(batch["next_obs"]) < 64
+        assert all(_n_distinct(x) < 64 for x in _rows(batch))
     ref_losses, ref_grads = _per_row_reference(state, cfg, batch)
     names = {id(net): name for name, net in state.nets.items()}
     got = {}
@@ -384,7 +388,7 @@ def test_distinct_row_step_hands_adam_the_per_row_gradients(
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_net_runs_once_per_distinct_input_row(family, preset_dataset, monkeypatch):
     cfg, state, batch, _ = _preset_learner(family, preset_dataset, steps=0)
-    tables = [np.unique(batch[key], axis=0) for key in ("obs", "next_obs")]
+    tables = [np.unique(x, axis=0) for x in _rows(batch)]
     assert all(len(t) < 128 for t in tables)
     calls = {"forward": 0, "forward_cache": 0}
 
@@ -469,12 +473,11 @@ def test_state_id_tables_equal_the_void_unique_byte_for_byte(name, preset_datase
     batches = [ds.batch(rng.integers(0, len(ds), size)) for size in (1, 5, 128, 2048)]
     for size in (1, 5, 128, 2048):  # ids over every state, walls and unvisited states included
         ids = rng.integers(0, mdp.n_states, size).astype(ds.states[0].dtype)
-        batches.append({"obs": ranked[ids], "obs_id": ids,
-                        "next_obs": ranked[ids[::-1]], "next_obs_id": ids[::-1]})
+        batches.append({"states": ranked, "obs_id": ids, "next_obs_id": ids[::-1]})
     for batch in batches:
-        for key in ("obs", "next_obs"):
-            table, inverse = algos._state_table(batch[key], batch[f"{key}_id"])
-            want_table, want_inverse = distinct_rows(batch[key])
+        for key in ("obs_id", "next_obs_id"):
+            table, inverse = algos._state_table(batch["states"], batch[key])
+            want_table, want_inverse = distinct_rows(batch["states"][batch[key]])
             assert table.shape == want_table.shape and table.tobytes() == want_table.tobytes()
             assert inverse.dtype == want_inverse.dtype
             assert inverse.tobytes() == want_inverse.tobytes()

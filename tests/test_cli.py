@@ -539,6 +539,7 @@ def test_pbase_values_spelled_as_infinity_are_the_uniform_column(tmp_path):
     ("stats", "--bins", "0"),
     ("rebalance-preview", "--alpha", "-1"),
     ("rebalance-preview", "--p-base", "-0.5"),
+    ("rebalance-preview", "--p-base", "inf"),
     ("rebalance-preview", "--top-k", "-2"),
     ("compare", "--fraction", "0"),
     ("gen", "--n-trajectories", "0"),
@@ -854,6 +855,7 @@ BAD_CONFIG_VALUES = [
     ("algo.hidden_units=0", "config.algo: hidden_units must be >= 1"),
     ('algo.activation="sigmoid"', "config.algo: activation must be one of"),
     ("sampler.p_base=NaN", "config.sampler: p_base must be >= 0"),
+    ("sampler.p_base=Infinity", "config.sampler: p_base must be >= 0 and finite, got inf"),
     ("sampler.alpha=NaN", "config.sampler: alpha must be >= 0"),
     ("dataset.seed=-1", "config.dataset: seed must be >= 0"),
     ('dataset.preset="bogus"', "config.dataset: unknown preset 'bogus'"),

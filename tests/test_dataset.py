@@ -13,7 +13,7 @@ from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
                                  return_histogram, save_dataset)
 from red_offline import dataset as dataset_module
 from red_offline.cli import main
-from red_offline.envsuite import PRESETS, generate_dataset, preset_config
+from red_offline.envsuite import PRESETS, env_from_name, generate_dataset, preset_config
 from red_offline.io_envelope import read_envelope
 from conftest import make_dataset, write_record_value
 from oracles import dataset_equal
@@ -250,6 +250,23 @@ def test_batch_before_map_states_names_the_missing_step():
         ds.batch(np.arange(2))
 
 
+@pytest.mark.parametrize("size", [1, None])
+def test_a_batch_is_state_ids_into_the_shared_table(size):
+    ds = generate_dataset(preset_config("replay_analog", n_trajectories=40))
+    obs, next_obs = ds.obs, ds.next_obs  # the loaded rows, which map_states drops
+    mdp = env_from_name(ds.meta.env_name)
+    ds.map_states(mdp.obs_table, mdp.next_state)
+    idx = np.random.default_rng(4).integers(0, len(ds), size or len(ds))
+    batch = ds.batch(idx)
+    assert list(batch) == ["states", "obs_id", "next_obs_id", "action", "reward", "terminal"]
+    assert batch["states"] is ds.states[2]
+    assert np.array_equal(batch["obs_id"], ds.states[0][idx])
+    assert np.array_equal(batch["next_obs_id"], ds.states[1][batch["obs_id"], batch["action"]])
+    for key, rows in (("obs_id", obs), ("next_obs_id", next_obs)):
+        got = batch["states"][batch[key]]
+        assert got.dtype == rows.dtype and got.tobytes() == rows[idx].tobytes(), key
+
+
 def test_traj_bounds_are_a_read_only_n_by_2_table(tiny_dataset):
     meta = DatasetMeta(obs_dim=1, action={"discrete": 2}, env_name="x", seed=0)
     base = dict(obs=np.zeros((3, 1)), actions=np.zeros(3, dtype=int), rewards=np.zeros(3),
@@ -295,7 +312,7 @@ def test_returns_are_correctly_rounded_sums(preset_dataset):
     # every return is the correctly rounded sum of its rewards (math.fsum),
     # on the presets, on larger generated data and on rewards whose
     # magnitudes defeat an exact long-double sum (the fsum fallback)
-    from red_offline.envsuite import PRESETS, generate_dataset, preset_config
+    from red_offline.envsuite import PRESETS, env_from_name, generate_dataset, preset_config
     datasets = [preset_dataset(name) for name in PRESET_NAMES]
     datasets += [generate_dataset(preset_config("replay_analog", seed=seed, n_trajectories=2000))
                  for seed in (1, 3, 7, 11)]

@@ -26,7 +26,7 @@ from red_offline.harness import (ConfigError, DatasetSource, DeredConfig, EvalCo
 from red_offline.sampler import SamplerSpec, build_sampler
 
 from conftest import src_env
-from oracles import row_batch
+from oracles import id_batch
 
 
 def small_config(preset="replay_analog", **kw):
@@ -88,7 +88,7 @@ def test_config_rejects_unknown_keys_and_bad_types():
             ("algo.n_hidden_layers=-1", "and n_hidden_layers >= 0"),
             ('algo.activation="sigmoid"', "config.algo: activation must be one of"),
             ("sampler.alpha=NaN", "config.sampler: alpha must be >= 0, got nan"),
-            ("sampler.p_base=NaN", "config.sampler: p_base must be >= 0, got nan"),
+            ("sampler.p_base=NaN", "config.sampler: p_base must be >= 0 and finite, got nan"),
             ('dered={"backbone_lr_mult": NaN}', "config.dered: backbone_lr_mult must be >= 0"),
             ("dataset.seed=-1", "config.dataset: seed must be >= 0"),
             ("dataset.n_trajectories=0", "seed must be >= 0 and n_trajectories >= 1"),
@@ -600,12 +600,18 @@ def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
         assert got.dtype == want.dtype and got.shape == want.shape, field
         assert got.tobytes() == want.tobytes() and not got.flags.writeable, field
     idx = np.random.default_rng(3).integers(0, len(loaded), 1_000)
-    want, got = row_batch(loaded, idx), released.batch(idx)
+    want = id_batch(loaded.obs[idx], loaded.actions[idx], loaded.rewards[idx],
+                    loaded.next_obs[idx], loaded.terminals[idx])
+    got = released.batch(idx)
     assert set(got) == set(want)
-    for key in ("obs", "action", "reward", "next_obs", "terminal", "timeout"):
+    for key in ("action", "reward", "terminal"):
         assert got[key].dtype == want[key].dtype and got[key].tobytes() == want[key].tobytes(), key
-    for key in ("obs_id", "next_obs_id"):  # state ids rank the rows by bytes, as the oracle's do
-        assert np.array_equal(np.unique(got[key], return_inverse=True)[1], want[key]), key
+    for key, rows in (("obs_id", loaded.obs[idx]), ("next_obs_id", loaded.next_obs[idx])):
+        got_rows = got["states"][got[key]]
+        assert got_rows.dtype == rows.dtype and got_rows.tobytes() == rows.tobytes(), key
+    # state ids rank the rows by bytes, as the oracle's do
+    ids = [np.concatenate([batch["obs_id"], batch["next_obs_id"]]) for batch in (got, want)]
+    assert np.array_equal(np.unique(ids[0], return_inverse=True)[1], ids[1])
     assert checksum == dataset_checksum(released) == dataset_checksum(loaded)
     save_dataset(loaded, tmp_path / "loaded.ords")
     save_dataset(released, tmp_path / "released.ords")
