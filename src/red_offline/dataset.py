@@ -52,19 +52,19 @@ class OfflineDataset:
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
     Every observation and reward is finite, and so is the rewards' span.
-    ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)`` and drops the
-    loaded obs and next_obs: a :meth:`batch` is ids into that table, and ``obs`` and
-    ``next_obs`` gather their rows from it from then on.
+    ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)`` and sets
+    ``obs`` and ``next_obs`` to None: a mapped dataset holds no rows, only ids into that
+    table, and a :meth:`batch` is those ids.
     Transition inputs already C-contiguous and of that dtype are shared, not copied: they stay
-    writable, and writing them changes the dataset, but not the rows gathered from its table.
+    writable, and writing them changes the dataset.
     """
 
     def __init__(self, obs, actions, rewards, next_obs, terminals, timeouts,
                  traj_bounds, meta: DatasetMeta):
-        self._obs = np.ascontiguousarray(obs, dtype=np.float64).view()
+        self.obs = np.ascontiguousarray(obs, dtype=np.float64).view()
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).view()
         self.rewards = np.ascontiguousarray(rewards, dtype=np.float64).view()
-        self._next_obs = np.ascontiguousarray(next_obs, dtype=np.float64).view()
+        self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64).view()
         self.terminals = np.ascontiguousarray(terminals, dtype=bool).view()
         self.timeouts = np.ascontiguousarray(timeouts, dtype=bool).view()
         try:  # ragged rows fail here; [] is the empty (0, 2) table
@@ -137,8 +137,8 @@ class OfflineDataset:
         its row in ``obs_table`` sorted by bytes, as ``np.unique`` sorts void rows.
         Ids come from walking ``next_state`` from each trajectory's first row, and
         each obs and next_obs must have the bytes of its walked state: otherwise a
-        DatasetError names the first transition that does not. Then the loaded rows
-        are dropped; ``obs`` and ``next_obs`` read the same bytes from the table."""
+        DatasetError names the first transition that does not. Then the rows are
+        dropped: ``obs`` and ``next_obs`` become None."""
         void = np.dtype((np.void, 8 * self.meta.obs_dim))
         order = np.argsort(obs_table.view(void).ravel())
         states = obs_table[order]
@@ -167,20 +167,10 @@ class OfflineDataset:
                          f"{states[want[f][k]].tolist()}, where transition {i - 1 + f} leads")
                 raise DatasetError(f"transition {i}: {('obs', 'next_obs')[f]} "
                                    f"{rows[f][i].tolist()} is not {where}")
-        ids.setflags(write=False)
-        states.setflags(write=False)
+        for a in (ids, next_id, states):
+            a.setflags(write=False)
         self.states = ids, next_id, states
-        self._obs = self._next_obs = None
-
-    def _rows(self, rows, next_step: bool) -> np.ndarray:
-        if rows is None:
-            ids, next_id, table = self.states
-            rows = table.take(next_id[ids, self.actions] if next_step else ids, axis=0)
-            rows.setflags(write=False)
-        return rows
-
-    obs = property(lambda self: self._rows(self._obs, False))
-    next_obs = property(lambda self: self._rows(self._next_obs, True))
+        self.obs = self.next_obs = None
 
     def __len__(self) -> int:
         return len(self.rewards)
@@ -289,7 +279,9 @@ def _record_dtype(meta: DatasetMeta) -> np.dtype:
 
 
 def save_dataset(ds: OfflineDataset, path) -> None:
-    """Write a dataset as a versioned binary file, one block of records at a time."""
+    """Write an unmapped dataset as a versioned binary file, one block of records at a time."""
+    if ds.states is not None:
+        raise DatasetError("a mapped dataset holds no rows to save: save it before map_states")
     meta = ds.meta
     header = {
         "obs_dim": meta.obs_dim,

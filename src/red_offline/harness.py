@@ -12,7 +12,7 @@ random) against the environment's reference policies, and aggregates are the
 mean over the final K evaluations, then over seeds.
 
 Each experiment runs one static phase, :func:`prepare_dataset`: it loads,
-hashes and maps its dataset once, and the map drops the float rows. Each
+maps and hashes its dataset once, and the map drops the float rows. Each
 sampler arm builds its table once and its seeds share it, each seed one
 :func:`train_single_seed` job. A two-stage run is two arm passes: stage one
 for every seed, then stage two for every seed. With ``jobs > 1`` each arm or
@@ -228,13 +228,13 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 def prepare_dataset(source: DatasetSource):
     """The static phase of an experiment: (dataset, trajectory returns, environment,
-    checksum, timing.json's ``prepare``). It hashes the loaded rows, runs the returns
-    phase and maps the rows to state ids, which drops them: ``obs`` and ``next_obs``
-    then read the same bytes from the state table.
+    checksum, timing.json's ``prepare``). It runs the returns phase, checks that the
+    dataset fits its environment, maps the rows to state ids, which drops them, and
+    hashes the mapped dataset (:func:`dataset_checksum`).
 
-    Raises DatasetError when the dataset names an unknown environment, its
-    obs_dim or action space differ from the environment's, or its rows do not
-    walk the environment's states (:meth:`OfflineDataset.map_states`).
+    Raises DatasetError, and hashes nothing, when the dataset names an unknown
+    environment, its obs_dim or action space differ from the environment's, or its
+    rows do not walk the environment's states (:meth:`OfflineDataset.map_states`).
     """
     if source.path is not None:
         ds = load_dataset(source.path)
@@ -242,11 +242,9 @@ def prepare_dataset(source: DatasetSource):
         ds = generate_dataset(preset_config(source.preset, seed=source.seed,
                                             n_trajectories=source.n_trajectories))
     t0 = time.perf_counter()
-    checksum = dataset_checksum(ds)
-    t1 = time.perf_counter()
     try:
         tr = compute_trajectory_returns(ds)
-        timing = {"checksum_s": t1 - t0, "returns_s": time.perf_counter() - t1}
+        t1 = time.perf_counter()
         mdp = env_from_name(ds.meta.env_name)
         fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
         if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
@@ -255,18 +253,20 @@ def prepare_dataset(source: DatasetSource):
         ds.map_states(mdp.obs_table, mdp.next_state)
     except ValueError as exc:  # DatasetError included
         raise DatasetError(f"{source.label}: {exc}") from exc
-    return ds, tr, mdp, checksum, timing
+    t2 = time.perf_counter()
+    checksum = dataset_checksum(ds)
+    return ds, tr, mdp, checksum, {"checksum_s": time.perf_counter() - t2, "returns_s": t1 - t0}
 
 
 def dataset_checksum(ds: OfflineDataset) -> str:
+    """blake2b-128 of what a mapped dataset holds: the raw bytes of its state ids,
+    next-id table and state table, actions, rewards, terminals, timeouts and
+    trajectory bounds, then its meta as sorted-key JSON."""
+    if ds.states is None:
+        raise DatasetError("no state ids to hash: call map_states (or prepare_dataset) first")
     h = hashlib.blake2b(digest_size=16)
-    for arr in (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts):
-        h.update(np.ascontiguousarray(arr))
-    bounds = ds.traj_bounds  # json.dumps(bounds.tolist()) in 4,096-row pieces: no N-row list
-    h.update(b"[")
-    for i in range(0, len(bounds), 4096):
-        h.update(((", " if i else "") + json.dumps(bounds[i:i + 4096].tolist())[1:-1]).encode())
-    h.update(b"]")
+    for arr in (*ds.states, ds.actions, ds.rewards, ds.terminals, ds.timeouts, ds.traj_bounds):
+        h.update(arr)
     h.update(json.dumps(dataclasses.asdict(ds.meta), sort_keys=True).encode())
     return h.hexdigest()
 
@@ -316,8 +316,7 @@ def train_single_seed(shared, seed: int) -> tuple:
                          backbone_mult=cfg.dered.backbone_lr_mult if resume else 1.0)
     if nets is not None:
         for name, net in nets.items():
-            if name in state.nets:
-                state.nets[name].copy_from(net)
+            state.nets[name].copy_from(net)
         state.targets["q"].copy_from(state.nets["q"])
 
     eval_points = set(_eval_points(steps, cfg.eval.eval_every))

@@ -1,9 +1,9 @@
 """Tiny float64 MLPs with manual backprop and a grouped Adam optimizer.
 
-Each network keeps its parameters in one buffer, ``W0, b0, W1, b1, ...``, with
-an explicit backbone/head split (by default the final linear layer is the head,
-the buffer's suffix) so two-stage finetuning can freeze heads bitwise and scale
-the backbone learning rate. Everything is float64 and purely numpy, which
+Each network keeps its parameters in one buffer, ``W0, b0, W1, b1, ...``; the
+final linear layer is the head, the buffer's suffix, and the layers below it
+the backbone, so two-stage finetuning can freeze heads bitwise and scale the
+backbone learning rate. Everything is float64 and purely numpy, which
 keeps runs bitwise reproducible for a fixed seed and batch stream.
 """
 
@@ -43,28 +43,23 @@ class Mlp:
     """Stack of linear layers with relu/tanh on hidden layers, identity output.
 
     Built from ``layer_sizes`` and a copy of their flat ``params`` buffer;
-    ``weights`` and ``biases`` are views into it. ``split_point`` is the index
-    of the first head layer; layers below it are the backbone, and the head is
-    ``params[head_start:]``. ``version`` increments on every parameter update
-    and is used to detect stale caches.
+    ``weights`` and ``biases`` are views into it. The last layer is the head,
+    ``params[head_start:]``, and the layers below it are the backbone.
+    ``version`` increments on every parameter update and is used to detect
+    stale caches.
     """
 
-    def __init__(self, layer_sizes, params, activation: str, split_point: int | None = None,
-                 init_seed: int = 0):
+    def __init__(self, layer_sizes, params, activation: str, init_seed: int = 0):
         if activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         size = _n_params(layer_sizes)
-        n = len(layer_sizes) - 1
-        self.split_point = n - 1 if split_point is None else int(split_point)
-        if not (self.split_point == 0 if n == 1 else 0 < self.split_point < n):
-            raise ValueError(f"split_point {split_point} out of range for {n} layers")
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.params = np.array(params, dtype=np.float64)
         if self.params.shape != (size,):
             raise ValueError(f"params has shape {self.params.shape}, but layer_sizes "
                              f"{self.layer_sizes} need ({size},)")
         self.weights, self.biases = _split(self.params, self.layer_sizes)
-        self.head_start = size - _n_params(self.layer_sizes[self.split_point:])
+        self.head_start = size - _n_params(self.layer_sizes[-2:])
         self.activation = activation
         self.init_seed = int(init_seed)
         self.version = 0
@@ -82,7 +77,7 @@ class Mlp:
         return self.params[self.head_start:].copy()
 
     def copy(self) -> "Mlp":
-        return Mlp(self.layer_sizes, self.params, self.activation, self.split_point, self.init_seed)
+        return Mlp(self.layer_sizes, self.params, self.activation, self.init_seed)
 
     def __setstate__(self, state):
         """After a pickle round trip or a deep copy, view the new ``params`` again."""
@@ -95,15 +90,13 @@ class Mlp:
         self.version += 1
 
 
-def init_mlp(layer_sizes, activation: str = "relu", seed: int = 0,
-             split_point: int | None = None) -> Mlp:
+def init_mlp(layer_sizes, activation: str = "relu", seed: int = 0) -> Mlp:
     """Uniform fan-in initialization: W, b ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)),
     drawn layer by layer in buffer order, so each W before its b."""
     rng = np.random.default_rng(seed)
     draws = [rng.uniform(-1.0 / np.sqrt(d_in), 1.0 / np.sqrt(d_in), size=(d_in + 1) * d_out)
              for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:])]
-    return Mlp(layer_sizes, np.concatenate(draws or [[]]), activation, split_point,
-               init_seed=seed)
+    return Mlp(layer_sizes, np.concatenate(draws or [[]]), activation, init_seed=seed)
 
 
 def forward(net: Mlp, x: np.ndarray) -> np.ndarray:
@@ -223,7 +216,7 @@ def save_checkpoint(path, nets: dict) -> None:
     order = sorted(nets)
     header_nets = {name: {"layer_sizes": nets[name].layer_sizes,
                           "activation": nets[name].activation,
-                          "split_point": nets[name].split_point,
+                          "split_point": nets[name].n_layers - 1,
                           "seed": nets[name].init_seed} for name in order}
     # "extra" is unused; an empty one keeps the file bytes of earlier versions
     header = {"nets": header_nets, "order": order, "extra": {}}
@@ -248,8 +241,10 @@ def load_checkpoint(path):
             spec = specs[name]
             end = offset + 8 * _n_params(spec["layer_sizes"])
             nets[name] = Mlp(spec["layer_sizes"], np.frombuffer(payload[offset:end], "<f8"),
-                             spec["activation"], int(spec["split_point"]),
-                             init_seed=int(spec.get("seed", 0)))
+                             spec["activation"], init_seed=int(spec.get("seed", 0)))
+            if int(spec["split_point"]) != nets[name].n_layers - 1:
+                raise ValueError(f"split_point {spec['split_point']} is not the last layer, "
+                                 f"{nets[name].n_layers - 1}")
         except (KeyError, TypeError, ValueError) as exc:
             raise EnvelopeError(f"{path}: net {name!r}: {exc}") from exc
         offset = end

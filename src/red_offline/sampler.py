@@ -139,14 +139,12 @@ class WeightedSampler:
         self.probs = probs if probs.flags.owndata and not probs.flags.writeable else probs.copy()
         for a in (self.probs, self.order, self._starts, self._sizes, self._cdf):
             a.setflags(write=False)
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(int(seed))
 
     def with_seed(self, seed: int) -> "WeightedSampler":
         """A sampler over the same table with a fresh generator seeded ``seed``."""
         other = copy.copy(self)
-        other.seed = int(seed)
-        other._rng = np.random.default_rng(other.seed)
+        other._rng = np.random.default_rng(int(seed))
         return other
 
     def __len__(self) -> int:

@@ -318,7 +318,8 @@ def test_c07_dp_oracle_convergence():
         return np.array([int(np.argmin(np.linalg.norm(mdp.obs_table - o, axis=1)))
                          for o in obs])
 
-    s_ids, ns_ids = state_id(ds.obs), state_id(ds.next_obs)
+    ids, next_id, table = ds.states  # the rows, gathered from the state table by id
+    s_ids, ns_ids = state_id(table[ids]), state_id(table[next_id[ids, ds.actions]])
     gamma = 0.9
     n_s, n_a = mdp.n_states, mdp.n_actions
     r_bar = np.zeros((n_s, n_a))

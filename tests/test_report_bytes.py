@@ -6,7 +6,10 @@ preset config, and the sha256 of every file they write except
 ``report_digests.json``. Those were recorded under one numpy version and one
 OpenBLAS build and core; BLAS kernels round differently on other CPUs, so
 anywhere else the test skips and says why. After a change that is meant to
-move report bytes, re-record with ``PYTHONPATH=src python tests/test_report_bytes.py``.
+move report bytes, re-record with ``PYTHONPATH=src python tests/test_report_bytes.py``:
+it rewrites ``report_digests.json`` and prints, one a line, each bundle file
+whose digest differs from the file it replaced, with ``changed``, ``new`` or
+``gone``.
 """
 
 import glob
@@ -71,6 +74,20 @@ def bundle_digests(work: Path) -> dict:
     return digests
 
 
+def digest_changes(old: dict, new: dict) -> list:
+    """``"run/file: changed"`` (or ``new``, ``gone``) for each file whose digest differs."""
+    return [f"{name}: {'new' if name not in old else 'gone' if name not in new else 'changed'}"
+            for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
+def test_digest_changes_name_every_file_that_differs():
+    old = {"a/report.json": "1", "a/x.csv": "2", "b/gone.csv": "3"}
+    new = {"a/report.json": "9", "a/x.csv": "2", "c/new.csv": "4"}
+    assert digest_changes(old, new) == ["a/report.json: changed", "b/gone.csv: gone",
+                                        "c/new.csv: new"]
+    assert digest_changes(new, new) == []
+
+
 def test_bundles_keep_their_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("RED_OFFLINE_ROOT_SEED", raising=False)
     pinned = json.loads(DIGESTS.read_text())
@@ -85,11 +102,17 @@ def test_bundles_keep_their_bytes(tmp_path, monkeypatch, capsys):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
     pin_blas_threads()
     os.environ.pop("RED_OFFLINE_ROOT_SEED", None)
-    with tempfile.TemporaryDirectory() as work:
+    old = json.loads(DIGESTS.read_text())["sha256"] if DIGESTS.exists() else {}
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
         digests = bundle_digests(Path(work))
     DIGESTS.write_text(json.dumps({"environment": environment(), "sha256": digests},
                                   indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests -> {DIGESTS}", file=sys.stderr)
+    changes = digest_changes(old, digests)
+    print(f"wrote {len(digests)} digests -> {DIGESTS}; {len(changes)} differ from the "
+          "file it replaced:", file=sys.stderr)
+    print("\n".join(changes))
