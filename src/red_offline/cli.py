@@ -8,6 +8,7 @@ config root seed for every experiment subcommand.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -22,12 +23,11 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from . import harness
-from .dataset import (compute_trajectory_returns, histogram_csv, load_dataset,
+from .dataset import (BLOCK_RECORDS, compute_trajectory_returns, load_dataset,
                       normalized_return, return_histogram, save_dataset, DatasetError)
 from .envsuite import PRESETS, generate_dataset, preset_config
-from .harness import (ConfigError, apply_overrides, config_from_dict, curves_csv,
-                      dump_json, losses_csv)
-from .sampler import SamplerSpec, build_sampler, distribution_csv
+from .harness import ConfigError, apply_overrides, config_from_dict
+from .sampler import SamplerSpec, build_sampler
 
 ROOT_SEED_ENV = "RED_OFFLINE_ROOT_SEED"
 
@@ -80,6 +80,17 @@ def _write(path, text):
         f.writelines([text] if isinstance(text, str) else text)
 
 
+def _csv(header, rows) -> str:
+    """CSV text: the header, then each row's values joined by commas, each as
+    ``str`` gives it (a Python float's ``str`` is its ``repr``: it round-trips)."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+
+
+def dump_json(payload: dict) -> str:
+    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def cmd_gen(args) -> int:
     try:
         cfg = preset_config(args.preset, seed=args.seed, n_trajectories=args.n_trajectories)
@@ -105,8 +116,10 @@ def _load_with_returns(path):
 def cmd_stats(args) -> int:
     ds, tr = _load_with_returns(args.dataset)
     hist = return_histogram(tr, args.bins)
+    edges = hist["bin_edges"].tolist()
+    rows = list(zip(edges, edges[1:], hist["counts"].tolist()))
     out = args.out or args.dataset + ".hist.csv"
-    _write(out, histogram_csv(hist))
+    _write(out, _csv(["bin_lo", "bin_hi", "count"], rows))
     r = tr.returns
     mean, median = float(r.mean()), float(np.median(r))
     print(f"dataset {args.dataset}: N={len(ds)} trajectories={ds.n_trajectories} "
@@ -114,9 +127,9 @@ def cmd_stats(args) -> int:
     print(f"returns: mean={mean:.4f} median={median:.4f} min={tr.r_min:.4f} max={tr.r_max:.4f}")
     if median < mean:
         print("shape: right-skewed (median < mean)")
-    print(f"histogram ({len(hist['counts'])} bins) -> {out}")
-    for i, c in enumerate(hist["counts"]):
-        print(f"  [{hist['bin_edges'][i]:.3f}, {hist['bin_edges'][i + 1]:.3f}): {int(c)}")
+    print(f"histogram ({len(rows)} bins) -> {out}")
+    for lo, hi, c in rows:
+        print(f"  [{lo:.3f}, {hi:.3f}): {c}")
     return EXIT_OK
 
 
@@ -141,7 +154,12 @@ def cmd_rebalance_preview(args) -> int:
     print(f"zero-mass fraction: {zero_frac:.4f}")
     print(f"max deviation from uniform: {max_dev:.3e}")
     if args.out:
-        _write(args.out, distribution_csv(probs, np.repeat(weights, tr.lengths)))
+        # one block of rows at a time: at 2.5M rows the whole text is about 110 MB
+        repeated = np.repeat(weights, tr.lengths)
+        blocks = (zip(range(s, n), repeated[s:s + BLOCK_RECORDS].tolist(),
+                      probs[s:s + BLOCK_RECORDS].tolist()) for s in range(0, n, BLOCK_RECORDS))
+        _write(args.out, itertools.chain(["index,weight,probability\n"], (
+            "".join(f"{i},{w!r},{p!r}\n" for i, w, p in rows) for rows in blocks)))
         print(f"distribution -> {args.out}")
     return EXIT_OK
 
@@ -167,9 +185,14 @@ def _write_bundle(out_dir, payload, timing, losses, jobs) -> int:
     aborted = []
     for name, block in _blocks(payload):
         label, rows = ("", losses) if name is None else (f"_{name}", losses[name])
-        _write(os.path.join(out_dir, f"curves{label}.csv"), curves_csv(block["per_seed"]))
+        _write(os.path.join(out_dir, f"curves{label}.csv"), _csv(
+            ["seed", "step", "raw_return", "normalized"],
+            ([e["seed"], *point] for e in block["per_seed"]
+             for point in zip(e["eval_steps"], e["eval_returns"], e["eval_normalized"]))))
         for seed, seed_rows in rows.items():
-            _write(os.path.join(out_dir, f"losses{label}_seed{seed}.csv"), losses_csv(seed_rows))
+            keys = sorted(seed_rows[0][1]) if seed_rows else []
+            _write(os.path.join(out_dir, f"losses{label}_seed{seed}.csv"), _csv(
+                ["step", *keys], ([step, *(row[k] for k in keys)] for step, row in seed_rows)))
         seeds = block["aggregate"]["aborted_seeds"]
         if seeds:
             aborted.append(f"{seeds}" if name is None else f"{name} {seeds}")
@@ -222,8 +245,7 @@ def _finish_arms(args, run, key, csv_name, title) -> int:
     table = run[0]
     labels = table[key]
     _write(os.path.join(args.out, f"{csv_name}.csv"),
-           ",".join(["task"] + labels) + "\n"
-           + ",".join([table["task"]] + [repr(table["scores"][a]) for a in labels]) + "\n")
+           _csv(["task", *labels], [[table["task"], *(table["scores"][a] for a in labels)]]))
     print(f"{title}:", {a: table["scores"][a] for a in labels})
     return _write_bundle(args.out, *run, args.jobs)
 
@@ -242,20 +264,6 @@ def cmd_compare(args) -> int:
     return _finish_arms(args, run, "arms", "compare", "rebalance comparison")
 
 
-def _run_label(payload) -> str:
-    cfg = payload["config"]
-    family = cfg["algo"]["family"]
-    if payload.get("kind") == "two_stage":
-        return f"{family}+two_stage"
-    return f"{family}+{cfg['sampler']['mode']}"
-
-
-def _run_score(payload):
-    if payload.get("kind") == "two_stage":
-        return payload["stage2"]["aggregate"]["mean_normalized"]
-    return payload["aggregate"]["mean_normalized"]
-
-
 def cmd_report(args) -> int:
     cells = {}   # (task, label) -> score
     labels, tasks = [], []
@@ -272,7 +280,11 @@ def cmd_report(args) -> int:
         if kind not in ("experiment", "two_stage"):
             raise SystemExit_(EXIT_CONFIG, f"{path}: not a run report: kind {kind!r}")
         try:
-            label, task, score = _run_label(payload), payload["task"], _run_score(payload)
+            # the label is family+mode, or family+two_stage; a two-stage run scores stage two
+            cfg, two = payload["config"], kind == "two_stage"
+            label = f"{cfg['algo']['family']}+{'two_stage' if two else cfg['sampler']['mode']}"
+            task = payload["task"]
+            score = (payload["stage2"] if two else payload)["aggregate"]["mean_normalized"]
             if type(task) is not str or not (score is None or type(score) in (int, float)):
                 raise TypeError(f"task {task!r} must be a string and score {score!r} a number "
                                 "or null")
@@ -291,26 +303,17 @@ def cmd_report(args) -> int:
         raise SystemExit_(EXIT_CONFIG,
                           "runs do not align into a table; missing task/arm cells: "
                           + ", ".join(f"{t}/{l}" for t, l in missing))
-    csv_lines = ["task," + ",".join(labels)]
-    text_lines = []
-    for t in tasks:
-        row_scores = {l: cells[(t, l)] for l in labels}
-        valid = {l: s for l, s in row_scores.items() if s is not None}
-        best = max(valid.values()) if valid else None
-        csv_lines.append(t + "," + ",".join(repr(row_scores[l]) for l in labels))
-        rendered = []
-        for l in labels:
-            s = row_scores[l]
-            mark = "*" if best is not None and s == best else " "
-            rendered.append(f"{l}={s}{mark}" if s is not None else f"{l}=aborted")
-        text_lines.append(f"{t}: " + "  ".join(rendered))
-    csv_text = "\n".join(csv_lines) + "\n"
-    table_text = "\n".join(text_lines) + "\n"
+    rows = [[t, *(cells[(t, l)] for l in labels)] for t in tasks]
+    csv_text = _csv(["task", *labels], rows)
     if args.out:
         _write(args.out, csv_text)
         print(f"merged table -> {args.out}")
     print(csv_text, end="")
-    print(table_text, end="")
+    for t, *scores in rows:  # each task's best score starred
+        best = max((s for s in scores if s is not None), default=None)
+        text = (f"{l}=aborted" if s is None else f"{l}={s}{'*' if s == best else ' '}"
+                for l, s in zip(labels, scores))
+        print(f"{t}: " + "  ".join(text))
     return EXIT_OK
 
 

@@ -25,6 +25,13 @@ class DatasetError(ValueError):
     """Dataset construction or file-format violation."""
 
 
+def _first_off(values: np.ndarray, lo: float, hi: float) -> int:
+    """Index of the first of ``values`` that is not an integer in [lo, hi), or -1; NaN is
+    off too, and nothing is cast, so numpy warns of nothing."""
+    off = np.flatnonzero((values < lo) | (values >= hi) | (values != np.rint(values)))
+    return off[0] if off.size else -1
+
+
 @dataclass(frozen=True)
 class DatasetMeta:
     obs_dim: int
@@ -51,7 +58,9 @@ class OfflineDataset:
     Arrays are float64 (observations, rewards), actions int64 in
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
-    Every observation and reward is finite, and so is the rewards' span.
+    Every observation and reward is finite, and so is the rewards' span. Actions and flags
+    of a dtype that is not integer or bool must hold integers in ``[0, n_actions)`` and
+    0 or 1, or a DatasetError names the first transition that does not (a cast truncates).
     ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)`` and sets
     ``obs`` and ``next_obs`` to None: a mapped dataset holds no rows, only ids into that
     table, and a :meth:`batch` is those ids.
@@ -61,6 +70,13 @@ class OfflineDataset:
 
     def __init__(self, obs, actions, rewards, next_obs, terminals, timeouts,
                  traj_bounds, meta: DatasetMeta):
+        for name, values, hi in (("action", actions, meta.discrete_actions),
+                                 ("terminal", terminals, 2), ("timeout", timeouts, 2)):
+            values = np.asarray(values)  # the casts below would truncate what this refuses
+            k = -1 if values.dtype.kind in "biu" else _first_off(values, 0, hi)
+            if k >= 0:
+                raise DatasetError(f"transition {k}: {name} {values.flat[k]} "
+                                   f"is not in range({hi})")
         self.obs = np.ascontiguousarray(obs, dtype=np.float64).view()
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).view()
         self.rewards = np.ascontiguousarray(rewards, dtype=np.float64).view()
@@ -259,14 +275,6 @@ def return_histogram(tr: TrajectoryReturns, bins: int) -> dict:
     return {"bin_edges": edges, "counts": counts}
 
 
-def histogram_csv(hist: dict) -> str:
-    lines = ["bin_lo,bin_hi,count"]
-    edges, counts = hist["bin_edges"], hist["counts"]
-    for i, c in enumerate(counts):
-        lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-    return "\n".join(lines) + "\n"
-
-
 def _record_dtype(meta: DatasetMeta) -> np.dtype:
     return np.dtype([
         ("obs", "<f8", (meta.obs_dim,)),
@@ -335,26 +343,30 @@ def load_dataset(path) -> OfflineDataset:
                 f"{path}: payload has {size} bytes, expected {expected}; "
                 f"transitions block ends inside record {min(size // dtype.itemsize, n)}")
         # the dataset's own arrays, in record and constructor order
-        kinds = (np.float64, np.int64, np.float64, np.float64, bool, bool)
+        kinds = (np.float64, np.int64, np.float64, np.float64, np.uint8, np.uint8)  # flag bytes
         arrays = [np.empty((n, *dtype[name].shape), kind) for name, kind in zip(dtype.names, kinds)]
         block, got = np.empty(min(n, BLOCK_RECORDS), dtype=dtype), 0
         for start in range(0, n, BLOCK_RECORDS):
             rec = block[:n - start]
             got += f.readinto(rec)
             a = rec["action"]
-            fits = (a >= -2.0**63) & (a < 2.0**63)  # int64's range; NaN and inf fail it
-            bad = np.flatnonzero(~fits | (a != np.rint(a)))
-            if bad.size:
-                v = a[bad[0]]
-                kind = "non-integer" if v != np.rint(v) else "non-int64"
-                raise DatasetError(f"{path}: record {start + bad[0]}: {kind} discrete action {v}")
+            k = _first_off(a, -2.0**63, 2.0**63)  # int64's range
+            if k >= 0:
+                kind = "non-integer" if a[k] != np.rint(a[k]) else "non-int64"
+                raise DatasetError(f"{path}: record {start + k}: {kind} discrete action {a[k]}")
             for name, out in zip(dtype.names, arrays):  # an integral action casts exactly
                 out[start:start + len(rec)] = rec[name]
+            for name, flags in zip(dtype.names[4:], arrays[4:]):  # then viewed as bool
+                flags = flags[start:start + len(rec)]
+                if flags.max(initial=0) > 1:
+                    k = np.argmax(flags > 1)
+                    raise DatasetError(f"{path}: record {start + k}: {name} byte {flags[k]} "
+                                       "is not 0 or 1")
         bounds = np.empty((n_traj, 2), "<u8")
         if got + f.readinto(bounds) != size:
             raise DatasetError(f"{path}: file shrank while being read")
     try:
-        return OfflineDataset(*arrays, bounds, meta)
+        return OfflineDataset(*arrays[:4], *(a.view(bool) for a in arrays[4:]), bounds, meta)
     except DatasetError as exc:
         raise DatasetError(f"{path}: {exc}") from exc
 

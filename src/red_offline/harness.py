@@ -587,29 +587,3 @@ def compare_rebalance_methods(cfg: ExperimentConfig, jobs: int = 1):
     table, timing, losses = _arms_table("rebalance_compare", cfg, "arms", runs, prepared)
     return {**table, "dataset_checksum": prepared[3]}, timing, losses
 
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-def dump_json(payload: dict) -> str:
-    """Canonical JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def curves_csv(per_seed: list) -> str:
-    lines = ["seed,step,raw_return,normalized"]
-    for entry in per_seed:
-        for step, raw, norm in zip(entry["eval_steps"], entry["eval_returns"],
-                                   entry["eval_normalized"]):
-            lines.append(f"{entry['seed']},{step},{raw!r},{norm!r}")
-    return "\n".join(lines) + "\n"
-
-
-def losses_csv(losses: list) -> str:
-    if not losses:
-        return "step\n"
-    keys = sorted(losses[0][1])
-    lines = ["step," + ",".join(keys)]
-    for step, row in losses:
-        lines.append(f"{step}," + ",".join(repr(row.get(k, float('nan'))) for k in keys))
-    return "\n".join(lines) + "\n"

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (BLOCK_RECORDS, OfflineDataset, TrajectoryReturns, minmax_weights,
-                      normalized_return)
+from .dataset import OfflineDataset, TrajectoryReturns, minmax_weights, normalized_return
 
 MODES = ("uniform", "return_resample", "reward_resample", "top_fraction")
 
@@ -188,13 +187,3 @@ def _lengths(ds: OfflineDataset, tr: TrajectoryReturns) -> np.ndarray:
     if not np.array_equal(tr.lengths, np.diff(ds.traj_bounds).ravel()):
         raise ValueError("trajectory returns are inconsistent with the dataset")
     return tr.lengths
-
-
-def distribution_csv(probs: np.ndarray, weights: np.ndarray):
-    """CSV export of a probability vector: index, weight, probability. Yields
-    the header, then the rows ``BLOCK_RECORDS`` at a time."""
-    yield "index,weight,probability\n"
-    for start in range(0, len(probs), BLOCK_RECORDS):
-        block = slice(start, start + BLOCK_RECORDS)
-        rows = zip(range(start, len(probs)), weights[block].tolist(), probs[block].tolist())
-        yield "".join(f"{i},{w!r},{p!r}\n" for i, w, p in rows)

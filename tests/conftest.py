@@ -1,5 +1,4 @@
 import os
-import struct
 import threading
 
 import numpy as np
@@ -93,15 +92,17 @@ def tiny_dataset():
 
 
 def write_record_value(path, record, field, value, col=0):
-    """Overwrite one float64 of an ``.ords`` file in place: column ``col`` of
-    ``field`` ("obs", "action", "reward" or "next_obs") in record ``record``.
-    The dataset constructor refuses non-finite values, so tests that need a
-    file holding one write it into the record bytes."""
+    """Overwrite one value of an ``.ords`` file in place: column ``col`` of
+    ``field`` ("obs", "action", "reward", "next_obs", or the flag bytes
+    "terminal" and "timeout") in record ``record``. The dataset constructor
+    refuses non-finite values and flags other than 0 and 1, so tests that need
+    a file holding one write it into the record bytes."""
     with open(path, "rb") as f:
         _, header, _ = read_envelope(f, ORDS_MAGIC, ORDS_VERSION)
         payload = bytearray(f.read())
     meta = DatasetMeta(header["obs_dim"], header["action"], header["env_name"], header["seed"])
     dtype = dataset_module._record_dtype(meta)
-    struct.pack_into("<d", payload, record * dtype.itemsize + dtype.fields[field][1] + 8 * col,
-                     value)
+    kind = dtype[field].base
+    at = record * dtype.itemsize + dtype.fields[field][1] + kind.itemsize * col
+    payload[at:at + kind.itemsize] = np.array(value, kind).tobytes()
     write_envelope(path, ORDS_MAGIC, ORDS_VERSION, header, [payload])

@@ -153,6 +153,26 @@ def test_rebalance_preview_out_columns_match_sampler(tmp_path, capsys):
     assert column(2).tobytes() == sampler.probs.tobytes()
 
 
+def test_rebalance_preview_out_streams_one_block_at_a_time(tmp_path, capsys, monkeypatch):
+    # at 2,496,000 rows the CSV is about 110 MB of text, so it must never be whole in memory
+    from red_offline import cli
+    from red_offline.dataset import BLOCK_RECORDS
+    path = tmp_path / "replay.ords"
+    main(["gen", "--preset", "replay_analog", "--n-trajectories", "3400", "--out", str(path)])
+    n = len(load_dataset(path))
+    assert n > 2 * BLOCK_RECORDS and n % BLOCK_RECORDS
+    lines = []
+
+    def write(out, text):
+        assert iter(text) is text  # a stream, not a list or one string
+        lines.extend(chunk.count("\n") for chunk in text)
+
+    monkeypatch.setattr(cli, "_write", write)
+    argv = ["rebalance-preview", "--dataset", str(path), "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 0
+    assert lines == [1] + [min(BLOCK_RECORDS, n - s) for s in range(0, n, BLOCK_RECORDS)]
+
+
 def _refit_ords(src, dst, header=None, action0=None):
     """Copy an .ords file with header fields replaced and record 0's action set."""
     from red_offline.dataset import ORDS_MAGIC, ORDS_VERSION

@@ -561,6 +561,50 @@ def test_non_integer_action_in_a_later_block_names_its_record(tmp_path, monkeypa
         load_dataset(path)
 
 
+@pytest.mark.parametrize("field,record", [("terminal", BLOCK + 6), ("timeout", BLOCK + 3)])
+def test_flag_byte_other_than_0_or_1_names_its_record(tmp_path, capsys, monkeypatch, field,
+                                                       record):
+    # the record ends its trajectory: read as a bool, the 7 would pass for the 1 it replaces
+    monkeypatch.setattr(dataset_module, "BLOCK_RECORDS", BLOCK)
+    ds = dataset_of(3 * BLOCK)
+    assert getattr(ds, f"{field}s")[record]
+    path = tmp_path / "bad.ords"
+    save_dataset(ds, path)
+    write_record_value(path, record, field, 7)
+    message = f"record {record}: {field} byte 7 is not 0 or 1"
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(path)
+    capsys.readouterr()
+    assert main(["stats", "--dataset", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,values,message", [
+    ("actions", [0.5, 1.0, 1.7], "transition 0: action 0.5 is not in range(3)"),
+    ("actions", [0.0, np.nan, 1.0], "transition 1: action nan is not in range(3)"),
+    ("actions", [0.0, 1.0, np.inf], "transition 2: action inf is not in range(3)"),
+    ("actions", [0.0, 3.0, 1.0], "transition 1: action 3.0 is not in range(3)"),
+    ("terminals", [0.3, 0.0, 1.0], "transition 0: terminal 0.3 is not in range(2)"),
+    ("timeouts", [0.0, 0.0, np.nan], "transition 2: timeout nan is not in range(2)"),
+])
+def test_inputs_a_cast_would_change_are_refused(field, values, message):
+    ds = dataset_of(3)  # one trajectory, ending in a terminal
+    arrays = {"actions": ds.actions, "terminals": ds.terminals, "timeouts": ds.timeouts,
+              field: np.array(values)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "invalid value encountered in cast"
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            OfflineDataset(ds.obs, arrays["actions"], ds.rewards, ds.next_obs,
+                           arrays["terminals"], arrays["timeouts"], ds.traj_bounds, ds.meta)
+
+
+def test_integral_float_inputs_cast_exactly():
+    ds = dataset_of(3)
+    same = OfflineDataset(ds.obs, ds.actions.astype(float), ds.rewards, ds.next_obs,
+                          ds.terminals.astype(float), [0.0, -0.0, 0.0], ds.traj_bounds, ds.meta)
+    assert dataset_equal(ds, same)
+
+
 @pytest.mark.parametrize("value,message", [
     (math.nan, "record 3: non-integer discrete action nan"),
     (math.inf, "record 3: non-int64 discrete action inf"),

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from red_offline.algos import AlgoConfig, init_learner
+from red_offline.cli import dump_json
 from red_offline.dataset import DatasetError, DatasetMeta, OfflineDataset
 from red_offline.envsuite import (PRESETS, GeneratorConfig, env_from_name, generate_dataset,
                                   preset_config)
 from red_offline.harness import (ConfigError, DatasetSource, DeredConfig, EvalConfig,
                                  ExperimentConfig, apply_overrides, blas_threads,
                                  compare_rebalance_methods, config_from_dict, config_to_dict,
-                                 dataset_checksum, dump_json, evaluate_policy, normalized_score,
+                                 dataset_checksum, evaluate_policy, normalized_score,
                                  prepare_dataset, run_training,
                                  stream_seed, sweep_pbase, two_stage_train,
                                  _eval_points, _map_seeds)

@@ -1,15 +1,16 @@
 """Experiment bundles keep their bytes.
 
 ``train`` (every family), ``dered``, ``sweep`` and ``compare`` run on one tiny
-preset config, and the sha256 of every file they write except
-``timing.json`` (checkpoints included) must equal the digests in
-``report_digests.json``. Those were recorded under one numpy version and one
-OpenBLAS build and core; BLAS kernels round differently on other CPUs, so
-anywhere else the test skips and says why. After a change that is meant to
-move report bytes, re-record with ``PYTHONPATH=src python tests/test_report_bytes.py``:
-it rewrites ``report_digests.json`` and prints, one a line, each bundle file
-whose digest differs from the file it replaced, with ``changed``, ``new`` or
-``gone``.
+preset config; ``stats``, ``rebalance-preview`` and ``report`` then write their
+``--out`` CSVs from a file of that preset and from the ``train`` bundles. The
+sha256 of every file they write except ``timing.json`` (checkpoints included)
+must equal the digests in ``report_digests.json``. Those were recorded under
+one numpy version and one OpenBLAS build and core; BLAS kernels round
+differently on other CPUs, so anywhere else the test skips and says why.
+After a change that is meant to move report bytes, re-record with
+``PYTHONPATH=src python tests/test_report_bytes.py``: it rewrites
+``report_digests.json`` and prints, one a line, each bundle file whose digest
+differs from the file it replaced, with ``changed``, ``new`` or ``gone``.
 """
 
 import glob
@@ -71,6 +72,20 @@ def bundle_digests(work: Path) -> dict:
         for path in sorted(out.iterdir()):
             if path.name != "timing.json":
                 digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    ords = str(work / "data.ords")
+    dataset = CONFIG["dataset"]
+    assert main(["gen", "--preset", dataset["preset"], "--n-trajectories",
+                 str(dataset["n_trajectories"]), "--out", ords]) == 0
+    tools = {
+        "stats": ["stats", "--dataset", ords],
+        "rebalance-preview": ["rebalance-preview", "--dataset", ords, "--alpha", "1.5",
+                              "--p-base", "0.2"],
+        "report": ["report", *(str(work / name) for name in RUNS if name.startswith("train_"))],
+    }
+    for name, argv in tools.items():
+        out = work / name / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 0, name
+        digests[f"{name}/{out.name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
     return digests
 
 
