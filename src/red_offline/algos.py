@@ -84,8 +84,10 @@ class AlgoConfig:
             raise ValueError("tau_expectile must be in (0, 1)")
         if not (self.beta_awr > 0 and self.w_max > 0):  # NaN fails too
             raise ValueError("beta_awr and w_max must be > 0")
-        if not all(v >= 0 for v in (self.cql_weight, self.bc_weight, self.bc_q_scale, self.lr)):
-            raise ValueError("cql_weight, bc_weight, bc_q_scale and lr must be >= 0")
+        for name in ("cql_weight", "bc_weight", "bc_q_scale", "lr"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError("cql_weight, bc_weight, bc_q_scale and lr must be >= 0 and "
+                                 f"finite, got {name}={getattr(self, name)}")
         if min(self.target_update_period, self.batch_size, self.total_steps) < 1:
             raise ValueError("periods, batch size and step counts must be >= 1")
         if not (self.hidden_units >= 1 and self.n_hidden_layers >= 0):

@@ -25,10 +25,13 @@ class DatasetError(ValueError):
     """Dataset construction or file-format violation."""
 
 
-def _first_off(values: np.ndarray, lo: float, hi: float) -> int:
-    """Index of the first of ``values`` that is not an integer in [lo, hi), or -1; NaN is
-    off too, and nothing is cast, so numpy warns of nothing."""
-    off = np.flatnonzero((values < lo) | (values >= hi) | (values != np.rint(values)))
+def _first_off(values: np.ndarray, lo: int, hi: int) -> int:
+    """Flat index of the first of ``values`` that is not an integer in [lo, hi), or -1.
+    An integer or bool array in range costs one min and one max pass; NaN is off, and
+    nothing is cast, so no value wraps or truncates and numpy warns of nothing."""
+    if values.dtype.kind in "biu" and (not values.size or lo <= values.min() <= values.max() < hi):
+        return -1
+    off = np.flatnonzero((values < lo) | (values >= hi) | (values != np.floor(values)))
     return off[0] if off.size else -1
 
 
@@ -58,9 +61,10 @@ class OfflineDataset:
     Arrays are float64 (observations, rewards), actions int64 in
     ``[0, n_actions)``, flags bool, and ``traj_bounds`` one C-contiguous
     (n, 2) int64 array whose row j is trajectory j's ``[start, stop)``.
-    Every observation and reward is finite, and so is the rewards' span. Actions and flags
-    of a dtype that is not integer or bool must hold integers in ``[0, n_actions)`` and
-    0 or 1, or a DatasetError names the first transition that does not (a cast truncates).
+    Every observation and reward is finite, and so is the rewards' span. Before any cast,
+    of any dtype, every action must be an integer in ``range(n_actions)``, every end flag
+    in ``range(2)`` (a bool by its byte) and every bound in int64's range, or a DatasetError
+    names the first transition or trajectory that is not, with the value as given.
     ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)`` and sets
     ``obs`` and ``next_obs`` to None: a mapped dataset holds no rows, only ids into that
     table, and a :meth:`batch` is those ids.
@@ -70,26 +74,30 @@ class OfflineDataset:
 
     def __init__(self, obs, actions, rewards, next_obs, terminals, timeouts,
                  traj_bounds, meta: DatasetMeta):
-        for name, values, hi in (("action", actions, meta.discrete_actions),
-                                 ("terminal", terminals, 2), ("timeout", timeouts, 2)):
-            values = np.asarray(values)  # the casts below would truncate what this refuses
-            k = -1 if values.dtype.kind in "biu" else _first_off(values, 0, hi)
+        try:  # ragged rows fail here; [] is the empty (0, 2) table
+            bounds = np.asarray(traj_bounds)
+        except ValueError as exc:
+            raise DatasetError(f"trajectory bounds are not an (n, 2) table: {exc}") from None
+        bounds = bounds.reshape(0, 2) if bounds.shape == (0,) else bounds
+        if bounds.ndim != 2 or bounds.shape[1] != 2:
+            raise DatasetError(f"trajectory bounds have shape {bounds.shape}, not (n, 2)")
+        for name, values, lo, hi in (("action", actions, 0, meta.discrete_actions),
+                                     ("terminal", terminals, 0, 2), ("timeout", timeouts, 0, 2),
+                                     ("bound", bounds, -2**63, 2**63)):
+            values = np.asarray(values)  # the casts below would truncate or wrap what this refuses
+            values = values.view(np.uint8) if values.dtype == bool else values  # a bool by its byte
+            k = _first_off(values, lo, hi)
             if k >= 0:
-                raise DatasetError(f"transition {k}: {name} {values.flat[k]} "
-                                   f"is not in range({hi})")
+                where = f"trajectory {k // 2}" if name == "bound" else f"transition {k}"
+                raise DatasetError(f"{where}: {name} {values.flat[k]} "
+                                   f"is not in range({f'{lo}, ' if lo else ''}{hi})")
         self.obs = np.ascontiguousarray(obs, dtype=np.float64).view()
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).view()
         self.rewards = np.ascontiguousarray(rewards, dtype=np.float64).view()
         self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64).view()
         self.terminals = np.ascontiguousarray(terminals, dtype=bool).view()
         self.timeouts = np.ascontiguousarray(timeouts, dtype=bool).view()
-        try:  # ragged rows fail here; [] is the empty (0, 2) table
-            bounds = np.array(traj_bounds, dtype=np.int64, order="C")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DatasetError(f"trajectory bounds are not an (n, 2) table: {exc}") from None
-        self.traj_bounds = bounds.reshape(0, 2) if bounds.shape == (0,) else bounds
-        if self.traj_bounds.ndim != 2 or self.traj_bounds.shape[1] != 2:
-            raise DatasetError(f"trajectory bounds have shape {bounds.shape}, not (n, 2)")
+        self.traj_bounds = np.array(bounds, dtype=np.int64, order="C")  # always a copy
         self.meta = meta
         self.states = None
         self._validate()
@@ -106,11 +114,6 @@ class OfflineDataset:
             raise DatasetError("next_obs shape differs from obs shape")
         if len(self.actions) != n or len(self.terminals) != n or len(self.timeouts) != n:
             raise DatasetError("transition arrays have inconsistent lengths")
-        n_actions = self.meta.discrete_actions
-        if n and not 0 <= self.actions.min() <= self.actions.max() < n_actions:
-            bad = np.flatnonzero((self.actions < 0) | (self.actions >= n_actions))[0]
-            raise DatasetError(f"transition {bad}: action {self.actions[bad]} "
-                               f"outside [0, {n_actions})")
         for name, values in (("obs", self.obs), ("next_obs", self.next_obs),
                              ("reward", self.rewards)):
             # one min and one max pass, no N-sized temporary; NaN propagates through both
@@ -349,19 +352,12 @@ def load_dataset(path) -> OfflineDataset:
         for start in range(0, n, BLOCK_RECORDS):
             rec = block[:n - start]
             got += f.readinto(rec)
-            a = rec["action"]
-            k = _first_off(a, -2.0**63, 2.0**63)  # int64's range
+            k = _first_off(rec["action"], 0, meta.discrete_actions)  # before its int64 cast
             if k >= 0:
-                kind = "non-integer" if a[k] != np.rint(a[k]) else "non-int64"
-                raise DatasetError(f"{path}: record {start + k}: {kind} discrete action {a[k]}")
-            for name, out in zip(dtype.names, arrays):  # an integral action casts exactly
+                raise DatasetError(f"{path}: record {start + k}: action {rec['action'][k]} "
+                                   f"is not in range({meta.discrete_actions})")
+            for name, out in zip(dtype.names, arrays):
                 out[start:start + len(rec)] = rec[name]
-            for name, flags in zip(dtype.names[4:], arrays[4:]):  # then viewed as bool
-                flags = flags[start:start + len(rec)]
-                if flags.max(initial=0) > 1:
-                    k = np.argmax(flags > 1)
-                    raise DatasetError(f"{path}: record {start + k}: {name} byte {flags[k]} "
-                                       "is not 0 or 1")
         bounds = np.empty((n_traj, 2), "<u8")
         if got + f.readinto(bounds) != size:
             raise DatasetError(f"{path}: file shrank while being read")

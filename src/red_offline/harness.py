@@ -130,8 +130,9 @@ class DeredConfig:
     def __post_init__(self):
         if not (self.stage1_steps >= 1 and self.stage2_steps >= 0):
             raise ConfigError("stage1_steps must be >= 1 and stage2_steps >= 0")
-        if not self.backbone_lr_mult >= 0:  # NaN fails too
-            raise ConfigError("backbone_lr_mult must be >= 0")
+        if not 0 <= self.backbone_lr_mult < math.inf:  # NaN fails too
+            raise ConfigError("backbone_lr_mult must be >= 0 and finite, "
+                              f"got {self.backbone_lr_mult}")
 
 
 @dataclass(frozen=True)
@@ -292,17 +293,16 @@ def _eval_points(total_steps: int, eval_every: int) -> list:
 
 
 def train_single_seed(shared, seed: int) -> tuple:
-    """The seed job: train ``seed`` on its arm's sampler, built once in
-    ``build_s`` seconds, with the seed's own ``"sampler/{seed}"`` stream, and
-    evaluate on schedule. ``shared`` is ``(ds, mdp, cfg, sampler, (returns_s,
-    build_s), (steps, ckpt_dir, resume))``, ``returns_s`` the experiment's
-    returns phase; ``steps`` None means ``cfg.algo``'s. With a ``ckpt_dir``,
-    stage one saves ``stage1_seed{seed}.orck`` there; stage two (``resume``)
-    finetunes from that file as ``cfg.dered`` says. Returns ``(entry, timing,
-    losses, heads_equal)``: the seed's report entry, timing.json entry and loss
-    rows, and whether every head is still bitwise the file's (None unless
+    """The seed job: train ``seed`` on its arm's sampler with the seed's own
+    ``"sampler/{seed}"`` stream, and evaluate on schedule. ``shared`` is ``(ds,
+    mdp, cfg, sampler, (steps, ckpt_dir, resume))``; ``steps`` None means
+    ``cfg.algo``'s. With a ``ckpt_dir``, stage one saves ``stage1_seed{seed}.orck``
+    there; stage two (``resume``) finetunes from that file as ``cfg.dered`` says.
+    Returns ``(entry, timing, losses, heads_equal)``: the seed's report entry, the
+    seconds of its own work (``train_s``, ``draw_s``, ``step_s``, ``eval_s``),
+    its loss rows, and whether every head is still bitwise the file's (None unless
     resuming), but no learner state, so it pickles cheaply back from workers."""
-    ds, mdp, cfg, arm_sampler, (returns_s, build_s), (steps, ckpt_dir, resume) = shared
+    ds, mdp, cfg, arm_sampler, (steps, ckpt_dir, resume) = shared
     steps = cfg.algo.total_steps if steps is None else steps
     path = ckpt_dir and os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
     nets = load_checkpoint(path) if resume else None
@@ -356,17 +356,7 @@ def train_single_seed(shared, seed: int) -> tuple:
     else:
         final_raw = final_norm = None
 
-    train_s = draw_s + step_s
-    total_s = returns_s + build_s + train_s + eval_s
-    timing = {
-        "sampler_build_s": build_s,
-        "train_s": train_s,
-        "draw_s": draw_s,
-        "step_s": step_s,
-        "eval_s": eval_s,
-        "total_s": total_s,
-        "overhead_fraction": (returns_s + build_s) / total_s if total_s > 0 else 0.0,
-    }
+    timing = {"train_s": draw_s + step_s, "draw_s": draw_s, "step_s": step_s, "eval_s": eval_s}
     entry = {
         "seed": seed,
         "eval_steps": eval_steps,
@@ -474,15 +464,19 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, 
     ds, tr, mdp, checksum, static = prepared
     t0 = time.perf_counter()
     sampler = build_sampler(cfg.sampler, ds, tr)
-    static_s = static["returns_s"], time.perf_counter() - t0
+    returns_s, build_s = static["returns_s"], time.perf_counter() - t0
     # the global, looked up per call, so a tracer's wrapper runs
-    results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, static_s, stage),
-                         cfg.eval.seeds, jobs)
+    results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, stage), cfg.eval.seeds, jobs)
     per_seed = [entry for entry, *_ in results]
     report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum),
               "per_seed": per_seed, "aggregate": _aggregate(per_seed),
               "flags": sorted({f for entry in per_seed for f in entry["flags"]})}
-    timing = {str(entry["seed"]): t for entry, t, *_ in results}
+    timing = {}
+    for entry, t, *_ in results:  # the seed's own seconds, with the arm's around them
+        total_s = returns_s + build_s + t["train_s"] + t["eval_s"]
+        timing[str(entry["seed"])] = {
+            "sampler_build_s": build_s, **t, "total_s": total_s,
+            "overhead_fraction": (returns_s + build_s) / total_s if total_s > 0 else 0.0}
     losses = {str(entry["seed"]): rows for entry, _, rows, _ in results}
     return report, {"per_seed": timing}, losses, [heads for *_, heads in results]
 

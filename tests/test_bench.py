@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -5,6 +6,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "tools" / "bench.py"
+SPEC = importlib.util.spec_from_file_location("bench", BENCH)
+bench_module = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_module)
 
 
 def run_bench(*argv):
@@ -40,3 +44,16 @@ def test_unknown_workload_is_refused(tmp_path):
     proc = run_bench("--out", str(tmp_path / "BENCH_0.json"), "--workloads", "grid-replay,nope")
     assert proc.returncode == 2 and "unknown workloads ['nope']" in proc.stderr
     assert not (tmp_path / "BENCH_0.json").exists()
+
+
+def test_tier1_counts_read_the_pytest_summary_line():
+    # parsed from sample lines only: running the suite here would run it inside itself
+    for summary, counts in (
+            ("520 passed, 1 xpassed, 11 warnings in 125.42s (0:02:05)", (520, 0, 1, 0)),
+            ("1 failed, 19 passed in 1.33s", (19, 1, 0, 0)),
+            ("==== 2 failed, 498 passed, 3 skipped, 1 xfailed, 1 error in 88.30s ====",
+             (498, 2, 0, 1)),
+            ("3 passed, 2 errors in 0.50s", (3, 0, 0, 2)),
+            ("no tests ran in 0.01s", (0, 0, 0, 0))):
+        got = bench_module.tier1_counts(summary)
+        assert got == dict(zip(("passed", "failed", "xpassed", "error"), counts)), summary

@@ -186,7 +186,7 @@ def _refit_ords(src, dst, header=None, action0=None):
 
 
 @pytest.mark.parametrize("change,message", [
-    ({"action0": 7.0}, "transition 0: action 7 outside [0, 2)"),
+    ({"action0": 7.0}, "record 0: action 7.0 is not in range(2)"),
     ({"header": {"action": {"box": 1}}}, "action space {'box': 1} is not"),
     ({"header": {"action": {"discrete": 3}}}, "action {'discrete': 3}, but dense_chain-40-39 "
                                               "needs {'obs_dim': 2, 'action': {'discrete': 2}}"),
@@ -882,6 +882,11 @@ BAD_CONFIG_VALUES = [
     ("sampler.seed=-3", "config.sampler: seed must be >= 0, got -3"),
     ("algo.bc_q_scale=-5", "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be"),
     ("algo.bc_q_scale=NaN", "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be"),
+    ("algo.lr=1e400", "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be >= 0 "
+                      "and finite, got lr=inf"),
+    ("algo.cql_weight=1e400", "and finite, got cql_weight=inf"),
+    ('dered={"backbone_lr_mult": 1e400}', "config.dered: backbone_lr_mult must be >= 0 and "
+                                          "finite, got inf"),
     ('dataset={"path": "x.ords", "seed": 5, "n_trajectories": 3}',
      "config.dataset: 'seed' and 'n_trajectories' apply to a preset"),
     ("eval.seeds=[0.5,1]", "config.eval.seeds[0]: expected an integer"),

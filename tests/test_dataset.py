@@ -233,7 +233,7 @@ def test_invariant_violations_rejected():
     # actions outside [0, n_actions): the first one is named
     for actions, first in (([0, 2], "transition 1: action 2"),
                            ([-1, 5], "transition 0: action -1")):
-        with pytest.raises(DatasetError, match=re.escape(first + " outside [0, 2)")):
+        with pytest.raises(DatasetError, match=re.escape(first + " is not in range(2)")):
             OfflineDataset(terminals=np.array([False, True]), timeouts=np.array([False, False]),
                            traj_bounds=[(0, 2)], **{**base, "actions": np.array(actions)})
     # only discrete action spaces exist
@@ -557,7 +557,7 @@ def test_non_integer_action_in_a_later_block_names_its_record(tmp_path, monkeypa
     save_dataset(ds, path)
     write_record_value(path, BLOCK + 3, "action", 1.5)
     with pytest.raises(DatasetError,
-                       match=f"record {BLOCK + 3}: non-integer discrete action 1.5"):
+                       match=re.escape(f"record {BLOCK + 3}: action 1.5 is not in range(3)")):
         load_dataset(path)
 
 
@@ -571,12 +571,15 @@ def test_flag_byte_other_than_0_or_1_names_its_record(tmp_path, capsys, monkeypa
     path = tmp_path / "bad.ords"
     save_dataset(ds, path)
     write_record_value(path, record, field, 7)
-    message = f"record {record}: {field} byte 7 is not 0 or 1"
-    with pytest.raises(DatasetError, match=message):
+    message = f"transition {record}: {field} 7 is not in range(2)"
+    with pytest.raises(DatasetError, match=re.escape(message)):
         load_dataset(path)
     capsys.readouterr()
     assert main(["stats", "--dataset", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+INT64 = "range(-9223372036854775808, 9223372036854775808)"
 
 
 @pytest.mark.parametrize("field,values,message", [
@@ -586,16 +589,24 @@ def test_flag_byte_other_than_0_or_1_names_its_record(tmp_path, capsys, monkeypa
     ("actions", [0.0, 3.0, 1.0], "transition 1: action 3.0 is not in range(3)"),
     ("terminals", [0.3, 0.0, 1.0], "transition 0: terminal 0.3 is not in range(2)"),
     ("timeouts", [0.0, 0.0, np.nan], "transition 2: timeout nan is not in range(2)"),
+    # integer inputs too: the cast would pass 7 as True and 3.9 as 3, and wrap the rest
+    ("terminals", [0, 0, 7], "transition 2: terminal 7 is not in range(2)"),
+    ("actions", np.array([0, 2**64 - 1, 1], np.uint64),
+     "transition 1: action 18446744073709551615 is not in range(3)"),
+    ("traj_bounds", [[0, 3.9]], f"trajectory 0: bound 3.9 is not in {INT64}"),
+    ("traj_bounds", np.array([[0, 2**63]], np.uint64),
+     f"trajectory 0: bound 9223372036854775808 is not in {INT64}"),
 ])
 def test_inputs_a_cast_would_change_are_refused(field, values, message):
     ds = dataset_of(3)  # one trajectory, ending in a terminal
     arrays = {"actions": ds.actions, "terminals": ds.terminals, "timeouts": ds.timeouts,
-              field: np.array(values)}
+              "traj_bounds": ds.traj_bounds, field: np.array(values)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's "invalid value encountered in cast"
         with pytest.raises(DatasetError, match=re.escape(message)):
             OfflineDataset(ds.obs, arrays["actions"], ds.rewards, ds.next_obs,
-                           arrays["terminals"], arrays["timeouts"], ds.traj_bounds, ds.meta)
+                           arrays["terminals"], arrays["timeouts"], arrays["traj_bounds"],
+                           ds.meta)
 
 
 def test_integral_float_inputs_cast_exactly():
@@ -605,13 +616,43 @@ def test_integral_float_inputs_cast_exactly():
     assert dataset_equal(ds, same)
 
 
+def test_a_file_bound_beyond_int64_is_named_by_its_value(tmp_path, capsys):
+    ds = dataset_of(6)
+    path = tmp_path / "bad.ords"
+    save_dataset(ds, path)
+    with open(path, "r+b") as f:  # the last trajectory's stop: the payload's last 8 bytes
+        f.seek(-8, 2)
+        f.write(np.array(2**63, "<u8").tobytes())
+    message = f"trajectory 1: bound 9223372036854775808 is not in {INT64}"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_dataset(path)
+    assert main(["stats", "--dataset", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integer_and_bool_inputs_are_checked_in_place():
+    # one min and one max pass per array, no per-transition temporary: the peak is the
+    # bounds copy and _validate's bool temporaries of the end flags
+    ds = generate_dataset(preset_config("replay_analog", seed=0, n_trajectories=5000))
+    arrays = ds.obs, ds.actions, ds.rewards, ds.next_obs, ds.terminals, ds.timeouts
+    assert [a.dtype for a in arrays[1:]] == [np.int64, np.float64, np.float64, bool, bool]
+    assert ds.traj_bounds.dtype == np.int64
+    tracemalloc.start()
+    try:
+        OfflineDataset(*arrays, ds.traj_bounds, ds.meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * len(ds), f"{peak / len(ds):.3f} bytes per transition"
+
+
 @pytest.mark.parametrize("value,message", [
-    (math.nan, "record 3: non-integer discrete action nan"),
-    (math.inf, "record 3: non-int64 discrete action inf"),
-    (-math.inf, "record 3: non-int64 discrete action -inf"),
-    (2.0**70, "record 3: non-int64 discrete action 1.1805916207174113e+21"),
-    (2.0**63, "record 3: non-int64 discrete action 9.223372036854776e+18"),
-    (-2.0**63, "transition 3: action -9223372036854775808 outside [0, 3)"),  # fits int64
+    (math.nan, "record 3: action nan is not in range(3)"),
+    (math.inf, "record 3: action inf is not in range(3)"),
+    (-math.inf, "record 3: action -inf is not in range(3)"),
+    (2.0**70, "record 3: action 1.1805916207174113e+21 is not in range(3)"),
+    (2.0**63, "record 3: action 9.223372036854776e+18 is not in range(3)"),
+    (-2.0**63, "record 3: action -9.223372036854776e+18 is not in range(3)"),  # fits int64
 ])
 def test_action_outside_int64_is_named_before_the_cast(tmp_path, capsys, value, message):
     ds = dataset_of(6)

@@ -109,6 +109,27 @@ def test_config_rejects_unknown_keys_and_bad_types():
         small_config().eval, seeds=(2, 3)))
 
 
+def test_rates_and_weights_must_be_finite_where_infinity_means_nothing():
+    # an infinite learning rate or loss weight turns the first step's params into NaN
+    for override, name in (("algo.lr=1e400", "lr"), ("algo.cql_weight=1e400", "cql_weight"),
+                           ("algo.bc_weight=1e400", "bc_weight"),
+                           ("algo.bc_q_scale=1e400", "bc_q_scale")):
+        data = apply_overrides(config_to_dict(small_config()), [override])
+        with pytest.raises(ConfigError, match=re.escape(
+                "config.algo: cql_weight, bc_weight, bc_q_scale and lr must be >= 0 and "
+                f"finite, got {name}=inf")):
+            config_from_dict(data)
+    data = apply_overrides(config_to_dict(small_config()), ['dered={"backbone_lr_mult": 1e400}'])
+    with pytest.raises(ConfigError, match=re.escape(
+            "config.dered: backbone_lr_mult must be >= 0 and finite, got inf")):
+        config_from_dict(data)
+    # infinity is a limit for these: no clip, plain BC, argmax sampling
+    data = apply_overrides(config_to_dict(small_config()),
+                           ["algo.w_max=1e400", "algo.beta_awr=1e400", "sampler.alpha=1e400"])
+    cfg = config_from_dict(data)
+    assert (cfg.algo.w_max, cfg.algo.beta_awr, cfg.sampler.alpha) == (math.inf,) * 3
+
+
 NON_DEFAULT_STRINGS = {"family": "conservative_q", "activation": "tanh", "mode": "top_fraction",
                        "preset": "expert_analog", "path": "data.ords"}
 

@@ -11,21 +11,29 @@ rounds, the seed, the round count, whether every check passed and the
 operations attempted and failed; the traced run's per-layer metrics; the
 environment record; and the ``wc -l`` totals of ``src/red_offline/*.py`` and
 ``tests/*.py``. ``--workloads`` and ``--size tiny`` (passed through to
-``run.py``) make a run of a few seconds, for the tests.
+``run.py``) make a run of a few seconds, for the tests. With ``--tier1`` it
+first runs the Tier-1 suite (``PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors``) and records its passed, failed, xpassed and
+error counts, its wall time and the CPU time of the process and its children.
 """
 
 import argparse
 import glob
 import json
 import os
+import re
+import resource
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("grid-replay", "compare-large", "dered")
 END_TO_END = ("setup_s", "run_s", "cpu_s", "peak_rss_mb")
 LINE_COUNTS = {"src": "src/red_offline/*.py", "tests": "tests/*.py"}
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_COUNTS = ("passed", "failed", "xpassed", "error")
 
 
 def run_perfbench(workload, seed, seconds, trace, size):
@@ -58,8 +66,33 @@ def line_count(pattern) -> int:
     return total
 
 
-def bench(workloads, seed, seconds, rounds, size) -> dict:
+def tier1_counts(summary: str) -> dict:
+    """The counts of pytest's summary line, ``520 passed, 1 xpassed, 11 warnings in
+    88.30s (0:01:28)``, for each of ``TIER1_COUNTS``; a kind it does not name is 0."""
+    found = {kind.rstrip("s"): int(count)  # "1 error", "2 errors"
+             for count, kind in re.findall(r"(\d+) ([a-z]+)", summary.rsplit(" in ", 1)[0])}
+    return {kind: found.get(kind, 0) for kind in TIER1_COUNTS}
+
+
+def run_tier1() -> dict:
+    """Tier-1's counts, wall time and CPU time (user plus system, children included)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    before, t0 = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env, capture_output=True,
+                          text=True)
+    wall_s, after = time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:  # 1: some test failed
+        raise RuntimeError(f"Tier-1 exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    cpu_s = sum(getattr(after, f) - getattr(before, f) for f in ("ru_utime", "ru_stime"))
+    return {**tier1_counts(lines[-1]), "wall_s": wall_s, "cpu_s": cpu_s}
+
+
+def bench(workloads, seed, seconds, rounds, size, tier1=False) -> dict:
     out = {"workloads": {}, "line_counts": {k: line_count(p) for k, p in LINE_COUNTS.items()}}
+    if tier1:
+        out["tier1"] = run_tier1()
     environments = []
     for workload in workloads:
         runs = []
@@ -95,12 +128,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=",".join(WORKLOADS),
                         help="comma-separated subset of " + ", ".join(WORKLOADS))
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also run the Tier-1 suite and record its counts and times")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     unknown = sorted(set(workloads) - set(WORKLOADS))
     if unknown or args.rounds < 1:
         parser.error(f"unknown workloads {unknown}" if unknown else "--rounds must be >= 1")
-    result = bench(workloads, args.seed, args.seconds, args.rounds, args.size)
+    result = bench(workloads, args.seed, args.seconds, args.rounds, args.size, args.tier1)
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1, sort_keys=True)
         f.write("\n")
