@@ -67,7 +67,7 @@ class OfflineDataset:
     names the first transition or trajectory that is not, with the value as given.
     ``states`` is None until :meth:`map_states` sets ``(ids, next_id, table)`` and sets
     ``obs`` and ``next_obs`` to None: a mapped dataset holds no rows, only ids into that
-    table, and a :meth:`batch` is those ids.
+    table, and a :meth:`batch` is those ids; rows given as None are a mapping loader's.
     Transition inputs already C-contiguous and of that dtype are shared, not copied: they stay
     writable, and writing them changes the dataset.
     """
@@ -91,31 +91,30 @@ class OfflineDataset:
                 where = f"trajectory {k // 2}" if name == "bound" else f"transition {k}"
                 raise DatasetError(f"{where}: {name} {values.flat[k]} "
                                    f"is not in range({f'{lo}, ' if lo else ''}{hi})")
-        self.obs = np.ascontiguousarray(obs, dtype=np.float64).view()
+        rows = {k: np.ascontiguousarray(x, dtype=np.float64).view()
+                for k, x in (("obs", obs), ("next_obs", next_obs)) if x is not None}
+        self.obs, self.next_obs = rows.get("obs"), rows.get("next_obs")
         self.actions = np.ascontiguousarray(actions, dtype=np.int64).view()
         self.rewards = np.ascontiguousarray(rewards, dtype=np.float64).view()
-        self.next_obs = np.ascontiguousarray(next_obs, dtype=np.float64).view()
         self.terminals = np.ascontiguousarray(terminals, dtype=bool).view()
         self.timeouts = np.ascontiguousarray(timeouts, dtype=bool).view()
         self.traj_bounds = np.array(bounds, dtype=np.int64, order="C")  # always a copy
         self.meta = meta
         self.states = None
-        self._validate()
-        for a in (self.obs, self.actions, self.rewards, self.next_obs,
-                  self.terminals, self.timeouts, self.traj_bounds):
+        self._validate(rows)
+        for a in (*rows.values(), self.actions, self.rewards, self.terminals, self.timeouts,
+                  self.traj_bounds):
             a.setflags(write=False)
 
-    def _validate(self) -> None:
+    def _validate(self, rows: dict) -> None:
         n = len(self.rewards)
-        if self.obs.ndim != 2 or self.obs.shape != (n, self.meta.obs_dim):
-            raise DatasetError(
-                f"obs shape {self.obs.shape} does not match (N={n}, obs_dim={self.meta.obs_dim})")
-        if self.next_obs.shape != self.obs.shape:
-            raise DatasetError("next_obs shape differs from obs shape")
+        for name, values in rows.items():
+            if values.shape != (n, self.meta.obs_dim):
+                raise DatasetError(f"{name} shape {values.shape} does not match "
+                                   f"(N={n}, obs_dim={self.meta.obs_dim})")
         if len(self.actions) != n or len(self.terminals) != n or len(self.timeouts) != n:
             raise DatasetError("transition arrays have inconsistent lengths")
-        for name, values in (("obs", self.obs), ("next_obs", self.next_obs),
-                             ("reward", self.rewards)):
+        for name, values in (*rows.items(), ("reward", self.rewards)):
             # one min and one max pass, no N-sized temporary; NaN propagates through both
             lo, hi = (float(values.min()), float(values.max())) if n else (0.0, 0.0)
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -151,41 +150,48 @@ class OfflineDataset:
         if cursors[-1] != n:
             raise DatasetError(f"trajectory bounds cover [0, {cursors[-1]}) but N={n}")
 
-    def map_states(self, obs_table: np.ndarray, next_state: np.ndarray) -> None:
+    def map_states(self, obs_table: np.ndarray, next_state: np.ndarray, rows=None) -> None:
         """Give each transition's obs its state id, for :meth:`batch`: the rank of
         its row in ``obs_table`` sorted by bytes, as ``np.unique`` sorts void rows.
         Ids come from walking ``next_state`` from each trajectory's first row, and
         each obs and next_obs must have the bytes of its walked state: otherwise a
         DatasetError names the first transition that does not. Then the rows are
-        dropped: ``obs`` and ``next_obs`` become None."""
+        dropped: ``obs`` and ``next_obs`` become None. ``rows`` is each trajectory's first
+        obs row and the ``(start, obs, next_obs)`` blocks of all rows; by default its own."""
         void = np.dtype((np.void, 8 * self.meta.obs_dim))
         order = np.argsort(obs_table.view(void).ravel())
         states = obs_table[order]
         next_id = np.argsort(order).astype(np.min_scalar_type(len(order) - 1))[next_state[order]]
+        starts, stops = self.traj_bounds.T
+        first, blocks = rows or (self.obs[starts], (
+            (s, self.obs[s:s + BLOCK_RECORDS], self.next_obs[s:s + BLOCK_RECORDS])
+            for s in range(0, len(self), BLOCK_RECORDS)))
         # every trajectory in step, the longest first; a first row that is a state
         # finds its rank among all states but the last
-        starts, stops = self.traj_bounds.T
-        pos = starts[np.argsort(starts - stops)]
-        cur = np.searchsorted(states[:-1].view(void).ravel(), self.obs[pos].view(void).ravel())
+        longest = np.argsort(starts - stops)
+        pos = starts[longest]
+        cur = np.searchsorted(states[:-1].view(void).ravel(), first[longest].view(void).ravel())
         ids = np.empty(len(self), next_id.dtype)
         for alive in len(pos) - np.cumsum(np.bincount(stops - starts))[:-1]:
             ids[pos[:alive]] = cur[:alive]
             pos, cur = pos[:alive] + 1, next_id[cur[:alive], self.actions[pos[:alive]]]
-        rows, table = (self.obs, self.next_obs), states.view(np.uint64)  # bytes: -0.0 is not 0.0
-        for start in range(0, len(self), BLOCK_RECORDS):
-            span = slice(start, start + BLOCK_RECORDS)
+        table = states.view(np.uint64)  # bytes: -0.0 is not 0.0
+        for start, *rows in blocks:
+            span = slice(start, start + len(rows[0]))
             want = ids[span], next_id[ids[span], self.actions[span]]
-            pairs = [(x[span].view(np.uint64), w) for x, w in zip(rows, want)]
+            pairs = [(x.view(np.uint64), w) for x, w in zip(rows, want)]
             if not all(np.array_equal(x, table.take(w, axis=0)) for x, w in pairs):
                 # the first row off, a row's obs before its next_obs
                 off = [(x != table.take(w, axis=0)).any(1) for x, w in pairs]
                 k, f = np.argwhere(np.stack(off, axis=1))[0]
-                i, env = start + k, self.meta.env_name
+                i, row, name = start + k, rows[f][k], ("obs", "next_obs")[f]
+                if not np.isfinite(row).all():  # rows a loader hands over are checked here
+                    raise DatasetError(f"transition {i}: {name} {row[~np.isfinite(row)][0]} "
+                                       "is not finite")
                 fresh = f == 0 and (i == 0 or self.terminals[i - 1] or self.timeouts[i - 1])
-                where = (f"a state of {env}" if fresh else
+                where = (f"a state of {self.meta.env_name}" if fresh else
                          f"{states[want[f][k]].tolist()}, where transition {i - 1 + f} leads")
-                raise DatasetError(f"transition {i}: {('obs', 'next_obs')[f]} "
-                                   f"{rows[f][i].tolist()} is not {where}")
+                raise DatasetError(f"transition {i}: {name} {row.tolist()} is not {where}")
         for a in (ids, next_id, states):
             a.setflags(write=False)
         self.states = ids, next_id, states
@@ -316,53 +322,80 @@ def _packed_blocks(ds: OfflineDataset):
     yield ds.traj_bounds.astype("<i8", copy=False)  # the u64 bytes of non-negative int64s
 
 
-def load_dataset(path) -> OfflineDataset:
-    """Read a dataset file block by block; raises DatasetError naming the offending record."""
+def load_dataset(path, env_of=None) -> OfflineDataset:
+    """Read a dataset file block by block; raises DatasetError naming the offending record.
+    With ``env_of`` (``envsuite.env_from_name``) knowing the header's environment, the file
+    must fit it, and :meth:`OfflineDataset.map_states` maps its rows as they are read."""
     with open(path, "rb") as f:
         try:
             _, header, size = read_envelope(f, ORDS_MAGIC, ORDS_VERSION)
         except EnvelopeError as exc:
             raise DatasetError(str(exc)) from exc
         try:
-            for name in ("obs_dim", "seed", "n_transitions", "n_trajectories"):
-                if type(header[name]) is not int:
-                    raise TypeError(f"{name} {header[name]!r} is not an integer")
-            meta = DatasetMeta(
-                obs_dim=header["obs_dim"],
-                action=dict(header["action"]),
-                env_name=str(header["env_name"]),
-                seed=header["seed"],
-            )
-            n, n_traj = header["n_transitions"], header["n_trajectories"]
-            dtype = _record_dtype(meta)
-        except (KeyError, TypeError, ValueError) as exc:  # DatasetError included
-            raise DatasetError(f"{path}: header missing or malformed field: {exc}") from exc
-        for name, count in (("n_transitions", n), ("n_trajectories", n_traj)):
-            if count < 0:
-                raise DatasetError(f"{path}: header field {name} is {count}, below 0")
-        expected = n * dtype.itemsize + n_traj * 16
-        if size != expected:
-            raise DatasetError(
-                f"{path}: payload has {size} bytes, expected {expected}; "
-                f"transitions block ends inside record {min(size // dtype.itemsize, n)}")
-        # the dataset's own arrays, in record and constructor order
-        kinds = (np.float64, np.int64, np.float64, np.float64, np.uint8, np.uint8)  # flag bytes
-        arrays = [np.empty((n, *dtype[name].shape), kind) for name, kind in zip(dtype.names, kinds)]
-        block, got = np.empty(min(n, BLOCK_RECORDS), dtype=dtype), 0
-        for start in range(0, n, BLOCK_RECORDS):
-            rec = block[:n - start]
-            got += f.readinto(rec)
-            k = _first_off(rec["action"], 0, meta.discrete_actions)  # before its int64 cast
-            if k >= 0:
-                raise DatasetError(f"{path}: record {start + k}: action {rec['action'][k]} "
-                                   f"is not in range({meta.discrete_actions})")
-            for name, out in zip(dtype.names, arrays):
-                out[start:start + len(rec)] = rec[name]
-        bounds = np.empty((n_traj, 2), "<u8")
-        if got + f.readinto(bounds) != size:
-            raise DatasetError(f"{path}: file shrank while being read")
-    try:
-        return OfflineDataset(*arrays[:4], *(a.view(bool) for a in arrays[4:]), bounds, meta)
-    except DatasetError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
+            return _read_payload(f, header, size, env_of)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from exc
 
+
+def _read_payload(f, header, size, env_of) -> OfflineDataset:
+    try:
+        for name in ("obs_dim", "seed", "n_transitions", "n_trajectories"):
+            if type(header[name]) is not int:
+                raise TypeError(f"{name} {header[name]!r} is not an integer")
+        meta = DatasetMeta(obs_dim=header["obs_dim"], action=dict(header["action"]),
+                           env_name=str(header["env_name"]), seed=header["seed"])
+        n, n_traj = header["n_transitions"], header["n_trajectories"]
+        dtype = _record_dtype(meta)
+    except (KeyError, TypeError, ValueError) as exc:  # DatasetError included
+        raise DatasetError(f"header missing or malformed field: {exc}") from exc
+    for name, count in (("n_transitions", n), ("n_trajectories", n_traj)):
+        if count < 0:
+            raise DatasetError(f"header field {name} is {count}, below 0")
+    expected = n * dtype.itemsize + n_traj * 16
+    if size != expected:
+        raise DatasetError(f"payload has {size} bytes, expected {expected}; "
+                           f"transitions block ends inside record {min(size // dtype.itemsize, n)}")
+    try:
+        mdp = env_of and env_of(meta.env_name)
+    except ValueError:  # an unknown environment: the rows load, and the caller names it
+        mdp = None
+    records, bounds = f.tell(), np.empty((n_traj, 2), "<u8")
+    f.seek(n * dtype.itemsize, 1)  # the bounds first, to keep each trajectory's first obs
+    if f.readinto(bounds) != bounds.nbytes:
+        raise DatasetError("file shrank while being read")
+    starts, first = bounds[:, 0], np.empty((n_traj if mdp else 0, meta.obs_dim))
+    # the dataset's own arrays, in record and constructor order; no rows when mapped
+    kinds = (np.float64, np.int64, np.float64, np.float64, np.uint8, np.uint8)  # flag bytes
+    arrays = [None if mdp and name.endswith("obs") else np.empty((n, *dtype[name].shape), kind)
+              for name, kind in zip(dtype.names, kinds)]
+    block = np.empty(min(n, BLOCK_RECORDS), dtype=dtype)  # both passes read into it
+    for start, rec in _blocks(f, records, block, n):
+        k = _first_off(rec["action"], 0, meta.discrete_actions)  # before its int64 cast
+        if k >= 0:
+            raise DatasetError(f"record {start + k}: action {rec['action'][k]} "
+                               f"is not in range({meta.discrete_actions})")
+        for name, out in zip(dtype.names, arrays):
+            if out is not None:
+                out[start:start + len(rec)] = rec[name]
+        # the trajectories starting in this block; unsorted starts are refused below
+        lo, hi = np.searchsorted(starts, (start, start + len(rec))) if mdp else (0, 0)
+        first[lo:hi] = rec["obs"].take(starts[lo:hi] - start, axis=0, mode="clip")
+    ds = OfflineDataset(*arrays[:4], *(a.view(bool) for a in arrays[4:]), bounds, meta)
+    if mdp:
+        fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
+        if {"obs_dim": meta.obs_dim, "action": meta.action} != fits:
+            raise DatasetError(f"dataset has obs_dim {meta.obs_dim} and action "
+                               f"{meta.action}, but {mdp.name} needs {fits}")
+        ds.map_states(mdp.obs_table, mdp.next_state, (first, (
+            (start, rec["obs"], rec["next_obs"]) for start, rec in _blocks(f, records, block, n))))
+    return ds
+
+
+def _blocks(f, offset, block, n):
+    """(start, records) of each block of the n records at ``offset``, read into ``block``."""
+    f.seek(offset)
+    for start in range(0, n, BLOCK_RECORDS):
+        rec = block[:n - start]
+        if f.readinto(rec) != rec.nbytes:
+            raise DatasetError("file shrank while being read")
+        yield start, rec

@@ -229,16 +229,16 @@ def apply_overrides(data: dict, overrides) -> dict:
 
 def prepare_dataset(source: DatasetSource):
     """The static phase of an experiment: (dataset, trajectory returns, environment,
-    checksum, timing.json's ``prepare``). It runs the returns phase, checks that the
-    dataset fits its environment, maps the rows to state ids, which drops them, and
-    hashes the mapped dataset (:func:`dataset_checksum`).
+    checksum, timing.json's ``prepare``). A file is mapped to state ids as it loads
+    (:func:`load_dataset` with :func:`env_from_name`), a generated preset after the returns
+    phase, which drops its rows; then the mapped dataset is hashed (:func:`dataset_checksum`).
 
     Raises DatasetError, and hashes nothing, when the dataset names an unknown
     environment, its obs_dim or action space differ from the environment's, or its
     rows do not walk the environment's states (:meth:`OfflineDataset.map_states`).
     """
     if source.path is not None:
-        ds = load_dataset(source.path)
+        ds = load_dataset(source.path, env_from_name)
     else:
         ds = generate_dataset(preset_config(source.preset, seed=source.seed,
                                             n_trajectories=source.n_trajectories))
@@ -247,11 +247,8 @@ def prepare_dataset(source: DatasetSource):
         tr = compute_trajectory_returns(ds)
         t1 = time.perf_counter()
         mdp = env_from_name(ds.meta.env_name)
-        fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
-        if {"obs_dim": ds.meta.obs_dim, "action": ds.meta.action} != fits:
-            raise DatasetError(f"dataset has obs_dim {ds.meta.obs_dim} and action "
-                               f"{ds.meta.action}, but {mdp.name} needs {fits}")
-        ds.map_states(mdp.obs_table, mdp.next_state)
+        if ds.states is None:  # generated: it fits its environment
+            ds.map_states(mdp.obs_table, mdp.next_state)
     except ValueError as exc:  # DatasetError included
         raise DatasetError(f"{source.label}: {exc}") from exc
     t2 = time.perf_counter()

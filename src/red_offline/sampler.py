@@ -96,15 +96,15 @@ def top_fraction_filter(ds: OfflineDataset, tr: TrajectoryReturns, fraction: flo
 class WeightedSampler:
     """Categorical sampler over a fixed probability vector, drawn by groups.
 
-    ``order`` is what a stable argsort of ``probs`` gives, built by sorting
-    runs of equal adjacent probability; ``_starts``/``_sizes`` locate each
-    group of bit-equal probability in it and ``_cdf`` is the normalized
-    cumulative group mass. A draw picks a group by its mass, then a uniform
-    member; zero mass sorts first and is never drawn. The table is immutable
-    and built in place, with no cache. A read-only ``probs`` that owns its data
-    is kept, any other copied. The RNG stream is per instance: ``with_seed``
-    shares the table under a new generator, so an arm's seeds share one
-    build and draw what fresh builds would draw.
+    ``order`` is what a stable argsort of ``probs`` gives (int32 below 2**31
+    transitions), built by sorting runs of equal adjacent probability;
+    ``_starts``/``_sizes`` locate each group of bit-equal probability in it and ``_cdf``
+    is the normalized cumulative group mass. A draw picks a group by its mass, then a
+    uniform member; zero mass sorts first and is never drawn. The table is immutable and
+    built in place, with no cache. A read-only ``probs`` that owns its data is kept, any
+    other copied. The RNG stream is per instance: ``with_seed`` shares the table under a
+    new generator, so an arm's seeds share one build and draw what fresh builds would
+    draw.
     """
 
     def __init__(self, probs: np.ndarray, seed: int):
@@ -130,9 +130,9 @@ class WeightedSampler:
         slot = np.cumsum(size, dtype=idx) - size  # each run's first slot in order
         start[1:] -= start[:-1] + size[:-1] - 1  # there, the step from the last run's last index
         del size
-        self.order = np.ones(n, np.int64)  # a cumsum of steps, 1 inside each run
+        self.order = np.ones(n, idx)  # a cumsum of steps, 1 inside each run
         self.order[slot] = start
-        np.cumsum(self.order, out=self.order)
+        np.cumsum(self.order, dtype=idx, out=self.order)
         self._cdf = np.cumsum(values * self._sizes)
         self._cdf /= self._cdf[-1]
         self.probs = probs if probs.flags.owndata and not probs.flags.writeable else probs.copy()

@@ -193,6 +193,13 @@ def _refit_ords(src, dst, header=None, action0=None):
     ({"header": {"env_name": "warp_maze-3-9"}}, "unknown environment name 'warp_maze-3-9'"),
     ({"header": {"env_name": "dense_chain-40-39-junk"}},
      "unknown environment name 'dense_chain-40-39-junk'"),
+], ids=[  # fixed names: those first collected from the messages
+    "change0-record 0: action 7.0 is not in range(2)",
+    "change1-action space {'box': 1} is not",
+    "change2-action {'discrete': 3}, but dense_chain-40-39 needs {'obs_dim': 2, 'action': "
+    "{'discrete': 2}}",
+    "change3-unknown environment name 'warp_maze-3-9'",
+    "change4-unknown environment name 'dense_chain-40-39-junk'",
 ])
 def test_dataset_that_does_not_fit_its_environment_exits_two(tmp_path, capsys, change,
                                                              message):
@@ -474,6 +481,9 @@ def test_arms_jobs_match_sequential(tmp_path, command, extra):
 @pytest.mark.parametrize("header,message", [
     ({"n_transitions": -4, "n_trajectories": 2470}, "header field n_transitions is -4, below 0"),
     ({"n_transitions": 788, "n_trajectories": -5}, "header field n_trajectories is -5, below 0"),
+], ids=[  # fixed names: those first collected from the messages
+    "header0-header field n_transitions is -4, below 0",
+    "header1-header field n_trajectories is -5, below 0",
 ])
 def test_negative_header_count_exits_two(tmp_path, capsys, header, message):
     # 780 records of 50 bytes and 20 bounds of 16: both headers still add up
@@ -496,6 +506,16 @@ def test_negative_header_count_exits_two(tmp_path, capsys, header, message):
     ({"seed": "0"}, "seed '0' is not an integer"),
     ({"n_transitions": 780.0}, "n_transitions 780.0 is not an integer"),
     ({"n_trajectories": None}, "n_trajectories None is not an integer"),
+], ids=[  # fixed names: those first collected from the messages
+    "header0-obs_dim -1 is not an int >= 1",
+    "header1-obs_dim 0 is not an int >= 1",
+    "header2-invalid shape",
+    "header3-obs_dim 2.5 is not an integer",
+    "header4-obs_dim 2.0 is not an integer",
+    "header5-obs_dim True is not an integer",
+    "header6-seed '0' is not an integer",
+    "header7-n_transitions 780.0 is not an integer",
+    "header8-n_trajectories None is not an integer",
 ])
 def test_malformed_header_integer_exits_two_naming_the_file(tmp_path, capsys, header, message):
     good, bad = tmp_path / "good.ords", tmp_path / "bad.ords"
@@ -520,6 +540,12 @@ def _envelope(head: bytes, version=1, header_len=None) -> bytes:
     (_envelope(b"{}", header_len=3), "header length 3 overruns file"),
     (_envelope(b"[1, 2]"), "header must be a JSON object"),
     (_envelope(b"{not json"), "header is not valid JSON: "),
+], ids=[  # fixed names: those first collected from the messages
+    b"ORDS\x00\x00\x00\x00\x00\x00-file too short (10 bytes) for envelope",
+    b"ORDS\x02\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00{}-unsupported version 2",
+    b"ORDS\x01\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00{}-header length 3 overruns file",
+    b"ORDS\x01\x00\x00\x00\x06\x00\x00\x00\x00\x00\x00\x00[1, 2]-header must be a JSON object",
+    b"ORDS\x01\x00\x00\x00\t\x00\x00\x00\x00\x00\x00\x00{not json-header is not valid JSON: ",
 ])
 def test_broken_envelope_exits_two_naming_the_file(tmp_path, capsys, raw, message):
     bad = tmp_path / "bad.ords"
@@ -756,6 +782,17 @@ _RUN_REPORT = {"kind": "experiment", "task": "replay_analog",
      "not a run report: task 7 must be a string and score 50.0 a number or null"),
     ({**_RUN_REPORT, "aggregate": {"mean_normalized": "50"}},
      "not a run report: task 'replay_analog' must be a string and score '50' a number or null"),
+], ids=[  # fixed names: those first collected from the messages
+    "payload0-not a run report: kind None",
+    "payload1-not a run report: kind 'sweep'",
+    "payload2-not a run report: missing key 'config'",
+    "payload3-not a run report: missing key 'mean_normalized'",
+    "payload4-not a run report: missing key 'stage2'",
+    "payload5-not a run report: task ['replay_analog'] must be a string and score 50.0 a "
+    "number or null",
+    "payload6-not a run report: task 7 must be a string and score 50.0 a number or null",
+    "payload7-not a run report: task 'replay_analog' must be a string and score '50' a "
+    "number or null",
 ])
 def test_report_of_the_wrong_shape_exits_two_naming_it(tmp_path, capsys, payload, message):
     good, bad = tmp_path / "good", tmp_path / "bad"
@@ -835,6 +872,12 @@ def test_config_errors_exit_two(tmp_path, capsys):
     (["sweep", "--config", "cfg.json", "--values", ","], None, 1, "no p_base values given"),
     (["report", "empty"], None, 2, "cannot read empty/report.json: "),
     (["report", "brace"], None, 2, "brace/report.json is not valid JSON: "),
+], ids=[  # fixed names: those first collected from the messages
+    "argv0-None-2-cannot read config nope.json: ",
+    "argv1-abc-2-RED_OFFLINE_ROOT_SEED='abc' is not an integer",
+    "argv2-None-1-no p_base values given",
+    "argv3-None-2-cannot read empty/report.json: ",
+    "argv4-None-2-brace/report.json is not valid JSON: ",
 ])
 def test_unreadable_inputs_exit_naming_them(tmp_path, capsys, monkeypatch, argv, root_seed,
                                             code, message):

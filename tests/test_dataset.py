@@ -352,7 +352,11 @@ def test_equal_sums_give_bitwise_equal_returns():
 
 
 @pytest.mark.parametrize("rewards,reason", [([np.inf, 1.0, -np.inf], "-inf + inf"),
-                                            ([1e308, 1e308], "overflow")])
+                                            ([1e308, 1e308], "overflow")],
+                         ids=[  # fixed names: those first collected from the messages
+    "rewards0--inf + inf",
+    "rewards1-overflow",
+])
 def test_reward_sums_without_a_float64_value_name_their_trajectory(tmp_path, capsys,
                                                                   rewards, reason):
     # finite rewards that overflow as they add up name their trajectory; a
@@ -596,6 +600,19 @@ INT64 = "range(-9223372036854775808, 9223372036854775808)"
     ("traj_bounds", [[0, 3.9]], f"trajectory 0: bound 3.9 is not in {INT64}"),
     ("traj_bounds", np.array([[0, 2**63]], np.uint64),
      f"trajectory 0: bound 9223372036854775808 is not in {INT64}"),
+], ids=[  # fixed names: those first collected from the messages
+    "actions-values0-transition 0: action 0.5 is not in range(3)",
+    "actions-values1-transition 1: action nan is not in range(3)",
+    "actions-values2-transition 2: action inf is not in range(3)",
+    "actions-values3-transition 1: action 3.0 is not in range(3)",
+    "terminals-values4-transition 0: terminal 0.3 is not in range(2)",
+    "timeouts-values5-transition 2: timeout nan is not in range(2)",
+    "terminals-values6-transition 2: terminal 7 is not in range(2)",
+    "actions-values7-transition 1: action 18446744073709551615 is not in range(3)",
+    "traj_bounds-values8-trajectory 0: bound 3.9 is not in range(-9223372036854775808, "
+    "9223372036854775808)",
+    "traj_bounds-values9-trajectory 0: bound 9223372036854775808 is not in "
+    "range(-9223372036854775808, 9223372036854775808)",
 ])
 def test_inputs_a_cast_would_change_are_refused(field, values, message):
     ds = dataset_of(3)  # one trajectory, ending in a terminal
@@ -653,6 +670,13 @@ def test_integer_and_bool_inputs_are_checked_in_place():
     (2.0**70, "record 3: action 1.1805916207174113e+21 is not in range(3)"),
     (2.0**63, "record 3: action 9.223372036854776e+18 is not in range(3)"),
     (-2.0**63, "record 3: action -9.223372036854776e+18 is not in range(3)"),  # fits int64
+], ids=[  # fixed names: those first collected from the messages
+    "nan-record 3: action nan is not in range(3)",
+    "inf-record 3: action inf is not in range(3)",
+    "-inf-record 3: action -inf is not in range(3)",
+    "1.1805916207174113e+21-record 3: action 1.1805916207174113e+21 is not in range(3)",
+    "9.223372036854776e+18-record 3: action 9.223372036854776e+18 is not in range(3)",
+    "-9.223372036854776e+18-record 3: action -9.223372036854776e+18 is not in range(3)",
 ])
 def test_action_outside_int64_is_named_before_the_cast(tmp_path, capsys, value, message):
     ds = dataset_of(6)
@@ -672,6 +696,10 @@ def test_action_outside_int64_is_named_before_the_cast(tmp_path, capsys, value, 
     (1061, "payload has 1061 bytes, expected 1062; transitions block ends inside record 19"),
     (1063, "payload has 1063 bytes, expected 1062; transitions block ends inside record 19"),
     (253, "payload has 253 bytes, expected 1062; transitions block ends inside record 5"),
+], ids=[  # fixed names: those first collected from the messages
+    "1061-payload has 1061 bytes, expected 1062; transitions block ends inside record 19",
+    "1063-payload has 1063 bytes, expected 1062; transitions block ends inside record 19",
+    "253-payload has 253 bytes, expected 1062; transitions block ends inside record 5",
 ])
 def test_payload_of_the_wrong_length_names_the_record_it_ends_in(tmp_path, monkeypatch,
                                                                  size, message):
@@ -727,3 +755,58 @@ def test_preset_files_keep_their_bytes(tmp_path, monkeypatch, name):
     path = tmp_path / f"{name}.ords"
     save_dataset(ds, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_FILE_SHA256[name]
+
+
+@pytest.fixture(scope="module")
+def long_file(tmp_path_factory):
+    """A replay_analog file of more than three blocks, whose two float row arrays
+    (32 B per transition) would take more than two blocks."""
+    path = tmp_path_factory.mktemp("long") / "long.ords"
+    save_dataset(generate_dataset(preset_config("replay_analog", n_trajectories=6_000)), path)
+    return path
+
+
+@pytest.mark.parametrize("name", [*sorted(PRESETS), "long", "unknown_environment"])
+def test_a_mapped_load_equals_a_load_then_map_states(tmp_path, monkeypatch, long_file, name):
+    # with the environment, the rows go to map_states block by block as they are
+    # read: the same ids, tables and arrays as mapping the loaded rows, and no rows
+    # held; an environment the loader does not know leaves the rows loaded
+    path = long_file
+    if name != "long":
+        monkeypatch.setattr(dataset_module, "BLOCK_RECORDS", BLOCK)  # trajectories across blocks
+        path = tmp_path / "data.ords"
+        save_dataset(make_dataset([[1.0, 0.0], [0.5]] * 50) if name == "unknown_environment"
+                     else generate_dataset(preset_config(name)), path)
+    want, got = load_dataset(path), load_dataset(path, env_from_name)
+    assert len(want) > 3 * dataset_module.BLOCK_RECORDS
+    if name == "unknown_environment":
+        assert got.states is None and dataset_equal(want, got)
+        return
+    mdp = env_from_name(want.meta.env_name)
+    want.map_states(mdp.obs_table, mdp.next_state)
+    assert got.obs is None and got.next_obs is None and got.meta == want.meta
+    for field, a, b in zip(("ids", "next_id", "states", "actions", "rewards", "terminals",
+                            "timeouts", "traj_bounds"),
+                           (*want.states, want.actions, want.rewards, want.terminals,
+                            want.timeouts, want.traj_bounds),
+                           (*got.states, got.actions, got.rewards, got.terminals,
+                            got.timeouts, got.traj_bounds)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        assert not b.flags.writeable, field
+
+
+def test_a_mapped_load_allocates_no_rows(long_file):
+    load_dataset(long_file, env_from_name)  # the environment's cached tables
+    tracemalloc.start()
+    try:
+        ds = load_dataset(long_file, env_from_name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(ds)
+    block = dataset_module.BLOCK_RECORDS * dataset_module._record_dtype(ds.meta).itemsize
+    assert n >= 200_000 and 32 * n > 2 * block  # the rows alone would break the bound
+    held = sum(a.nbytes for a in (*ds.states, ds.actions, ds.rewards, ds.terminals,
+                                  ds.timeouts, ds.traj_bounds))
+    assert peak < held + 2 * block, f"load peaked {(peak - held) / block:.2f} blocks above " \
+                                    "its arrays"

@@ -535,9 +535,10 @@ def test_the_static_phase_hashes_on_the_calling_thread_and_starts_none(monkeypat
 def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path):
     # after prepare_dataset, a dataset holds actions, rewards, flags and state ids
     # (about 20 B per transition; returns are one per trajectory), not its two
-    # float obs_dim 2 rows (32 B more); nothing between the load and the return
-    # of map_states, which drops the rows, allocates past the load's own peak,
-    # and nothing after it materializes a derived obs or next_obs
+    # float obs_dim 2 rows (32 B more). The load maps the rows as it reads them, so
+    # it peaks at least one row array (16 B per transition) below a load that keeps
+    # them; the returns phase after it peaks no higher, and nothing after that
+    # materializes a derived obs or next_obs
     import tracemalloc
     from red_offline import harness as hmod
     from red_offline.dataset import OfflineDataset, save_dataset
@@ -550,17 +551,33 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
     del ds
     hmod.prepare_dataset(DatasetSource(path=path))  # the environment's cached tables, lazy imports
     marks, load, map_states = {}, hmod.load_dataset, OfflineDataset.map_states
+    returns = hmod.compute_trajectory_returns
+    tracemalloc.start()
+    try:
+        rows = load(path)
+        marks["rows"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.obs is not None and rows.states is None
+    del rows
 
-    def load_and_measure(p):
-        loaded = load(p)
+    def load_and_measure(p, env_of):
+        loaded = load(p, env_of)
         marks["load"] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         return loaded
 
     def map_and_measure(ds, *tables):
+        marks["map"] = "load" not in marks  # called inside the load
         map_states(ds, *tables)
-        marks["release"] = tracemalloc.get_traced_memory()
+
+    def returns_and_measure(ds):
+        tr = returns(ds)
+        marks["returns"] = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
+        return tr
     monkeypatch.setattr(hmod, "load_dataset", load_and_measure)
+    monkeypatch.setattr(hmod, "compute_trajectory_returns", returns_and_measure)
     monkeypatch.setattr(OfflineDataset, "map_states", map_and_measure)
     tracemalloc.start()
     try:
@@ -569,17 +586,19 @@ def test_the_static_phase_leaves_observations_as_state_ids(monkeypatch, tmp_path
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(prepared[0]) == n
+    assert len(prepared[0]) == n and prepared[0].obs is None and prepared[0].next_obs is None
+    assert marks["map"] is True
     assert (held - start) / n <= 22, f"{(held - start) / n:.1f} B per transition"
-    assert marks["release"][1] <= marks["load"][1], (marks, "peak above the load's")
-    assert peak - held < n, f"{peak - held} B allocated after the release"  # a view is 16 n
+    assert marks["load"][1] - start <= marks["rows"] - 16 * n, (marks, "a row array was held")
+    assert marks["returns"][1] <= marks["load"][1], (marks, "peak above the load's")
+    assert peak - held < n, f"{peak - held} B allocated after the returns"  # a view is 16 n
 
 
 def test_no_sampler_build_lifts_memory_above_what_the_sampler_holds(tmp_path):
-    # the sampler holds probs and order (16 B per transition) and per-group
-    # arrays; building it, whatever the mode, allocates at most 6 B per
-    # transition beyond that: the sampler keeps the probabilities it is handed,
-    # order is one cumsum in place and the run bookkeeping is int32
+    # the sampler holds probs and an int32 order (12 B per transition) and
+    # per-group arrays; building it, whatever the mode, peaks at 20 B per
+    # transition: the sampler keeps the probabilities it is handed, order is one
+    # cumsum in place and the run bookkeeping is int32
     import tracemalloc
     from red_offline.dataset import save_dataset
     from red_offline.envsuite import generate_dataset, preset_config
@@ -598,9 +617,9 @@ def test_no_sampler_build_lifts_memory_above_what_the_sampler_holds(tmp_path):
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held -= start
-        assert held / n <= 16.5, f"{mode}: holds {held / n:.2f} B per transition"
-        assert (peak - start - held) / n <= 6, f"{mode}: {(peak - start - held) / n:.2f} B"
+        held, peak = held - start, peak - start
+        assert held / n <= 12.5, f"{mode}: holds {held / n:.2f} B per transition"
+        assert peak / n <= 20, f"{mode}: peaks at {peak / n:.2f} B per transition"
         del sampler
 
 
