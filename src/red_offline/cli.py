@@ -37,39 +37,52 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
+def _exit(code, message):
+    """Print ``message`` to stderr and exit with ``code``; main returns the code."""
+    print(message, file=sys.stderr)
+    raise SystemExit(code)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
+        _exit(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
-class SystemExit_(Exception):
-    def __init__(self, code, message=None):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+def _ranged(kind, bound, test):
+    """An argparse ``type``: ``kind`` of the text, refused unless ``test`` holds."""
+    def parse(text):
+        value = kind(text)  # a ValueError is argparse's "invalid <kind> value"
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_AT_LEAST_ONE = _ranged(int, ">= 1", lambda v: v >= 1)
+
+
+def _read_json(path, what):
+    """The JSON value in the file at ``path``; exit 2 naming ``what`` if it cannot be read."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        _exit(EXIT_CONFIG, f"cannot read {what}: {exc}")
+    except json.JSONDecodeError as exc:
+        _exit(EXIT_CONFIG, f"{what} is not valid JSON: {exc}")
 
 
 def _load_config(path, overrides):
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise SystemExit_(EXIT_CONFIG, f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise SystemExit_(EXIT_CONFIG, f"config {path} is not valid JSON: {exc}")
-    try:
-        data = apply_overrides(data, overrides)
-        cfg = config_from_dict(data)
-    except ConfigError as exc:
-        raise SystemExit_(EXIT_CONFIG, str(exc))
+    cfg = config_from_dict(apply_overrides(_read_json(path, f"config {path}"), overrides))
     env_seed = os.environ.get(ROOT_SEED_ENV)
     if env_seed is not None:
         try:
             cfg = replace(cfg, root_seed=int(env_seed))
         except ValueError:
-            raise SystemExit_(EXIT_CONFIG, f"{ROOT_SEED_ENV}={env_seed!r} is not an integer")
+            _exit(EXIT_CONFIG, f"{ROOT_SEED_ENV}={env_seed!r} is not an integer")
     return cfg
 
 
@@ -92,11 +105,7 @@ def dump_json(payload: dict) -> str:
 
 
 def cmd_gen(args) -> int:
-    try:
-        cfg = preset_config(args.preset, seed=args.seed, n_trajectories=args.n_trajectories)
-    except ValueError as exc:
-        raise SystemExit_(EXIT_USAGE, f"usage: gen --preset {{{','.join(sorted(PRESETS))}}}\n{exc}")
-    ds = generate_dataset(cfg)
+    ds = generate_dataset(preset_config(args.preset, args.seed, args.n_trajectories))
     tr = compute_trajectory_returns(ds)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {ds.n_trajectories} trajectories, {len(ds)} transitions")
@@ -225,6 +234,7 @@ def cmd_dered(args) -> int:
 
 
 def _parse_pbase_values(text):
+    """The argparse ``type`` of ``--values``: comma-separated floats, each >= 0 or inf."""
     values = []
     for part in filter(None, (p.strip() for p in text.split(","))):
         try:
@@ -232,11 +242,10 @@ def _parse_pbase_values(text):
         except ValueError:
             value = float("nan")
         if not value >= 0:  # NaN fails too
-            raise SystemExit_(EXIT_USAGE, f"argument --values: p_base value {part!r} "
-                                          "is not a number >= 0 or inf")
+            raise argparse.ArgumentTypeError(f"p_base value {part!r} is not a number >= 0 or inf")
         values.append(value)
     if not values:
-        raise SystemExit_(EXIT_USAGE, "no p_base values given")
+        raise argparse.ArgumentTypeError("no p_base values given")
     return values
 
 
@@ -252,8 +261,7 @@ def _finish_arms(args, run, key, csv_name, title) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.override)
-    values = _parse_pbase_values(args.values)
-    run = harness.sweep_pbase(cfg, values, jobs=args.jobs)
+    run = harness.sweep_pbase(cfg, args.values, jobs=args.jobs)
     return _finish_arms(args, run, "columns", "sweep", "p_base sweep")
 
 
@@ -269,16 +277,10 @@ def cmd_report(args) -> int:
     labels, tasks = [], []
     for run_dir in args.run_dir:
         path = os.path.join(run_dir, "report.json")
-        try:
-            with open(path) as f:
-                payload = json.load(f)
-        except OSError as exc:
-            raise SystemExit_(EXIT_CONFIG, f"cannot read {path}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise SystemExit_(EXIT_CONFIG, f"{path} is not valid JSON: {exc}")
+        payload = _read_json(path, path)
         kind = payload.get("kind") if isinstance(payload, dict) else None
         if kind not in ("experiment", "two_stage"):
-            raise SystemExit_(EXIT_CONFIG, f"{path}: not a run report: kind {kind!r}")
+            _exit(EXIT_CONFIG, f"{path}: not a run report: kind {kind!r}")
         try:
             # the label is family+mode, or family+two_stage; a two-stage run scores stage two
             cfg, two = payload["config"], kind == "two_stage"
@@ -291,8 +293,8 @@ def cmd_report(args) -> int:
             while label in labels and (task, label) in cells:
                 label += "'"
         except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong type
-            raise SystemExit_(EXIT_CONFIG, f"{path}: not a run report: "
-                              + (f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)))
+            _exit(EXIT_CONFIG, f"{path}: not a run report: "
+                  + (f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)))
         if label not in labels:
             labels.append(label)
         if task not in tasks:
@@ -300,9 +302,8 @@ def cmd_report(args) -> int:
         cells[(task, label)] = score
     missing = [(t, l) for t in tasks for l in labels if (t, l) not in cells]
     if missing:
-        raise SystemExit_(EXIT_CONFIG,
-                          "runs do not align into a table; missing task/arm cells: "
-                          + ", ".join(f"{t}/{l}" for t, l in missing))
+        _exit(EXIT_CONFIG, "runs do not align into a table; missing task/arm cells: "
+              + ", ".join(f"{t}/{l}" for t, l in missing))
     rows = [[t, *(cells[(t, l)] for l in labels)] for t in tasks]
     csv_text = _csv(["task", *labels], rows)
     if args.out:
@@ -323,23 +324,25 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("gen", help="generate a preset dataset file")
-    p.add_argument("--preset", required=True, help=f"one of {sorted(PRESETS)}")
-    p.add_argument("--seed", type=int, default=None, help="generator seed override")
-    p.add_argument("--n-trajectories", type=int, default=None)
+    p.add_argument("--preset", required=True, choices=sorted(PRESETS))
+    p.add_argument("--seed", type=_ranged(int, ">= 0", lambda v: v >= 0), default=None,
+                   help="generator seed override")
+    p.add_argument("--n-trajectories", type=_AT_LEAST_ONE, default=None)
     p.add_argument("--out", required=True, help="output .ords path")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("stats", help="print and export the return histogram")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--bins", type=int, default=15)
+    p.add_argument("--bins", type=_AT_LEAST_ONE, default=15)
     p.add_argument("--out", default=None, help="histogram CSV path")
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("rebalance-preview", help="summarize the sampling distribution")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--p-base", type=float, default=0.0)
-    p.add_argument("--top-k", type=int, default=5)
+    p.add_argument("--alpha", type=_ranged(float, ">= 0", lambda v: v >= 0), default=1.0)
+    p.add_argument("--p-base", type=_ranged(float, ">= 0 and finite", lambda v: 0 <= v < np.inf),
+                   default=0.0)
+    p.add_argument("--top-k", type=_AT_LEAST_ONE, default=5)
     p.add_argument("--out", default=None, help="distribution CSV path")
     p.set_defaults(fn=cmd_rebalance_preview)
 
@@ -352,14 +355,15 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="max concurrent seed jobs")
+        p.add_argument("--jobs", type=_AT_LEAST_ONE, default=1, help="max concurrent seed jobs")
         p.add_argument("override", nargs="*", metavar="key=value",
                        help="dotted config overrides, e.g. sampler.alpha=1.0")
         if "values" in extra:
-            p.add_argument("--values", default="0,0.2,0.5,1.0,inf",
+            p.add_argument("--values", type=_parse_pbase_values, default="0,0.2,0.5,1.0,inf",
                            help="comma-separated p_base values ('inf' = uniform)")
         if "fraction" in extra:
-            p.add_argument("--fraction", type=float, help="overrides sampler.fraction")
+            p.add_argument("--fraction", type=_ranged(float, "in (0, 1]", lambda v: 0 < v <= 1),
+                           help="overrides sampler.fraction")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("report", help="merge run directories into one table")
@@ -369,34 +373,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-# (dest, bound, test) of each numeric flag whose range main checks
-_FLAG_RANGES = (
-    ("jobs", ">= 1", lambda v: v >= 1),
-    ("bins", ">= 1", lambda v: v >= 1),
-    ("top_k", ">= 1", lambda v: v >= 1),
-    ("n_trajectories", ">= 1", lambda v: v >= 1),
-    ("alpha", ">= 0", lambda v: v >= 0),
-    ("p_base", ">= 0 and finite", lambda v: 0 <= v < np.inf),
-    ("seed", ">= 0", lambda v: v >= 0),
-    ("fraction", "in (0, 1]", lambda v: 0 < v <= 1),
-)
-
-
 def main(argv=None) -> int:
     harness.pin_blas_threads()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for dest, bound, test in _FLAG_RANGES:
-            value = getattr(args, dest, None)
-            if value is not None and not test(value):
-                parser.error(f"argument --{dest.replace('_', '-')}: must be {bound}, got {value}")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
-    except SystemExit as exc:  # argparse --help and friends
+    except SystemExit as exc:  # argparse --help, a usage error, or _exit
         return int(exc.code or 0)
     except (ConfigError,) as exc:
         print(f"config error: {exc}", file=sys.stderr)

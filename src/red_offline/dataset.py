@@ -237,9 +237,9 @@ def compute_trajectory_returns(ds: OfflineDataset) -> TrajectoryReturns:
     """
     if len(ds) == 0:
         raise DatasetError("empty dataset")
-    starts, stops = ds.traj_bounds.T
+    bounds = iter(memoryview(ds.traj_bounds.ravel()))  # (start, stop) pairs, no lists
     returns = np.empty(ds.n_trajectories)
-    for j, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+    for j, (start, stop) in enumerate(zip(bounds, bounds)):
         try:
             returns[j] = math.fsum(ds.rewards[start:stop].tolist())
         except OverflowError as exc:
@@ -359,6 +359,10 @@ def _read_payload(f, header, size, env_of) -> OfflineDataset:
         mdp = env_of and env_of(meta.env_name)
     except ValueError:  # an unknown environment: the rows load, and the caller names it
         mdp = None
+    fits = mdp and {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
+    if fits and {"obs_dim": meta.obs_dim, "action": meta.action} != fits:  # before any row
+        raise DatasetError(f"dataset has obs_dim {meta.obs_dim} and action "
+                           f"{meta.action}, but {mdp.name} needs {fits}")
     records, bounds = f.tell(), np.empty((n_traj, 2), "<u8")
     f.seek(n * dtype.itemsize, 1)  # the bounds first, to keep each trajectory's first obs
     if f.readinto(bounds) != bounds.nbytes:
@@ -382,10 +386,6 @@ def _read_payload(f, header, size, env_of) -> OfflineDataset:
         first[lo:hi] = rec["obs"].take(starts[lo:hi] - start, axis=0, mode="clip")
     ds = OfflineDataset(*arrays[:4], *(a.view(bool) for a in arrays[4:]), bounds, meta)
     if mdp:
-        fits = {"obs_dim": mdp.obs_dim, "action": {"discrete": mdp.n_actions}}
-        if {"obs_dim": meta.obs_dim, "action": meta.action} != fits:
-            raise DatasetError(f"dataset has obs_dim {meta.obs_dim} and action "
-                               f"{meta.action}, but {mdp.name} needs {fits}")
         ds.map_states(mdp.obs_table, mdp.next_state, (first, (
             (start, rec["obs"], rec["next_obs"]) for start, rec in _blocks(f, records, block, n))))
     return ds

@@ -146,9 +146,6 @@ class WeightedSampler:
         other._rng = np.random.default_rng(int(seed))
         return other
 
-    def __len__(self) -> int:
-        return self.probs.size
-
     def sample_batch(self, batch_size: int) -> np.ndarray:
         """Draw batch_size indices i.i.d. with replacement."""
         if batch_size < 1:

@@ -1005,3 +1005,47 @@ def test_every_block_writes_curves_and_losses(tmp_path, command, blocks):
         assert len(curves) == 1 + sum(len(e["eval_steps"]) for e in block["per_seed"])
         header = (out / f"losses{label}_seed0.csv").read_text().splitlines()[0]
         assert header.startswith("step,")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--preset", "warp_maze", "--out", "x.ords"],
+     "argument --preset: invalid choice: 'warp_maze'"),
+    (["gen", "--preset", "replay_analog", "--seed", "abc", "--out", "x.ords"],
+     "argument --seed: invalid int value: 'abc'"),
+    (["rebalance-preview", "--dataset", "x.ords", "--alpha", "x"],
+     "argument --alpha: invalid float value: 'x'"),
+    (["train", "--config", "nope.json", "--out", "o", "--jobs", "0"],
+     "argument --jobs: must be >= 1, got 0"),
+    (["sweep", "--config", "nope.json", "--out", "o", "--values", "0.2,-1"],
+     "argument --values: p_base value '-1' is not a number >= 0 or inf"),
+    (["sweep", "--config", "nope.json", "--out", "o", "--values", " , "],
+     "argument --values: no p_base values given"),
+], ids=["preset", "seed", "alpha", "jobs", "values", "no_values"])
+def test_bad_arguments_are_refused_while_parsing(tmp_path, capsys, monkeypatch, argv, message):
+    # exit 1 before any input file is read (none exists) and with no output written
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: red-offline ")
+    assert f"red-offline {argv[0]}: error: {message}" in captured.err
+    assert not captured.out and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("override", [[], ["algo.hidden_units=0"]], ids=["file", "override"])
+def test_config_errors_print_as_config_errors(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, algo={"hidden_units": 16 if override else 0})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"), *override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.algo: hidden_units must be >= 1")
+
+
+def test_without_a_bundled_openblas_the_run_records_null_threads(tmp_path, monkeypatch):
+    from red_offline import harness
+    monkeypatch.setattr(harness.glob, "glob", lambda pattern: [])
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert harness.blas_threads() is None
+    harness.pin_blas_threads()  # nothing to pin
+    cfg = write_config(tmp_path, algo={"total_steps": 20}, eval={"eval_every": 10, "final_k": 2})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    timing = json.loads((tmp_path / "o" / "timing.json").read_text())
+    assert timing["runtime"] == {"jobs": 1, "blas_threads": None}

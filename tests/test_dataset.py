@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from red_offline.dataset import (DatasetError, DatasetMeta, OfflineDataset,
 from red_offline import dataset as dataset_module
 from red_offline.cli import main
 from red_offline.envsuite import PRESETS, env_from_name, generate_dataset, preset_config
-from red_offline.io_envelope import read_envelope
+from red_offline.io_envelope import read_envelope, write_envelope
 from conftest import make_dataset, write_record_value
 from oracles import dataset_equal
 
@@ -810,3 +811,80 @@ def test_a_mapped_load_allocates_no_rows(long_file):
                                   ds.timeouts, ds.traj_bounds))
     assert peak < held + 2 * block, f"load peaked {(peak - held) / block:.2f} blocks above " \
                                     "its arrays"
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"obs": np.zeros((2, 3))}, "obs shape (2, 3) does not match (N=2, obs_dim=1)"),
+    ({"next_obs": np.zeros((1, 1))}, "next_obs shape (1, 1) does not match (N=2, obs_dim=1)"),
+    ({"actions": np.zeros(3, dtype=int)}, "transition arrays have inconsistent lengths"),
+    ({"timeouts": np.zeros(1, dtype=bool)}, "transition arrays have inconsistent lengths"),
+])
+def test_transition_arrays_of_another_shape_are_refused(change, message):
+    meta = DatasetMeta(obs_dim=1, action={"discrete": 2}, env_name="x", seed=0)
+    arrays = dict(obs=np.zeros((2, 1)), actions=np.zeros(2, dtype=int), rewards=np.zeros(2),
+                  next_obs=np.zeros((2, 1)), terminals=np.array([False, True]),
+                  timeouts=np.zeros(2, dtype=bool), traj_bounds=[(0, 2)], meta=meta)
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        OfflineDataset(**{**arrays, **change})
+
+
+@pytest.mark.parametrize("short", [1, 2, 4], ids=["bounds", "first_block", "last_block"])
+def test_a_file_that_shrinks_while_read_is_named(tmp_path, monkeypatch, short):
+    # the envelope's size check passed, then a read comes back short: the file was
+    # cut meanwhile; the bounds are read first, then 3 record blocks
+    monkeypatch.setattr(dataset_module, "BLOCK_RECORDS", BLOCK)
+    path = tmp_path / "d.ords"
+    save_dataset(dataset_of(2 * BLOCK + 3), path)
+    reads = []
+
+    class Shrinking(io.BufferedReader):
+        def readinto(self, buffer):
+            reads.append(memoryview(buffer).nbytes)
+            got = super().readinto(buffer)
+            return got - 1 if len(reads) == short else got
+
+    monkeypatch.setattr(dataset_module, "open", lambda p, mode: Shrinking(io.FileIO(p, mode)),
+                        raising=False)
+    with pytest.raises(DatasetError, match=re.escape(f"{path}: file shrank while being read")):
+        load_dataset(path)
+    assert reads[0] == 7 * 16 and len(reads) == short
+
+
+def test_a_header_that_does_not_fit_its_environment_is_refused_before_any_record(
+        tmp_path, monkeypatch):
+    # no records and two empty trajectories: the fit is named, not the broken bounds
+    path = tmp_path / "empty.ords"
+    write_envelope(path, dataset_module.ORDS_MAGIC, dataset_module.ORDS_VERSION,
+                   {"obs_dim": 3, "action": {"discrete": 2}, "env_name": "dense_chain-40-39",
+                    "seed": 0, "n_transitions": 0, "n_trajectories": 2}, [bytes(32)])
+    needs = "but dense_chain-40-39 needs {'obs_dim': 2, 'action': {'discrete': 2}}"
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path}: dataset has obs_dim 3 and action {{'discrete': 2}}, {needs}")):
+        load_dataset(path, env_from_name)
+    # with records, none is read before the refusal
+    path = tmp_path / "replay.ords"
+    save_dataset(generate_dataset(preset_config("replay_analog", n_trajectories=5)), path)
+    with open(path, "rb") as f:
+        _, header, _ = read_envelope(f, dataset_module.ORDS_MAGIC, dataset_module.ORDS_VERSION)
+        payload = f.read()
+    write_envelope(path, dataset_module.ORDS_MAGIC, dataset_module.ORDS_VERSION,
+                   {**header, "action": {"discrete": 3}}, [payload])
+    blocks = []
+    monkeypatch.setattr(dataset_module, "_blocks", lambda *args: blocks.append(args) or iter(()))
+    with pytest.raises(DatasetError, match=re.escape("action {'discrete': 3}, " + needs)):
+        load_dataset(path, env_from_name)
+    assert blocks == []
+
+
+def test_returns_allocate_only_what_they_return():
+    # per-trajectory outputs, plus one trajectory's rewards at a time: no list of bounds
+    ds = make_dataset([[1.0] * (1 + j % 3) for j in range(4000)])
+    compute_trajectory_returns(ds)  # warm any lazy first-call allocation
+    tracemalloc.start()
+    try:
+        tr = compute_trajectory_returns(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = tr.returns.nbytes + tr.lengths.nbytes
+    assert peak <= outputs + 4096, f"{peak - outputs} bytes beyond the outputs"

@@ -5,7 +5,7 @@ import pytest
 
 from red_offline.dataset import (DatasetMeta, OfflineDataset, compute_trajectory_returns,
                                  return_histogram, save_dataset)
-from red_offline.envsuite import (PRESETS, GeneratorConfig, _simulate, env_from_name,
+from red_offline.envsuite import (PRESETS, GeneratorConfig, Mdp, _simulate, env_from_name,
                                   generate_dataset, mdp_dense_chain, mdp_grid_maze,
                                   policy_value, preset_config)
 from red_offline.harness import dataset_checksum
@@ -297,3 +297,14 @@ def test_generator_matches_per_trajectory_reference(cfg, n_terminal):
 def test_preset_checksums_are_pinned(preset_dataset):
     for name, digest in PRESET_CHECKSUMS.items():
         assert dataset_checksum(preset_dataset(name)) == digest, name
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: mdp_dense_chain(1, 10), "length must be >= 2"),
+    (lambda: mdp_grid_maze(2, 10), "size must be >= 3"),
+    (lambda: Mdp("one_state", np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                 np.zeros((1, 1)), start_state=0, horizon=0), "horizon must be >= 1"),
+], ids=["chain_length", "maze_size", "horizon"])
+def test_environment_sizes_below_their_minimum_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

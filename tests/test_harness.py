@@ -816,3 +816,16 @@ def test_a_dataset_whose_map_fails_is_never_hashed(monkeypatch, tmp_path, fault)
     with pytest.raises(DatasetError, match=re.escape(path)):
         prepare_dataset(DatasetSource(path=path))
     assert counts.get("dataset_checksum", 0) == 0
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: EvalConfig(eval_every=0), "eval_every, episodes_per_eval and final_k must be >= 1"),
+    (lambda: EvalConfig(final_k=-1), "eval_every, episodes_per_eval and final_k must be >= 1"),
+    (lambda: EvalConfig(seeds=()), "need at least one seed"),
+    (lambda: DeredConfig(stage1_steps=0), "stage1_steps must be >= 1 and stage2_steps >= 0"),
+    (lambda: DeredConfig(stage2_steps=-1), "stage1_steps must be >= 1 and stage2_steps >= 0"),
+    (lambda: sweep_pbase(small_config(), []), "need at least one p_base value"),
+], ids=["eval_every", "final_k", "no_seeds", "stage1_steps", "stage2_steps", "no_p_base"])
+def test_eval_dered_and_sweep_inputs_out_of_range_are_config_errors(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()

@@ -346,3 +346,39 @@ def test_malformed_checkpoint_header_rejected(tmp_path, edit):
     write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, [payload])
     with pytest.raises(EnvelopeError, match=re.escape(str(path))):
         load_checkpoint(path)
+
+
+def test_output_gradient_of_another_shape_is_refused():
+    net = init_mlp([3, 8, 4], seed=1)
+    _, cache = forward_cache(net, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match=re.escape("grad_out shape (5, 3) does not match "
+                                                   "output (5, 4)")):
+        backward(net, cache, np.zeros((5, 3)))
+
+
+def test_negative_learning_rate_is_refused():
+    with pytest.raises(ValueError, match="learning rate and multipliers must be >= 0"):
+        init_optim(init_mlp([3, 8, 4], seed=1), -1e-3)
+
+
+@pytest.mark.parametrize("header", [{"nets": {}}, {"order": 3, "nets": {}}])
+def test_checkpoint_header_without_an_order_list_is_refused(tmp_path, header):
+    path = tmp_path / "ck.orck"
+    write_envelope(path, CKPT_MAGIC, CKPT_VERSION, header, [])
+    with pytest.raises(EnvelopeError, match=re.escape(f"{path}: checkpoint header malformed")):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_trailing_bytes_is_refused(tmp_path):
+    path = tmp_path / "ck.orck"
+    save_checkpoint(path, {"q": init_mlp([3, 8, 4], seed=1)})
+    with open(path, "ab") as f:
+        f.write(bytes(5))
+    with pytest.raises(EnvelopeError, match=re.escape(f"{path}: 5 trailing payload bytes")):
+        load_checkpoint(path)
+
+
+def test_an_envelope_magic_is_four_bytes(tmp_path):
+    with pytest.raises(ValueError, match="magic must be exactly 4 bytes"):
+        write_envelope(tmp_path / "x", b"ORC", 1, {}, [])
+    assert not (tmp_path / "x").exists()

@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import subprocess
 import sys
 
@@ -73,3 +74,13 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'train_stepp'"):
         red_offline.train_stepp
     assert not hasattr(red_offline, "minmax_weights")
+
+
+def test_no_source_line_is_longer_than_100_columns():
+    # src/'s line count is tracked, so a cut must not come from denser lines
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [path for top in ("src", "tests", "tools", "demos")
+             for path in sorted((root / top).rglob("*")) if path.suffix in (".py", ".sh")]
+    long = [f"{path.relative_to(root)}:{n}" for path in paths
+            for n, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert not long, long

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -492,3 +493,10 @@ def test_with_seed_shares_the_table_and_matches_a_fresh_build():
     assert np.array_equal(arm.sample_batch(100),
                           build_sampler(SamplerSpec(mode="return_resample", p_base=0.1,
                                                     seed=0), ds, tr).sample_batch(100))
+
+
+def test_empty_probabilities_and_empty_batches_are_refused():
+    with pytest.raises(ValueError, match="probs must be a non-empty 1-D array"):
+        WeightedSampler(np.array([]), seed=0)
+    with pytest.raises(ValueError, match=re.escape("batch_size must be >= 1, got 0")):
+        WeightedSampler(np.array([1.0]), seed=0).sample_batch(0)
