@@ -1,9 +1,12 @@
 """Two-stage decoupled training: uniform pretrain, rebalanced finetune.
 
-Stage one trains normally with a uniform sampler. Stage two reloads the
-checkpoint, freezes every network head, drops the backbone learning rate to
-a tenth, and continues with the return-weighted sampler. The heads stay
-bitwise identical; the features underneath them keep moving.
+Stage one trains normally with a uniform sampler. Stage two starts from
+stage one's nets in memory, freezes every network head, drops the backbone
+learning rate to a tenth, and continues with the config's sampler, here the
+return-weighted one (``mode="uniform"`` would finetune uniformly, the
+decoupling-only control). The heads stay bitwise identical; the features
+underneath them keep moving. No file is written: ``two_stage_train`` writes
+its stage-one checkpoints only when given ``out_dir``.
 """
 
 from red_offline import (AlgoConfig, DatasetSource, DeredConfig, EvalConfig,

@@ -282,9 +282,9 @@ def cmd_report(args) -> int:
         if kind not in ("experiment", "two_stage"):
             _exit(EXIT_CONFIG, f"{path}: not a run report: kind {kind!r}")
         try:
-            # the label is family+mode, or family+two_stage; a two-stage run scores stage two
+            # the label is family+mode, or family+two_stage+mode; a two-stage run scores stage two
             cfg, two = payload["config"], kind == "two_stage"
-            label = f"{cfg['algo']['family']}+{'two_stage' if two else cfg['sampler']['mode']}"
+            label = f"{cfg['algo']['family']}+{'two_stage+' if two else ''}{cfg['sampler']['mode']}"
             task = payload["task"]
             score = (payload["stage2"] if two else payload)["aggregate"]["mean_normalized"]
             if type(task) is not str or not (score is None or type(score) in (int, float)):

@@ -15,8 +15,8 @@ Each experiment runs one static phase, :func:`prepare_dataset`: it loads,
 maps and hashes its dataset once, and the map drops the float rows. Each
 sampler arm builds its table once and its seeds share it, each seed one
 :func:`train_single_seed` job. A two-stage run is two arm passes: stage one
-for every seed, then stage two for every seed. With ``jobs > 1`` each arm or
-stage has its own worker pool, and each worker gets that arm's table once.
+for every seed, then stage two from each seed's stage-one nets in memory. With
+``jobs > 1`` each arm or stage has its own pool; each worker gets its table once.
 
 Every runner (:func:`run_training`, :func:`two_stage_train`,
 :func:`sweep_pbase`, :func:`compare_rebalance_methods`) returns
@@ -35,7 +35,6 @@ calls), ``eval_s``, ``total_s`` (their sum with ``returns_s``) and
 ``overhead_fraction = (returns_s + sampler_build_s) / total_s``.
 """
 
-import contextlib
 import ctypes
 import dataclasses
 import glob
@@ -43,7 +42,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 import time
 import typing
 import warnings
@@ -54,7 +52,7 @@ import numpy as np
 from .algos import AlgoConfig, NanLossError, extract_policy, init_learner, train_step
 from .dataset import DatasetError, OfflineDataset, compute_trajectory_returns, load_dataset
 from .envsuite import PRESETS, env_from_name, generate_dataset, policy_value, preset_config
-from .nncore import load_checkpoint, save_checkpoint
+from .nncore import save_checkpoint
 from .sampler import SamplerSpec, build_sampler
 
 
@@ -116,7 +114,7 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class DeredConfig:
-    """Two-stage schedule: uniform pretrain, then rebalanced finetune.
+    """Two-stage schedule: uniform pretrain, then a finetune with the config's sampler.
 
     Stage two multiplies the backbone learning rate (0.1 by default) and,
     unless ``freeze_head`` is disabled, leaves every head bitwise untouched.
@@ -292,27 +290,23 @@ def _eval_points(total_steps: int, eval_every: int) -> list:
 def train_single_seed(shared, seed: int) -> tuple:
     """The seed job: train ``seed`` on its arm's sampler with the seed's own
     ``"sampler/{seed}"`` stream, and evaluate on schedule. ``shared`` is ``(ds,
-    mdp, cfg, sampler, (steps, ckpt_dir, resume))``; ``steps`` None means
-    ``cfg.algo``'s. With a ``ckpt_dir``, stage one saves ``stage1_seed{seed}.orck``
-    there; stage two (``resume``) finetunes from that file as ``cfg.dered`` says.
-    Returns ``(entry, timing, losses, heads_equal)``: the seed's report entry, the
-    seconds of its own work (``train_s``, ``draw_s``, ``step_s``, ``eval_s``),
-    its loss rows, and whether every head is still bitwise the file's (None unless
-    resuming), but no learner state, so it pickles cheaply back from workers."""
-    ds, mdp, cfg, arm_sampler, (steps, ckpt_dir, resume) = shared
+    mdp, cfg, sampler, steps, start)``; ``steps`` None means ``cfg.algo``'s, and
+    ``start`` None a fresh run, else ``{seed: nets}`` to finetune from as
+    ``cfg.dered`` says. Returns ``(entry, timing, losses, nets)``: the seed's report
+    entry, the seconds of its own work (``train_s``, ``draw_s``, ``step_s``,
+    ``eval_s``), its loss rows and trained nets, but no optimizer state."""
+    ds, mdp, cfg, arm_sampler, steps, start = shared
     steps = cfg.algo.total_steps if steps is None else steps
-    path = ckpt_dir and os.path.join(ckpt_dir, f"stage1_seed{seed}.orck")
-    nets = load_checkpoint(path) if resume else None
-    freeze_head = resume and cfg.dered.freeze_head
+    freeze_head = start is not None and cfg.dered.freeze_head
     refs = mdp.reference_scores
     flags = []
 
     sampler = arm_sampler.with_seed(stream_seed(cfg.root_seed, f"sampler/{seed}"))
     state = init_learner(cfg.algo, ds.meta.obs_dim, mdp.n_actions,
                          stream_seed(cfg.root_seed, f"init/{seed}"),
-                         backbone_mult=cfg.dered.backbone_lr_mult if resume else 1.0)
-    if nets is not None:
-        for name, net in nets.items():
+                         backbone_mult=1.0 if start is None else cfg.dered.backbone_lr_mult)
+    if start is not None:
+        for name, net in start[seed].items():
             state.nets[name].copy_from(net)
         state.targets["q"].copy_from(state.nets["q"])
 
@@ -365,12 +359,7 @@ def train_single_seed(shared, seed: int) -> tuple:
         "abort_step": abort_step,
         "flags": flags,
     }
-    if path and not resume:
-        save_checkpoint(path, state.nets)
-    heads_equal = None if nets is None else all(
-        state.nets[name].head_params().tobytes() == net.head_params().tobytes()
-        for name, net in nets.items())
-    return entry, timing, losses, heads_equal
+    return entry, timing, losses, state.nets
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +441,18 @@ def _run_header(kind: str, cfg: ExperimentConfig, refs: dict, checksum: str) -> 
             "refs": refs, "dataset_checksum": checksum}
 
 
-def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, False)):
-    """One sampler arm on prepared data: build its table once, train every
-    seed at ``stage`` (see :func:`train_single_seed`; by default
-    ``cfg.algo``'s steps). Returns (report, timing, losses, heads_equal per
-    seed): the run header with the ``{per_seed, aggregate, flags}`` block, and
-    per-seed timings and loss rows keyed by string seed."""
+def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, steps=None, start=None):
+    """One sampler arm on prepared data: build its table once, train every seed
+    for ``steps`` from ``start`` (see :func:`train_single_seed`). Returns (report,
+    timing, losses, nets): the run header with the ``{per_seed, aggregate, flags}``
+    block, per-seed timings and loss rows keyed by string seed, and each seed's nets."""
     ds, tr, mdp, checksum, static = prepared
     t0 = time.perf_counter()
     sampler = build_sampler(cfg.sampler, ds, tr)
     returns_s, build_s = static["returns_s"], time.perf_counter() - t0
     # the global, looked up per call, so a tracer's wrapper runs
-    results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, stage), cfg.eval.seeds, jobs)
+    results = _map_seeds(train_single_seed, (ds, mdp, cfg, sampler, steps, start),
+                         cfg.eval.seeds, jobs)
     per_seed = [entry for entry, *_ in results]
     report = {**_run_header("experiment", cfg, mdp.reference_scores, checksum),
               "per_seed": per_seed, "aggregate": _aggregate(per_seed),
@@ -475,7 +464,7 @@ def _run_arm(cfg: ExperimentConfig, prepared, jobs: int = 1, stage=(None, None, 
             "sampler_build_s": build_s, **t, "total_s": total_s,
             "overhead_fraction": (returns_s + build_s) / total_s if total_s > 0 else 0.0}
     losses = {str(entry["seed"]): rows for entry, _, rows, _ in results}
-    return report, {"per_seed": timing}, losses, [heads for *_, heads in results]
+    return report, {"per_seed": timing}, losses, [nets for *_, nets in results]
 
 
 def run_training(cfg: ExperimentConfig, jobs: int = 1):
@@ -486,33 +475,34 @@ def run_training(cfg: ExperimentConfig, jobs: int = 1):
 
 
 def two_stage_train(cfg: ExperimentConfig, out_dir=None, jobs: int = 1):
-    """Uniform pretrain, checkpoint, then rebalanced head-frozen finetune.
+    """Uniform pretrain, then a finetune with the config's own sampler.
 
-    Each stage is one arm pass over every seed. Stage two samples with the
-    config's sampler, or ``return_resample`` when that is uniform. It resumes
-    from the stage-one checkpoint file, multiplies the backbone learning rate
-    by ``backbone_lr_mult`` and freezes the heads when configured. Optimizer
-    moments restart fresh in stage two. Checkpoints are written as
-    ``stage1_seed{seed}.orck`` under ``out_dir``, or under a temporary
-    directory that is removed afterwards when ``out_dir`` is None.
+    Each stage is one arm pass over every seed. Stage two starts from stage
+    one's nets in memory, multiplies the backbone learning rate by
+    ``backbone_lr_mult``, freezes the heads when configured and restarts the
+    optimizer moments. A uniform ``cfg.sampler`` finetunes uniformly (the
+    decoupling-only control). Only given ``out_dir`` are stage one's nets
+    written, as ``stage1_seed{seed}.orck`` there, before stage two starts.
 
     Returns ``(report, timing, losses)``. The report's ``stage2`` block
     records, per seed, whether the head parameters stayed bitwise identical
-    to the checkpoint; timing and losses are shaped
-    ``{"stage1": {seed: ...}, "stage2": {seed: ...}}`` with string seed keys.
+    to stage one's; timing and losses are shaped ``{"stage1": {seed: ...},
+    "stage2": {seed: ...}}`` with string seed keys.
     """
     if cfg.dered is None:
         raise ConfigError("two_stage_train requires the 'dered' config block")
-    mode2 = "return_resample" if cfg.sampler.mode == "uniform" else cfg.sampler.mode
     prepared = prepare_dataset(cfg.dataset)
-    with (tempfile.TemporaryDirectory() if out_dir is None
-          else contextlib.nullcontext(out_dir)) as ckpt_dir:
-        os.makedirs(ckpt_dir, exist_ok=True)  # after the load, so a bad file leaves no dir
-        r1, t1, l1, _ = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode="uniform")),
-                                 prepared, jobs, (cfg.dered.stage1_steps, ckpt_dir, False))
-        r2, t2, l2, heads = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode=mode2)),
-                                     prepared, jobs, (cfg.dered.stage2_steps, ckpt_dir, True))
+    r1, t1, l1, nets1 = _run_arm(replace(cfg, sampler=replace(cfg.sampler, mode="uniform")),
+                                 prepared, jobs, cfg.dered.stage1_steps)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)  # after the load, so a bad file leaves no dir
+        for seed, nets in zip(cfg.eval.seeds, nets1):
+            save_checkpoint(os.path.join(out_dir, f"stage1_seed{seed}.orck"), nets)
+    r2, t2, l2, nets2 = _run_arm(cfg, prepared, jobs, cfg.dered.stage2_steps,
+                                 dict(zip(cfg.eval.seeds, nets1)))
 
+    heads = [all(after[name].head_params().tobytes() == net.head_params().tobytes()
+                 for name, net in before.items()) for before, after in zip(nets1, nets2)]
     for seed, heads_equal in zip(cfg.eval.seeds, heads):
         if cfg.dered.freeze_head and not heads_equal:
             raise RuntimeError(f"seed {seed}: frozen heads changed during stage 2")

@@ -208,7 +208,7 @@ def apply_update(net: Mlp, grads: np.ndarray, opt: OptimState, freeze_head: bool
 
 
 def save_checkpoint(path, nets: dict) -> None:
-    """Write named networks into one envelope file for stage handoffs.
+    """Write named networks into one envelope file (``dered``'s stage-one outputs).
 
     The payload is each net's ``params`` as little-endian float64, in sorted
     name order.

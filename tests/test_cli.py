@@ -435,14 +435,16 @@ def test_dered_jobs_match_sequential(tmp_path):
     cfg = write_config(tmp_path, algo={"family": "expectile_awr"}, eval={"seeds": [0, 1]},
                        dered={"stage1_steps": 40, "stage2_steps": 20,
                               "backbone_lr_mult": 0.1, "freeze_head": True})
-    seq, par = tmp_path / "jobs1", tmp_path / "jobs2"
-    assert main(["dered", "--config", str(cfg), "--out", str(seq), "--jobs", "1"]) == 0
-    assert main(["dered", "--config", str(cfg), "--out", str(par), "--jobs", "2"]) == 0
-    losses = [f"losses_stage{k}_seed{s}.csv" for k in (1, 2) for s in (0, 1)]
-    for name in ("report.json", "stage1_seed0.orck", "stage1_seed1.orck", *losses):
-        assert (par / name).read_bytes() == (seq / name).read_bytes(), name
-    assert sorted(p.name for p in par.glob("stage1_seed*.orck")) == [
-        "stage1_seed0.orck", "stage1_seed1.orck"]
+    for mode in ("return_resample", "uniform"):  # uniform: the decoupling-only control
+        seq, par = tmp_path / f"{mode}_jobs1", tmp_path / f"{mode}_jobs2"
+        for out, jobs in ((seq, "1"), (par, "2")):
+            assert main(["dered", "--config", str(cfg), "--out", str(out), "--jobs", jobs,
+                         f"sampler.mode={mode}"]) == 0
+        losses = [f"losses_stage{k}_seed{s}.csv" for k in (1, 2) for s in (0, 1)]
+        for name in ("report.json", "stage1_seed0.orck", "stage1_seed1.orck", *losses):
+            assert (par / name).read_bytes() == (seq / name).read_bytes(), (mode, name)
+        assert sorted(p.name for p in par.glob("stage1_seed*.orck")) == [
+            "stage1_seed0.orck", "stage1_seed1.orck"]
 
 
 def test_changed_frozen_head_is_a_runtime_error(tmp_path, capsys, monkeypatch):
@@ -752,6 +754,19 @@ def test_report_merges_and_marks_best(tmp_path, capsys):
     header = merged.read_text().splitlines()[0]
     assert header.startswith("task,")
     assert "q_plus_bc+uniform" in header and "q_plus_bc+return_resample" in header
+
+
+def test_report_names_a_two_stage_run_by_its_stage_two_sampler(tmp_path, capsys):
+    cfg = write_config(tmp_path, dered={"stage1_steps": 20, "stage2_steps": 20})
+    outs = [tmp_path / "uniform", tmp_path / "red"]
+    for out, mode in zip(outs, ("uniform", "return_resample")):
+        assert main(["dered", "--config", str(cfg), "--out", str(out),
+                     f"sampler.mode={mode}"]) == 0
+    merged = tmp_path / "merged.csv"
+    assert main(["report", *map(str, outs), "--out", str(merged)]) == 0
+    capsys.readouterr()
+    header = merged.read_text().splitlines()[0]
+    assert header == "task,q_plus_bc+two_stage+uniform,q_plus_bc+two_stage+return_resample"
 
 
 def test_report_single_run_passthrough(tmp_path, capsys):

@@ -356,6 +356,66 @@ def test_two_stage_requires_block():
         two_stage_train(small_config())
 
 
+def _tiny_dered(mode="return_resample"):
+    return small_config(algo=AlgoConfig(family="expectile_awr", total_steps=4, batch_size=8,
+                                        hidden_units=4),
+                        sampler=SamplerSpec(mode=mode, alpha=2.0, p_base=0.3),
+                        eval=EvalConfig(eval_every=2, episodes_per_eval=1, final_k=1,
+                                        seeds=(0, 1)),
+                        dered=DeredConfig(stage1_steps=4, stage2_steps=4))
+
+
+@pytest.mark.parametrize("mode", ["return_resample", "uniform"])
+def test_each_stage_builds_its_table_from_the_right_spec(monkeypatch, mode):
+    # stage one is uniform; stage two samples with cfg.sampler as given, so a
+    # uniform config finetunes uniformly (the decoupling-only control)
+    from red_offline import harness as hmod
+    specs, build = [], hmod.build_sampler
+
+    def spy(spec, *args):
+        specs.append(spec)
+        return build(spec, *args)
+    monkeypatch.setattr(hmod, "build_sampler", spy)
+    cfg = _tiny_dered(mode)
+    two_stage_train(cfg)
+    assert specs == [SamplerSpec(mode="uniform", alpha=2.0, p_base=0.3), cfg.sampler]
+
+
+def test_checkpoints_are_written_only_as_outputs(monkeypatch, tmp_path):
+    from red_offline import harness as hmod
+    from red_offline.nncore import load_checkpoint
+    events, job, save = [], hmod.train_single_seed, hmod.save_checkpoint
+
+    def job_spy(shared, seed):
+        out = job(shared, seed)
+        events.append(("stage1" if shared[5] is None else "stage2", seed, out[3]))
+        return out
+
+    def save_spy(path, nets):
+        events.append(("save", os.path.basename(path), nets))
+        return save(path, nets)
+    monkeypatch.setattr(hmod, "train_single_seed", job_spy)
+    monkeypatch.setattr(hmod, "save_checkpoint", save_spy)
+    cfg = _tiny_dered()
+    two_stage_train(cfg)  # no out_dir: no file
+    assert [e[:2] for e in events] == [("stage1", 0), ("stage1", 1), ("stage2", 0), ("stage2", 1)]
+
+    events.clear()
+    report, _, _ = two_stage_train(cfg, out_dir=str(tmp_path / "out"))
+    assert [e[:2] for e in events] == [("stage1", 0), ("stage1", 1),
+                                       ("save", "stage1_seed0.orck"), ("save", "stage1_seed1.orck"),
+                                       ("stage2", 0), ("stage2", 1)]
+    assert sorted(os.listdir(tmp_path / "out")) == ["stage1_seed0.orck", "stage1_seed1.orck"]
+    assert all(c["heads_bitwise_equal"] for c in report["stage2"]["head_checks"])
+    for seed in (0, 1):
+        stage1, stage2 = events[seed][2], events[4 + seed][2]
+        loaded = load_checkpoint(tmp_path / "out" / f"stage1_seed{seed}.orck")
+        assert sorted(loaded) == sorted(stage1) == sorted(stage2)
+        for name, net in loaded.items():
+            assert net.params.tobytes() == stage1[name].params.tobytes()
+            assert net.head_params().tobytes() == stage2[name].head_params().tobytes()
+
+
 def test_sweep_pbase_degenerate_equals_uniform():
     # all-equal returns: the p_base=0 arm degenerates to the uniform sampler
     cfg = small_config(dataset=DatasetSource(preset="expert_analog", n_trajectories=30))
